@@ -819,10 +819,7 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
     let mut state = seed;
     let mut next = || {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        eecs_net::fault::mix64(state)
     };
     for i in (1..items.len()).rev() {
         let j = (next() % (i as u64 + 1)) as usize;

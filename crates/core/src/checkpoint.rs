@@ -21,6 +21,7 @@ use crate::jsonio::{self, Json};
 use crate::metadata::{CameraReport, ObjectMetadata};
 use eecs_detect::detection::{AlgorithmId, BBox};
 use eecs_net::checksum::crc32;
+use eecs_net::fault::mix64;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -507,13 +508,11 @@ impl CheckpointFaultPlan {
 
     /// SplitMix64-finalized draw, pure in `(seed, generation, stream)`.
     fn mix(&self, generation: u64, stream: u64) -> u64 {
-        let mut z = self
-            .seed
-            .wrapping_add(generation.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(stream.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(
+            self.seed
+                .wrapping_add(generation.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .wrapping_add(stream.wrapping_mul(0xBF58_476D_1CE4_E5B9)),
+        )
     }
 
     /// Applies this plan to a freshly written record. Returns `true`

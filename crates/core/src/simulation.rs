@@ -17,6 +17,8 @@
 //! Section VI-E), so a 100-frame assessment period spans 4 annotated
 //! frames on datasets #1/#3 and 10 on dataset #2.
 
+#![warn(clippy::too_many_lines)]
+
 use crate::camera_node::CameraNode;
 use crate::checkpoint::{CheckpointFaultPlan, CheckpointStore, SimulationCheckpoint};
 use crate::config::{ConfigError, EecsConfig};
@@ -26,26 +28,25 @@ use crate::metadata::CameraReport;
 use crate::profile::TrainingRecord;
 use crate::reconcile::{reconcile, SeatSnapshot};
 use crate::reid::ReidConfig;
-use crate::selection::AssessmentData;
+use crate::selection::{AssessmentData, SelectionOutcome};
 use crate::telemetry::{Telemetry, TraceEvent};
 use crate::training::train_record;
 use crate::{EecsError, Result};
 use eecs_detect::bank::DetectorBank;
-use eecs_detect::detection::AlgorithmId;
+use eecs_detect::detection::{AlgorithmId, DetectionOutput};
 use eecs_detect::health::DetectorHealth;
 use eecs_energy::budget::{BatteryState, EnergyBudget};
 use eecs_energy::comm::JPEG_BYTES_PER_PIXEL;
-use eecs_energy::meter::PowerMeter;
 use eecs_energy::profile::DeviceProfile;
 use eecs_net::fault::{ChurnPlan, ControllerFaultPlan, Endpoint, FaultPlan, PartitionPlan};
 use eecs_net::message::Message;
 use eecs_net::reliable::Delivery;
 use eecs_net::transport::{Network, TransportStats};
 use eecs_scene::dataset::DatasetProfile;
-use eecs_scene::rig::{rig_calibrations, FleetView};
+use eecs_scene::rig::rig_calibrations;
 use eecs_scene::sensor_fault::{FrameImpairment, SensorFaultPlan};
 use eecs_scene::sequence::{FrameData, VideoFeed};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Ground-distance tolerance when scoring fused objects against ground
 /// truth (meters).
@@ -191,8 +192,9 @@ impl SimulationConfig {
 pub struct FailoverEvent {
     /// Round whose start the controller crashed at.
     pub round: usize,
-    /// Camera elected as the replacement controller (highest remaining
-    /// battery among survivors; ties break to the lowest index).
+    /// Camera elected as the replacement controller: the survivor with
+    /// the least energy spent (`PowerMeter::total`), ties to the lowest
+    /// index — the same rule as island elections.
     pub elected: usize,
     /// Round of the checkpoint the new controller restored from.
     pub checkpoint_round: usize,
@@ -551,1348 +553,67 @@ impl Simulation {
         &self.matched
     }
 
-    /// Runs the configured strategy over the test range.
+    /// Runs the configured strategy over the test range. Each round is
+    /// one pass through the phases of Section VI-E: the round boundary
+    /// (churn, partitions, crash failover, liveness), assessment,
+    /// selection, operation, and the commit of the round's record.
     ///
     /// # Errors
     ///
     /// Propagates selection failures (e.g. infeasible budgets).
     pub fn run(&self) -> Result<SimulationReport> {
-        let cams = self.config.cameras;
-        let profile = &self.config.profile;
-        let mut frames: Vec<Vec<FrameData>> = self
-            .feeds
-            .iter()
-            .map(|f| f.annotated_frames(self.config.start_frame, self.config.end_frame))
-            .collect();
-        let n = frames[0].len();
-        if n == 0 {
-            return Err(EecsError::InvalidArgument(
-                "no annotated frames in the requested range".into(),
-            ));
-        }
-
-        // Sensor faults corrupt the captured frames before anything reads
-        // them — every consumer downstream (assessment, operation,
-        // feature caches, parallel workers) sees the same degraded pixels,
-        // so worker count cannot change what was "seen". With the ideal
-        // plan no pixel is touched.
-        let sensor_chaos = self.config.sensor_plan.enabled();
-        let impairments: Vec<Vec<FrameImpairment>> = frames
-            .iter_mut()
-            .enumerate()
-            .map(|(j, cam_frames)| {
-                cam_frames
-                    .iter_mut()
-                    .map(|fd| {
-                        if sensor_chaos {
-                            self.config.sensor_plan.corrupt(j, fd.frame, &mut fd.image)
-                        } else {
-                            FrameImpairment::clean()
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let frames = frames;
-        let degraded_frames = impairments
-            .iter()
-            .flatten()
-            .filter(|i| i.degraded() && !i.dropped)
-            .count();
-        let dropped_frames = impairments.iter().flatten().filter(|i| i.dropped).count();
-
-        // Every publish below goes through this handle; with the default
-        // null sink each call is one branch and nothing else, keeping the
-        // run bit-identical to a build without the telemetry layer. All
-        // emission sites sit on the serial effect-replay path, so the
-        // stream is also bit-identical across `Parallelism` settings.
-        let tel = &self.config.eecs.telemetry;
-        tel.counter_add("sensor.degraded_frames", degraded_frames as u64);
-        tel.counter_add("sensor.dropped_frames", dropped_frames as u64);
-
-        let per_round = (self.config.eecs.recalibration_interval / profile.gt_interval).max(1);
-        let assess_len =
-            (self.config.eecs.assessment_period / profile.gt_interval).clamp(1, per_round);
-
-        let mut nodes: Vec<CameraNode> = (0..cams)
-            .map(|j| {
-                CameraNode::new(
-                    j,
-                    self.bank.clone(),
-                    BatteryState::new(self.fleet[j].battery_capacity_j).expect("positive capacity"),
-                    self.budgets[j],
-                )
-            })
-            .collect();
-
-        // The transport every flow now goes through. With the ideal plan
-        // every reliable send costs exactly one idealized attempt, so the
-        // energy accounting matches the raw byte math it replaces. Each
-        // endpoint radios at its own profile's rates (all identical under
-        // a uniform fleet).
-        let chaos = self.config.fault_plan.enabled();
-        let mut net = Network::with_nodes(
-            (0..cams)
-                .map(|j| (self.config.eecs.link, self.fleet[j].device))
-                .collect(),
-        )
-        .with_fault_plan(self.config.fault_plan.clone())
-        .with_retry_policy(self.config.eecs.retry);
-        // Self-healing state. Each controller seat owns a quarantine
-        // ledger (tracking (camera, algorithm) pairs whose detector
-        // output failed the health checks) and an assessment cache;
-        // `seats[0]` is the official seat — the mains hub, or its
-        // crash-failover replacement. Partitions can temporarily grow the
-        // vector with acting island controllers; `route[j]` names the
-        // seat camera `j` currently reports to, and `fenced[j]` the
-        // highest handover epoch it has accepted. Everything stays inert
-        // — and the run bit-identical to pre-chaos — under ideal plans.
-        let controller_chaos = self.config.controller_plan.enabled();
-        let partition_chaos = self.config.fault_plan.partition().enabled();
-        let election_timeout = self.config.eecs.partition.election_timeout_rounds;
-        let max_epoch_skew = self.config.eecs.partition.max_epoch_skew;
-        let mut quarantine_strikes = 0usize;
-        let mut seats: Vec<SeatState> = vec![SeatState::hub(cams)];
-        let mut route: Vec<usize> = vec![0; cams];
-        let mut fenced: Vec<u64> = vec![0; cams];
-        let mut orphan_age: Vec<usize> = vec![0; cams];
-        let mut was_partitioned = false;
-        let mut prev_islands = 1usize;
-        let mut partitions = 0usize;
-        let mut elections = 0usize;
-        let mut reconciliations = 0usize;
-        let mut split_brain_rounds = 0usize;
-        let mut failovers: Vec<FailoverEvent> = Vec::new();
-        // Generation-chained, checksummed checkpoint storage. Generation 1
-        // is the empty initial state, so a crash before the first
-        // round-end snapshot still has something verified to restore.
-        let mut checkpoint_store = CheckpointStore::new(self.checkpoint_faults);
-        checkpoint_store.commit(&SimulationCheckpoint::initial(cams).to_json());
-        let mut checkpoint_rollbacks = 0u64;
-
-        // Fleet churn bookkeeping. Membership is a pure function of
-        // `(plan, camera, round)` — no shared RNG state — so an ideal
-        // plan consumes zero rolls and every branch below is dead,
-        // keeping the run bit-identical to pre-churn builds. `members`
-        // mirrors the plan one round at a time so each transition fires
-        // its join/leave work exactly once.
-        let churn_enabled = self.churn.enabled();
-        let mut members = vec![true; cams];
-        let mut uploaded = vec![false; cams];
-        let mut fleet_view = FleetView::new(cams);
-        let mut camera_joins = 0usize;
-        let mut camera_leaves = 0usize;
-
-        // One-time feature upload (Section IV-B.1). Cameras absent at
-        // round 0 upload later, when they first join.
-        let extractor_dim = self.controller.records()[0].video.feature_dim();
-        for (j, node) in nodes.iter_mut().enumerate() {
-            if churn_enabled && !self.churn.is_member(j, 0) {
-                continue;
-            }
-            let msg = Message::FeatureUpload {
-                frames: self.config.eecs.key_frames,
-                feature_dim: extractor_dim,
-            };
-            let (battery, meter) = node.radio_mut();
-            let d = net
-                .send_reliable(j, msg, battery, meter)
-                .map_err(EecsError::from)?;
-            tel.observe_delivery(0, j, &d);
-            uploaded[j] = true;
-        }
-
-        let mut rounds = Vec::new();
-        let mut total_correct = 0usize;
-        let mut total_gt = 0usize;
-
-        let mut start = 0usize;
-        let mut round_index = 0usize;
-        let mut reid = self.controller.reid_config(None);
-        while start < n {
-            let end = (start + per_round).min(n);
-            let boost_round = self.config.boost_every > 0
-                && self.config.mode != OperatingMode::AllBest
-                && (round_index + 1).is_multiple_of(self.config.boost_every);
-            let energy_before: f64 = nodes.iter().map(|c| c.meter().total()).sum();
-            let mut round_correct = 0usize;
-            let mut round_gt = 0usize;
-            tel.event(|| TraceEvent::RoundStart {
-                round: round_index,
-                first_frame: frames[0][start].frame,
-            });
-
-            // ---- fleet churn ----
-            // Diff the plan's membership against last round's at the
-            // round boundary. Departures drain every index-keyed route to
-            // the camera (quarantine entries, sticky assignments, the
-            // radio endpoint); joins admit the newcomer through an
-            // incremental probe instead of a full fleet reassessment.
-            if churn_enabled {
-                let mut joined_now: Vec<usize> = Vec::new();
-                for j in 0..cams {
-                    let mut present = self.churn.is_member(j, round_index);
-                    // Deferred leave: an acting controller cannot vanish
-                    // without a handover, so a seat-holding camera stays
-                    // until the seat moves off it (or the plan readmits
-                    // it).
-                    if !present && members[j] && seats.iter().any(|st| st.location == Some(j)) {
-                        present = true;
-                    }
-                    if present == members[j] {
-                        continue;
-                    }
-                    if present {
-                        members[j] = true;
-                        camera_joins += 1;
-                        tel.counter_add("churn.joins", 1);
-                        tel.event(|| TraceEvent::CameraJoin {
-                            round: round_index,
-                            camera: j,
-                        });
-                        net.set_attached(j, true).map_err(EecsError::from)?;
-                        // A rejoin restores identity, not stale state:
-                        // cached assessments past the staleness bound are
-                        // evicted so planning never trusts a scene the
-                        // camera stopped watching.
-                        for st in seats.iter_mut() {
-                            if st.cache.evict_stale(
-                                j,
-                                round_index,
-                                self.config.eecs.staleness_limit_rounds,
-                            ) {
-                                tel.counter_add("churn.cache_evictions", 1);
-                            }
-                        }
-                        fleet_view.spawn(j);
-                        joined_now.push(j);
-                    } else {
-                        members[j] = false;
-                        camera_leaves += 1;
-                        tel.counter_add("churn.leaves", 1);
-                        tel.event(|| TraceEvent::CameraLeave {
-                            round: round_index,
-                            camera: j,
-                        });
-                        net.set_attached(j, false).map_err(EecsError::from)?;
-                        for st in seats.iter_mut() {
-                            let purged = st.quarantine.purge_camera(j);
-                            if purged > 0 {
-                                tel.counter_add("churn.quarantine_purged", purged as u64);
-                            }
-                            st.last_plan.0.remove(&j);
-                            st.last_plan.1.retain(|&x| x != j);
-                        }
-                        nodes[j].set_assignment(None);
-                        fleet_view.despawn(j);
-                    }
-                }
-                tel.gauge_set("fleet.size", fleet_view.active_count() as f64);
-                // A newcomer introduces itself: the one-time feature
-                // upload (first join only), then one incremental
-                // assessment probe — the controller learns about the
-                // newcomer without re-probing the standing fleet.
-                for &j in &joined_now {
-                    if !uploaded[j] {
-                        uploaded[j] = true;
-                        let msg = Message::FeatureUpload {
-                            frames: self.config.eecs.key_frames,
-                            feature_dim: extractor_dim,
-                        };
-                        let seat = seats[route[j]].location;
-                        let (battery, meter) = nodes[j].radio_mut();
-                        let d = uplink(&mut net, seat, j, msg, battery, meter)
-                            .map_err(EecsError::from)?;
-                        tel.observe_delivery(round_index, j, &d);
-                    }
-                    let seat = seats[route[j]].location;
-                    let (battery, meter) = nodes[j].radio_mut();
-                    let d = uplink(&mut net, seat, j, Message::EnergyReport, battery, meter)
-                        .map_err(EecsError::from)?;
-                    let heard = d.delivered && d.delayed_rounds == 0;
-                    tel.observe_delivery(round_index, j, &d);
-                    tel.event(|| TraceEvent::Probe {
-                        round: round_index,
-                        camera: j,
-                        delivered: heard,
-                    });
-                    if heard {
-                        seats[route[j]].cache.mark_heard(j, round_index);
-                    }
-                }
-            }
-
-            // ---- assessment + selection ----
-            let (assignment, active): (BTreeMap<usize, AlgorithmId>, Vec<usize>) = match self
-                .config
-                .mode
-            {
-                OperatingMode::AllBest => {
-                    let mut a = BTreeMap::new();
-                    for j in 0..cams {
-                        if let Some(p) = self.record_for(j).best_within_budget(&self.budgets[j]) {
-                            a.insert(j, p.algorithm);
-                        }
-                    }
-                    if a.is_empty() {
-                        return Err(EecsError::Infeasible(
-                            "no budget-feasible algorithm on any camera".into(),
-                        ));
-                    }
-                    if churn_enabled {
-                        a.retain(|j, _| members[*j]);
-                    }
-                    // The baseline has no controller loop: assignments are
-                    // applied by fiat, not over the network.
-                    for (j, node) in nodes.iter_mut().enumerate() {
-                        node.set_assignment(a.get(&j).copied());
-                    }
-                    let active = a.keys().copied().collect();
-                    (a, active)
-                }
+        let mut mission = MissionState::new(self)?;
+        while let Some(mut round) = mission.next_round() {
+            mission.boundary(&round)?;
+            let plan = match self.config.mode {
+                OperatingMode::AllBest => mission.select_all_best()?,
                 OperatingMode::CameraSubset | OperatingMode::FullEecs => {
-                    let assess_end = (start + assess_len).min(end);
-
-                    // ---- partition control plane ----
-                    // Pure function of the round number: island layout,
-                    // heal-time reconciliation, camera → seat routing and
-                    // orphan elections. Skipped entirely (and `route`
-                    // stays all-zero) without a partition plan.
-                    if partition_chaos {
-                        let partition = self.config.fault_plan.partition();
-                        let island = partition_islands(partition, cams, round_index);
-                        let n_islands = {
-                            let mut ids = island.clone();
-                            ids.sort_unstable();
-                            ids.dedup();
-                            ids.len()
-                        };
-                        let now_partitioned = partition.is_partitioned(round_index);
-                        if now_partitioned && !was_partitioned {
-                            partitions += 1;
-                            tel.counter_add("partition.starts", 1);
-                            tel.event(|| TraceEvent::PartitionStart {
-                                round: round_index,
-                                islands: n_islands,
-                            });
-                        } else if !now_partitioned && was_partitioned {
-                            tel.counter_add("partition.heals", 1);
-                            tel.event(|| TraceEvent::PartitionHeal {
-                                round: round_index,
-                                islands: prev_islands,
-                            });
-                        }
-                        was_partitioned = now_partitioned;
-                        prev_islands = n_islands;
-                        tel.gauge_set("partition.islands", n_islands as f64);
-
-                        // Heal: seats that can see each other again merge
-                        // into one via the commutative/associative
-                        // reconcile join — the merged state is the same
-                        // whichever side heals first.
-                        let isl_of = |loc: Option<usize>| island[loc.map_or(cams, |s| s)];
-                        if seats.len() > 1 {
-                            let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-                            for (k, st) in seats.iter().enumerate() {
-                                groups.entry(isl_of(st.location)).or_default().push(k);
-                            }
-                            if groups.values().any(|g| g.len() > 1) {
-                                let mut old: Vec<Option<SeatState>> =
-                                    seats.drain(..).map(Some).collect();
-                                let mut groups: Vec<Vec<usize>> = groups.into_values().collect();
-                                groups.sort_by_key(|g| g[0]);
-                                for g in groups {
-                                    if g.len() == 1 {
-                                        seats.push(old[g[0]].take().expect("seat taken once"));
-                                        continue;
-                                    }
-                                    let states: Vec<SeatState> = g
-                                        .iter()
-                                        .map(|&k| old[k].take().expect("seat taken once"))
-                                        .collect();
-                                    let mut snap = states[0].snapshot(cams, &members);
-                                    for st in &states[1..] {
-                                        snap = reconcile(&snap, &st.snapshot(cams, &members));
-                                    }
-                                    reconciliations += 1;
-                                    tel.counter_add("reconcile.count", 1);
-                                    let (epoch, demoted) = (snap.epoch, g.len() - 1);
-                                    tel.event(|| TraceEvent::Reconcile {
-                                        round: round_index,
-                                        epoch,
-                                        demoted,
-                                    });
-                                    seats.push(SeatState::from_snapshot(&snap, cams));
-                                }
-                            }
-                        }
-
-                        // Route every camera to the seat sharing its
-                        // island; cameras on seatless islands fall back to
-                        // the official seat (their sends die at the radio,
-                        // which is exactly the probe-burn that starts an
-                        // election clock).
-                        for j in 0..cams {
-                            route[j] = seats
-                                .iter()
-                                .position(|st| isl_of(st.location) == island[j])
-                                .unwrap_or(0);
-                        }
-
-                        // Orphan elections: an island that has lost sight
-                        // of every seat for `election_timeout` rounds
-                        // elects its least-drained member as an acting
-                        // controller at a fenced, strictly higher epoch.
-                        let mut orphans: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-                        for j in 0..cams {
-                            if seats.iter().any(|st| isl_of(st.location) == island[j]) {
-                                orphan_age[j] = 0;
-                            } else {
-                                orphan_age[j] += 1;
-                                orphans.entry(island[j]).or_default().push(j);
-                            }
-                        }
-                        for members in orphans.into_values() {
-                            let ripe = members.iter().map(|&j| orphan_age[j]).max().unwrap_or(0)
-                                >= election_timeout;
-                            if !ripe {
-                                continue;
-                            }
-                            let mut elected: Option<(usize, f64)> = None;
-                            for &j in &members {
-                                if net.is_camera_down(j) {
-                                    continue;
-                                }
-                                let used = nodes[j].meter().total();
-                                if elected.is_none_or(|(_, best)| used < best) {
-                                    elected = Some((j, used));
-                                }
-                            }
-                            let Some((new_seat, _)) = elected else {
-                                continue;
-                            };
-                            let restored = checkpoint_store.restore().map_err(|e| {
-                                EecsError::Subsystem(format!("checkpoint restore: {e}"))
-                            })?;
-                            if restored.rolled_back > 0 {
-                                checkpoint_rollbacks += restored.rolled_back;
-                                tel.counter_add("checkpoint.rollbacks", restored.rolled_back);
-                                tel.event(|| TraceEvent::CheckpointRollback {
-                                    round: round_index,
-                                    generation: restored.generation,
-                                    rolled_back: restored.rolled_back,
-                                });
-                            }
-                            let ckpt = SimulationCheckpoint::from_json(&restored.payload).map_err(
-                                |m| EecsError::Subsystem(format!("checkpoint restore: {m}")),
-                            )?;
-                            let epoch = members
-                                .iter()
-                                .map(|&j| fenced[j])
-                                .max()
-                                .unwrap_or(0)
-                                .max(ckpt.epoch)
-                                + 1;
-                            let st = SeatState::from_snapshot(
-                                &SeatSnapshot {
-                                    epoch,
-                                    seat: Some(new_seat),
-                                    plan_round: ckpt.round,
-                                    assignment: ckpt.assignment.clone(),
-                                    active: ckpt.active.clone(),
-                                    cache: ckpt.cache.clone(),
-                                    quarantine: ckpt.quarantine.clone(),
-                                    members: ckpt.members.clone(),
-                                },
-                                cams,
-                            );
-                            let mut announced = 0usize;
-                            for &peer in &members {
-                                if peer == new_seat || net.is_camera_down(peer) {
-                                    continue;
-                                }
-                                let msg = Message::ControllerHandover {
-                                    controller: new_seat,
-                                    epoch,
-                                };
-                                let (battery, meter) = nodes[new_seat].radio_mut();
-                                let d = net
-                                    .send_peer(new_seat, peer, msg, battery, meter)
-                                    .map_err(EecsError::from)?;
-                                tel.observe_delivery(round_index, new_seat, &d);
-                                // Epoch fencing: a peer accepts only a
-                                // strictly newer seat, and never one
-                                // implausibly far ahead of what it has
-                                // witnessed.
-                                if d.delivered
-                                    && epoch > fenced[peer]
-                                    && epoch <= fenced[peer] + max_epoch_skew
-                                {
-                                    fenced[peer] = epoch;
-                                    announced += 1;
-                                }
-                            }
-                            fenced[new_seat] = fenced[new_seat].max(epoch);
-                            elections += 1;
-                            tel.counter_add("election.count", 1);
-                            tel.event(|| TraceEvent::Election {
-                                round: round_index,
-                                elected: new_seat,
-                                epoch,
-                                announced,
-                            });
-                            let k = seats.len();
-                            seats.push(st);
-                            for &j in &members {
-                                route[j] = k;
-                                orphan_age[j] = 0;
-                            }
-                        }
-                    }
-
-                    // Controller crash: the hub (or the camera currently
-                    // holding the seat) goes dark at the start of this
-                    // round. Every survivor burns one failed probe
-                    // discovering the silence, then the highest-battery
-                    // survivor takes the seat and restores the last
-                    // checkpoint — within this same round it is planning
-                    // again.
-                    if controller_chaos && self.config.controller_plan.crash_starts(round_index) {
-                        net.set_controller_down(true);
-                        let failed_seat = seats[0].location;
-                        seats[0].location = None;
-                        for (j, node) in nodes.iter_mut().enumerate() {
-                            if net.is_camera_down(j) || failed_seat == Some(j) {
-                                continue;
-                            }
-                            let (battery, meter) = node.radio_mut();
-                            let d = net
-                                .send_reliable(j, Message::EnergyReport, battery, meter)
-                                .map_err(EecsError::from)?;
-                            tel.observe_delivery(round_index, j, &d);
-                        }
-                        let mut elected: Option<(usize, f64)> = None;
-                        for (j, node) in nodes.iter().enumerate() {
-                            if net.is_camera_down(j) || failed_seat == Some(j) {
-                                continue;
-                            }
-                            let used = node.meter().total();
-                            if elected.is_none_or(|(_, best)| used < best) {
-                                elected = Some((j, used));
-                            }
-                        }
-                        // With no survivor the hub stays dark: every send
-                        // from here on times out and the run degrades
-                        // gracefully instead of aborting.
-                        if let Some((new_seat, _)) = elected {
-                            net.set_controller_down(false);
-                            let restored = checkpoint_store.restore().map_err(|e| {
-                                EecsError::Subsystem(format!("checkpoint restore: {e}"))
-                            })?;
-                            if restored.rolled_back > 0 {
-                                checkpoint_rollbacks += restored.rolled_back;
-                                tel.counter_add("checkpoint.rollbacks", restored.rolled_back);
-                                tel.event(|| TraceEvent::CheckpointRollback {
-                                    round: round_index,
-                                    generation: restored.generation,
-                                    rolled_back: restored.rolled_back,
-                                });
-                            }
-                            let ckpt = SimulationCheckpoint::from_json(&restored.payload).map_err(
-                                |m| EecsError::Subsystem(format!("checkpoint restore: {m}")),
-                            )?;
-                            // The replacement restores the checkpoint and
-                            // announces the next fencing epoch; peers
-                            // accept it only if it is strictly newer than
-                            // anything they have already acknowledged.
-                            let epoch = ckpt.epoch + 1;
-                            seats[0] = SeatState::from_snapshot(
-                                &SeatSnapshot {
-                                    epoch,
-                                    seat: Some(new_seat),
-                                    plan_round: ckpt.round,
-                                    assignment: ckpt.assignment.clone(),
-                                    active: ckpt.active.clone(),
-                                    cache: ckpt.cache.clone(),
-                                    quarantine: ckpt.quarantine.clone(),
-                                    members: ckpt.members.clone(),
-                                },
-                                cams,
-                            );
-                            let mut announced = 0usize;
-                            for (peer, fence) in fenced.iter_mut().enumerate() {
-                                if peer == new_seat || net.is_camera_down(peer) {
-                                    continue;
-                                }
-                                let msg = Message::ControllerHandover {
-                                    controller: new_seat,
-                                    epoch,
-                                };
-                                let (battery, meter) = nodes[new_seat].radio_mut();
-                                let d = net
-                                    .send_peer(new_seat, peer, msg, battery, meter)
-                                    .map_err(EecsError::from)?;
-                                tel.observe_delivery(round_index, new_seat, &d);
-                                if d.delivered && epoch > *fence && epoch <= *fence + max_epoch_skew
-                                {
-                                    *fence = epoch;
-                                    announced += 1;
-                                }
-                            }
-                            fenced[new_seat] = fenced[new_seat].max(epoch);
-                            let checkpoint_round = ckpt.round;
-                            failovers.push(FailoverEvent {
-                                round: round_index,
-                                elected: new_seat,
-                                checkpoint_round,
-                                announced,
-                            });
-                            tel.counter_add("failover.count", 1);
-                            tel.event(|| TraceEvent::Failover {
-                                round: round_index,
-                                elected: new_seat,
-                                checkpoint_round,
-                                announced,
-                            });
-                        }
-                    }
-
-                    // Liveness probe: lets the controller tell a silent-
-                    // but-alive camera from a dead one. On an ideal
-                    // network silence is impossible, so the probe (and
-                    // its energy) is elided and the idealized accounting
-                    // is unchanged.
-                    if chaos
-                        || net.controller_down()
-                        || seats.len() > 1
-                        || seats[0].location.is_some()
-                    {
-                        for (j, node) in nodes.iter_mut().enumerate() {
-                            // A departed camera is not silent — it is
-                            // gone: no probe, no phantom Probe event.
-                            if churn_enabled && !members[j] {
-                                continue;
-                            }
-                            let seat = seats[route[j]].location;
-                            let (battery, meter) = node.radio_mut();
-                            let d =
-                                uplink(&mut net, seat, j, Message::EnergyReport, battery, meter)
-                                    .map_err(EecsError::from)?;
-                            let heard = d.delivered && d.delayed_rounds == 0;
-                            tel.observe_delivery(round_index, j, &d);
-                            tel.event(|| TraceEvent::Probe {
-                                round: round_index,
-                                camera: j,
-                                delivered: heard,
-                            });
-                            if heard {
-                                seats[route[j]].cache.mark_heard(j, round_index);
-                            }
-                        }
-                    }
-
-                    // A quarantine re-probe that comes due in a round its
-                    // camera is unreachable would burn silently: the
-                    // backoff window closes, no detector gets to prove
-                    // itself, and the next health failure escalates as if
-                    // a real probe had failed. Defer those re-probes to
-                    // the next round instead of letting them lapse.
-                    if chaos {
-                        let plan = &self.config.fault_plan;
-                        for j in 0..cams {
-                            if churn_enabled && !members[j] {
-                                continue;
-                            }
-                            let target = match seats[route[j]].location {
-                                Some(s) if s == j => continue,
-                                Some(s) => Endpoint::Camera(s),
-                                None => Endpoint::Hub,
-                            };
-                            let unreachable = net.is_camera_down(j)
-                                || plan.is_outage(j, round_index)
-                                || !plan.partition().can_reach(
-                                    Endpoint::Camera(j),
-                                    target,
-                                    round_index,
-                                );
-                            if unreachable {
-                                let deferred =
-                                    seats[route[j]].quarantine.defer_probes(j, round_index);
-                                if deferred > 0 {
-                                    tel.counter_add("quarantine.deferred", deferred as u64);
-                                }
-                            }
-                        }
-                    }
-
-                    // Fresh assessment: every feasible algorithm on every
-                    // reachable camera, each report uploaded through the
-                    // transport. Only what actually arrives this round
-                    // reaches the controller; a lost upload leaves an
-                    // empty placeholder (the header timestamps tell the
-                    // controller a frame happened, not what it held).
-                    //
-                    // The detection work is pure (camera state is only
-                    // touched by ingestion and the sends), and both the
-                    // crash schedule and the feasible sets are constant
-                    // within a round, so the per-(camera, frame) tasks are
-                    // enumerated up front, fanned over the worker pool,
-                    // and consumed serially below in exactly the order the
-                    // serial loop ran them — keeping battery drains, op
-                    // counters and transport interactions bit-identical.
-                    let assess_count = assess_end - start;
-                    let feasible_by_cam: Vec<Vec<AlgorithmId>> = (0..cams)
-                        .map(|j| {
-                            if net.is_camera_down(j) {
-                                return Vec::new();
-                            }
-                            self.record_for(j)
-                                .feasible_ranked(&self.budgets[j])
-                                .iter()
-                                .map(|p| p.algorithm)
-                                // Quarantined detectors sit out their
-                                // backoff; `allows` turns true again at
-                                // the re-probe round.
-                                .filter(|&alg| {
-                                    seats[route[j]].quarantine.allows(j, alg, round_index)
-                                })
-                                .collect()
-                        })
-                        .collect();
-                    // Frame offsets each camera's sensor actually produced
-                    // — dropped frames run no detector at all.
-                    let kept: Vec<Vec<usize>> = (0..cams)
-                        .map(|j| {
-                            (0..assess_count)
-                                .filter(|&fi| !impairments[j][start + fi].dropped)
-                                .collect()
-                        })
-                        .collect();
-                    let mut task_of: Vec<(usize, usize)> = Vec::new();
-                    let mut cam_task_start = vec![usize::MAX; cams];
-                    for (j, feasible) in feasible_by_cam.iter().enumerate() {
-                        if feasible.is_empty() {
-                            continue;
-                        }
-                        cam_task_start[j] = task_of.len();
-                        task_of.extend(kept[j].iter().map(|&fi| (j, fi)));
-                    }
-                    let bank = &self.bank;
-                    let par = self.config.parallel;
-                    // Each task runs all of one camera's feasible
-                    // algorithms on one frame, sharing that frame's
-                    // feature cache across them when enabled.
-                    let outputs = crate::par::par_map_indexed(task_of.len(), par.workers, |t| {
-                        let (j, fi) = task_of[t];
-                        bank.run_algorithms(
-                            &feasible_by_cam[j],
-                            &frames[j][start + fi].image,
-                            par.feature_cache,
-                        )
-                    });
-
-                    let mut fresh: Vec<CameraAssessment> = vec![BTreeMap::new(); cams];
-                    let mut attempted = vec![false; cams];
-                    let mut delivered_any = vec![false; cams];
-                    for j in 0..cams {
-                        if feasible_by_cam[j].is_empty() {
-                            continue;
-                        }
-                        // Dropped frames: the sensor produced nothing, so
-                        // the camera reports the gap with a tiny
-                        // DegradedFrame message instead of detections.
-                        for fi in 0..assess_count {
-                            if !impairments[j][start + fi].dropped {
-                                continue;
-                            }
-                            attempted[j] = true;
-                            let seat = seats[route[j]].location;
-                            let (battery, meter) = nodes[j].radio_mut();
-                            let d =
-                                uplink(&mut net, seat, j, Message::DegradedFrame, battery, meter)
-                                    .map_err(EecsError::from)?;
-                            tel.observe_delivery(round_index, j, &d);
-                            tel.counter_add("sensor.gap_reports", 1);
-                            if d.delivered && d.delayed_rounds == 0 {
-                                seats[route[j]].cache.mark_heard(j, round_index);
-                            }
-                        }
-                        let mut pos_of = vec![usize::MAX; assess_count];
-                        for (pos, &fi) in kept[j].iter().enumerate() {
-                            pos_of[fi] = pos;
-                        }
-                        let record = self.record_for(j);
-                        for (ai, &alg) in feasible_by_cam[j].iter().enumerate() {
-                            let profile_a = record.profile(alg).expect("feasible ⇒ profiled");
-                            let mut series = Vec::new();
-                            for (fi, fd) in frames[j][start..assess_end].iter().enumerate() {
-                                if impairments[j][start + fi].dropped {
-                                    series.push(CameraReport {
-                                        objects: Vec::new(),
-                                    });
-                                    continue;
-                                }
-                                let output = outputs[cam_task_start[j] + pos_of[fi]][ai].clone();
-                                let ops = output.ops;
-                                let health =
-                                    DetectorHealth::check(alg, &output, &self.config.eecs.health);
-                                let healthy = health.is_healthy();
-                                let mut report = nodes[j].ingest_detection(
-                                    &fd.image,
-                                    output,
-                                    profile_a,
-                                    &self.fleet[j].device,
-                                )?;
-                                if !healthy {
-                                    // A detector spewing NaNs or absurd
-                                    // counts must not poison fusion: the
-                                    // energy is already spent, the output
-                                    // is discarded.
-                                    report = CameraReport {
-                                        objects: Vec::new(),
-                                    };
-                                }
-                                publish_detection(
-                                    tel,
-                                    round_index,
-                                    j,
-                                    fd.frame,
-                                    &health,
-                                    ops,
-                                    report.len(),
-                                );
-                                let msg = Message::DetectionMetadata {
-                                    objects: report.len(),
-                                };
-                                attempted[j] = true;
-                                let seat = seats[route[j]].location;
-                                let (battery, meter) = nodes[j].radio_mut();
-                                let d = uplink(&mut net, seat, j, msg, battery, meter)
-                                    .map_err(EecsError::from)?;
-                                tel.observe_delivery(round_index, j, &d);
-                                if d.delivered && d.delayed_rounds == 0 {
-                                    delivered_any[j] = true;
-                                    let st = &mut seats[route[j]];
-                                    st.cache.mark_heard(j, round_index);
-                                    if healthy {
-                                        st.quarantine.report_healthy(j, alg);
-                                    } else {
-                                        st.quarantine.report_unhealthy(
-                                            j,
-                                            alg,
-                                            round_index,
-                                            &self.config.eecs.quarantine,
-                                        );
-                                        quarantine_strikes += 1;
-                                        tel.counter_add("quarantine.strikes", 1);
-                                        let strikes = st.quarantine.strikes(j, alg);
-                                        tel.event(|| TraceEvent::QuarantineStrike {
-                                            round: round_index,
-                                            camera: j,
-                                            algorithm: alg,
-                                            strikes,
-                                        });
-                                    }
-                                    series.push(report);
-                                } else {
-                                    series.push(CameraReport {
-                                        objects: Vec::new(),
-                                    });
-                                }
-                            }
-                            fresh[j].insert(alg, series);
-                        }
-                    }
-
-                    // Graceful degradation: fresh data where it arrived,
-                    // cached data (within the staleness cap) for cameras
-                    // that are alive but unheard, exclusion for the rest.
-                    let mut data = AssessmentData {
-                        reports: vec![BTreeMap::new(); cams],
-                    };
-                    let mut live = vec![false; cams];
-                    for j in 0..cams {
-                        // A departed camera contributes nothing to
-                        // planning — not even the "no feasible algorithm"
-                        // liveness fallback below.
-                        if churn_enabled && !members[j] {
-                            continue;
-                        }
-                        if delivered_any[j] {
-                            // `fresh[j]` is recorded into the assessment
-                            // cache by move after the scoring loop below —
-                            // one clone here instead of two.
-                            data.reports[j] = fresh[j].clone();
-                            live[j] = true;
-                        } else if net.is_camera_down(j) || attempted[j] {
-                            // Silent this round: crashed, or every upload
-                            // was lost. Reuse the last-known assessment if
-                            // the camera is still heard and the data is
-                            // not too stale; otherwise exclude it.
-                            let cache = &seats[route[j]].cache;
-                            if cache.heard_in(j, round_index) {
-                                if let Some(cached) = cache.usable(
-                                    j,
-                                    round_index,
-                                    self.config.eecs.staleness_limit_rounds,
-                                ) {
-                                    data.reports[j] = cached.clone();
-                                    live[j] = true;
-                                }
-                            }
-                        } else {
-                            // Nothing feasible to send — a budget
-                            // condition, not a network one: keep the
-                            // camera's real budget in play so selection
-                            // treats it exactly as the idealized model
-                            // did.
-                            live[j] = true;
-                        }
-                    }
-
-                    let mut split_plan: Option<(BTreeMap<usize, AlgorithmId>, Vec<usize>)> = None;
-                    let plan = if seats.len() > 1 {
-                        // Split brain: every island seat plans locally
-                        // against the cameras it can see, under those
-                        // cameras' real budgets; the per-island plans are
-                        // disjoint (routing partitions the cameras), so
-                        // their union is the round's assignment. Boost
-                        // rounds are skipped mid-partition — no seat can
-                        // see the whole network anyway.
-                        split_brain_rounds += 1;
-                        tel.counter_add("partition.split_brain_rounds", 1);
-                        let mut merged = BTreeMap::new();
-                        let mut merged_active: Vec<usize> = Vec::new();
-                        for (k, seat) in seats.iter_mut().enumerate() {
-                            let members: Vec<usize> =
-                                (0..cams).filter(|&j| route[j] == k).collect();
-                            let mut live_k = vec![false; cams];
-                            let mut data_k = AssessmentData {
-                                reports: vec![BTreeMap::new(); cams],
-                            };
-                            for &j in &members {
-                                live_k[j] = live[j];
-                                data_k.reports[j] = data.reports[j].clone();
-                            }
-                            let plan_k = if live_k.iter().any(|&l| l) {
-                                let metric = self.controller.fit_color_metric(&data_k);
-                                let reid_k = self.controller.reid_config(metric);
-                                let sel = self.controller.select_live(
-                                    &data_k,
-                                    &self.matched,
-                                    &self.budgets,
-                                    &reid_k,
-                                    self.config.mode == OperatingMode::FullEecs,
-                                    &live_k,
-                                );
-                                if k == 0 {
-                                    reid = reid_k;
-                                }
-                                match sel {
-                                    Ok(outcome) => Some((outcome.assignment, outcome.active)),
-                                    // An island too small to meet the
-                                    // accuracy target keeps its standing
-                                    // plan instead of killing the run.
-                                    Err(EecsError::Infeasible(_)) => None,
-                                    Err(e) => return Err(e),
-                                }
-                            } else {
-                                None
-                            };
-                            let (a_k, act_k) = match plan_k {
-                                Some(p) => {
-                                    seat.plan_round = round_index;
-                                    p
-                                }
-                                None => {
-                                    let (la, lact) = &seat.last_plan;
-                                    (
-                                        la.iter()
-                                            .filter(|(j, _)| members.contains(j))
-                                            .map(|(&j, &alg)| (j, alg))
-                                            .collect(),
-                                        lact.iter()
-                                            .copied()
-                                            .filter(|j| members.contains(j))
-                                            .collect(),
-                                    )
-                                }
-                            };
-                            seat.last_plan = (a_k.clone(), act_k.clone());
-                            merged.extend(a_k);
-                            merged_active.extend(act_k);
-                        }
-                        merged_active.sort_unstable();
-                        merged_active.dedup();
-                        split_plan = Some((merged, merged_active));
-                        None
-                    } else if live.iter().any(|&l| l) {
-                        let metric = self.controller.fit_color_metric(&data);
-                        reid = self.controller.reid_config(metric);
-                        let outcome = self.controller.select_live(
-                            &data,
-                            &self.matched,
-                            &self.budgets,
-                            &reid,
-                            self.config.mode == OperatingMode::FullEecs,
-                            &live,
-                        )?;
-                        Some(outcome)
-                    } else {
-                        // Every camera silent: nothing to plan with. Keep
-                        // the previous round's assignment (the cameras
-                        // keep whatever they last heard anyway).
-                        None
-                    };
-
-                    // Score the assessment frames with the baseline
-                    // (all-best) reports that actually arrived.
-                    let mut best_assign = BTreeMap::new();
-                    for j in 0..cams {
-                        if let Some(p) = self.record_for(j).best_within_budget(&self.budgets[j]) {
-                            best_assign.insert(j, p.algorithm);
-                        }
-                    }
-                    for (fi, f) in (start..assess_end).enumerate() {
-                        let reports: Vec<CameraReport> = best_assign
-                            .iter()
-                            .filter_map(|(&j, alg)| {
-                                fresh[j].get(alg).and_then(|v| v.get(fi)).cloned()
-                            })
-                            .collect();
-                        let (c, g) = self.score_frame(&reports, &frames, f, &reid);
-                        round_correct += c;
-                        round_gt += g;
-                    }
-
-                    // Record the delivered assessments by move (deferred
-                    // from the delivery loop so scoring could still read
-                    // them). Safe to defer: `record` (delivered cameras)
-                    // and `usable` (silent cameras) touch disjoint camera
-                    // sets within a round, and `mark_heard` already fired
-                    // during the uploads.
-                    for (j, fresh_j) in fresh.into_iter().enumerate() {
-                        if delivered_any[j] {
-                            let st = &mut seats[route[j]];
-                            st.cache.record(j, round_index, fresh_j);
-                            st.slot_epoch[j] = st.epoch;
-                        }
-                    }
-
-                    let (mut assignment, mut active) = match (plan, split_plan) {
-                        (_, Some(p)) => p,
-                        (Some(outcome), None) if boost_round => {
-                            // Section VII: override the energy-saving
-                            // choice with the full-accuracy configuration
-                            // this round.
-                            let _ = outcome;
-                            seats[0].plan_round = round_index;
-                            let active = best_assign.keys().copied().collect();
-                            (best_assign, active)
-                        }
-                        (Some(outcome), None) => {
-                            seats[0].plan_round = round_index;
-                            (outcome.assignment, outcome.active)
-                        }
-                        (None, None) => seats[0].last_plan.clone(),
-                    };
-                    // Whatever produced the plan — a fresh selection, a
-                    // split-brain union, the boost override, or the
-                    // sticky fallback — it must never name a departed
-                    // camera. Sticky plans and index-keyed caches outlive
-                    // membership, so the resolved plan is filtered
-                    // against the member set before anything acts on it.
-                    if churn_enabled {
-                        assignment.retain(|j, _| members[*j]);
-                        active.retain(|j| members[*j]);
-                    }
-
-                    // Downlink: the new plan must actually reach each
-                    // camera. A camera that misses its assignment keeps
-                    // the previous one (sticky); one that misses a
-                    // deactivation keeps burning energy — unreliability
-                    // has a price on both ends.
-                    for j in 0..cams {
-                        if churn_enabled && !members[j] {
-                            continue;
-                        }
-                        let intended = assignment.get(&j).copied();
-                        let msg = if intended.is_some() {
-                            Message::AlgorithmAssignment
-                        } else {
-                            Message::ActivationCommand
-                        };
-                        // A camera-held seat pays for its own downlinks:
-                        // peer radio sends charged to the seat's battery,
-                        // a free loopback to itself. The mains hub sends
-                        // for free, as before.
-                        let d = match seats[route[j]].location {
-                            Some(s) if s == j => Delivery::loopback(),
-                            Some(s) => {
-                                let (battery, meter) = nodes[s].radio_mut();
-                                net.send_peer(s, j, msg, battery, meter)
-                                    .map_err(EecsError::from)?
-                            }
-                            None => net.send_downlink(j, msg).map_err(EecsError::from)?,
-                        };
-                        tel.event(|| TraceEvent::Assignment {
-                            round: round_index,
-                            camera: j,
-                            algorithm: intended,
-                            delivered: d.delivered,
-                        });
-                        if d.delivered {
-                            nodes[j].set_assignment(intended);
-                        }
-                    }
-                    (assignment, active)
+                    let assessment = mission.assess(&round)?;
+                    mission.select(&mut round, assessment)?
                 }
             };
-
-            // ---- operation ----
-            let op_start = match self.config.mode {
-                OperatingMode::AllBest => start,
-                _ => (start + assess_len).min(end),
-            };
-            // Assignments and the crash schedule are fixed for the whole
-            // operation span (the controller only re-plans at round
-            // boundaries), so the per-(frame, camera) detection tasks are
-            // known up front: precompute them on the pool, then replay
-            // the identical loop serially for the stateful effects. One
-            // algorithm runs per camera here, so there is nothing for a
-            // feature cache to share.
-            let op_tasks: Vec<(usize, usize, AlgorithmId)> = (op_start..end)
-                .flat_map(|f| {
-                    let net = &net;
-                    let nodes = &nodes;
-                    let impairments = &impairments;
-                    (0..cams).filter_map(move |j| {
-                        if net.is_camera_down(j) || impairments[j][f].dropped {
-                            return None;
-                        }
-                        nodes[j].assigned().map(|alg| (f, j, alg))
-                    })
-                })
-                .collect();
-            let bank = &self.bank;
-            let op_outputs =
-                crate::par::par_map_indexed(op_tasks.len(), self.config.parallel.workers, |t| {
-                    let (f, j, alg) = op_tasks[t];
-                    bank.detector(alg).detect(&frames[j][f].image)
-                });
-            let mut op_cursor = 0usize;
-            for f in op_start..end {
-                let mut reports = Vec::new();
-                for j in 0..cams {
-                    if net.is_camera_down(j) {
-                        continue;
-                    }
-                    // The camera runs what it last heard from the
-                    // controller — which under chaos may lag the plan the
-                    // controller just computed.
-                    let Some(alg) = nodes[j].assigned() else {
-                        continue;
-                    };
-                    if impairments[j][f].dropped {
-                        // Sensor gap: no detection ran; report the gap.
-                        let seat = seats[route[j]].location;
-                        let (battery, meter) = nodes[j].radio_mut();
-                        let d = uplink(&mut net, seat, j, Message::DegradedFrame, battery, meter)
-                            .map_err(EecsError::from)?;
-                        tel.observe_delivery(round_index, j, &d);
-                        tel.counter_add("sensor.gap_reports", 1);
-                        continue;
-                    }
-                    let profile_a = self
-                        .record_for(j)
-                        .profile(alg)
-                        .expect("assigned ⇒ profiled");
-                    debug_assert_eq!(op_tasks[op_cursor], (f, j, alg));
-                    let output = op_outputs[op_cursor].clone();
-                    op_cursor += 1;
-                    let ops = output.ops;
-                    let health = DetectorHealth::check(alg, &output, &self.config.eecs.health);
-                    let healthy = health.is_healthy();
-                    let mut report = nodes[j].ingest_detection(
-                        &frames[j][f].image,
-                        output,
-                        profile_a,
-                        &self.fleet[j].device,
-                    )?;
-                    if !healthy {
-                        report = CameraReport {
-                            objects: Vec::new(),
-                        };
-                    }
-                    publish_detection(
-                        tel,
-                        round_index,
-                        j,
-                        frames[j][f].frame,
-                        &health,
-                        ops,
-                        report.len(),
-                    );
-                    // Metadata + cropped object images (Section VI).
-                    let crop_bytes: u64 = report
-                        .objects
-                        .iter()
-                        .map(|o| (o.bbox.area().max(0.0) * JPEG_BYTES_PER_PIXEL) as u64 + 100)
-                        .sum();
-                    let msg = Message::ObjectDelivery {
-                        objects: report.len(),
-                        crop_bytes,
-                    };
-                    let seat = seats[route[j]].location;
-                    let (battery, meter) = nodes[j].radio_mut();
-                    let d =
-                        uplink(&mut net, seat, j, msg, battery, meter).map_err(EecsError::from)?;
-                    tel.observe_delivery(round_index, j, &d);
-                    if d.delivered && d.delayed_rounds == 0 {
-                        if !healthy {
-                            let st = &mut seats[route[j]];
-                            st.quarantine.report_unhealthy(
-                                j,
-                                alg,
-                                round_index,
-                                &self.config.eecs.quarantine,
-                            );
-                            quarantine_strikes += 1;
-                            tel.counter_add("quarantine.strikes", 1);
-                            let strikes = st.quarantine.strikes(j, alg);
-                            tel.event(|| TraceEvent::QuarantineStrike {
-                                round: round_index,
-                                camera: j,
-                                algorithm: alg,
-                                strikes,
-                            });
-                        }
-                        reports.push(report);
-                    }
-                }
-                let (c, g) = self.score_frame(&reports, &frames, f, &reid);
-                round_correct += c;
-                round_gt += g;
-            }
-
-            let energy_after: f64 = nodes.iter().map(|c| c.meter().total()).sum();
-            let round_energy = energy_after - energy_before;
-            // Sticky fallback for silent rounds. Split-brain rounds set
-            // each seat's own plan inside the planning loop instead — the
-            // union below is no single seat's view.
-            if seats.len() == 1 {
-                seats[0].last_plan = (assignment.clone(), active.clone());
-            }
-            rounds.push(RoundRecord {
-                first_frame: frames[0][start].frame,
-                last_frame: frames[0][end - 1].frame,
-                active,
-                assignment,
-                energy_j: round_energy,
-                correct: round_correct,
-                gt: round_gt,
-            });
-            total_correct += round_correct;
-            total_gt += round_gt;
-            tel.counter_add("rounds.completed", 1);
-            tel.histogram_record("round.energy_j", ROUND_ENERGY_BOUNDS, round_energy);
-            tel.event(|| TraceEvent::RoundEnd {
-                round: round_index,
-                energy_j: round_energy,
-                correct: round_correct,
-                gt: round_gt,
-            });
-
-            // Checkpoint the controller's volatile state so the next
-            // failover loses at most `checkpoint_every` rounds of it.
-            // Serialize/parse through real JSON every time: the restored
-            // state is exactly what a crash would recover.
-            if (controller_chaos || partition_chaos)
-                && !net.controller_down()
-                && round_index.is_multiple_of(self.config.eecs.checkpoint_every)
-            {
-                let st = &seats[0];
-                let mut slots = SimulationCheckpoint::capture_cache(&st.cache, cams);
-                for (slot, &e) in slots.iter_mut().zip(&st.slot_epoch) {
-                    slot.epoch = e;
-                }
-                checkpoint_store.commit(
-                    &SimulationCheckpoint {
-                        round: round_index,
-                        epoch: st.epoch,
-                        assignment: st.last_plan.0.clone(),
-                        active: st.last_plan.1.clone(),
-                        battery_used_j: nodes.iter().map(|c| c.meter().total()).collect(),
-                        cache: slots,
-                        quarantine: st.quarantine.export(),
-                        members: (0..cams).filter(|&j| members[j]).collect(),
-                        profiles: self.fleet.iter().map(|p| p.name.clone()).collect(),
-                    }
-                    .to_json(),
-                );
-                tel.counter_add("checkpoint.taken", 1);
-                tel.event(|| TraceEvent::Checkpoint { round: round_index });
-            }
-
-            start = end;
-            round_index += 1;
-            net.advance_round();
-            let _ = net.drain_inbox();
+            mission.operate(&mut round)?;
+            mission.commit(round, plan);
         }
-
-        // Final scrape: per-camera energy meters and the transport
-        // statistics, as gauges/counters. Guarded so the null sink never
-        // pays for the metric-name formatting.
-        if tel.enabled() {
-            for (j, node) in nodes.iter().enumerate() {
-                tel.observe_meter(&format!("camera.{j}"), node.meter());
-            }
-            for j in 0..cams {
-                if let Ok(stats) = net.stats(j) {
-                    tel.observe_transport(&format!("transport.cam{j}"), &stats);
-                }
-            }
-            tel.observe_transport("transport.downlink", &net.downlink_stats());
-            tel.gauge_set(
-                "run.total_energy_j",
-                nodes.iter().map(|c| c.meter().total()).sum(),
-            );
-            tel.counter_add("run.correct", total_correct as u64);
-            tel.counter_add("run.gt_objects", total_gt as u64);
-        }
-
-        let transport: Vec<TransportStats> = (0..cams)
-            .map(|j| net.stats(j).expect("node exists"))
-            .collect();
-        let downlink = net.downlink_stats();
-        let corrupted_frames =
-            transport.iter().map(|s| s.corrupted).sum::<u64>() + downlink.corrupted;
-        Ok(SimulationReport {
-            mode: self.config.mode,
-            total_energy_j: nodes.iter().map(|c| c.meter().total()).sum(),
-            correctly_detected: total_correct,
-            gt_objects: total_gt,
-            per_camera_energy: nodes.iter().map(|c| c.meter().total()).collect(),
-            transport,
-            downlink,
-            failovers,
-            degraded_frames,
-            dropped_frames,
-            quarantine_strikes,
-            partitions,
-            elections,
-            reconciliations,
-            split_brain_rounds,
-            corrupted_frames,
-            checkpoint_rollbacks,
-            camera_joins,
-            camera_leaves,
-            rounds,
-        })
+        Ok(mission.finish())
     }
 
     fn record_for(&self, camera: usize) -> &TrainingRecord {
         &self.controller.records()[self.matched[camera]]
+    }
+
+    /// The baseline assignment: every camera's best budget-feasible
+    /// algorithm (cameras with none are left out).
+    fn all_best(&self) -> BTreeMap<usize, AlgorithmId> {
+        (0..self.config.cameras)
+            .filter_map(|j| {
+                self.record_for(j)
+                    .best_within_budget(&self.budgets[j])
+                    .map(|p| (j, p.algorithm))
+            })
+            .collect()
+    }
+
+    /// Fits the re-id colour metric to `data` and selects over the `live`
+    /// cameras. The re-id configuration comes back even when selection
+    /// fails.
+    fn plan_live(
+        &self,
+        data: &AssessmentData,
+        live: &[bool],
+    ) -> (ReidConfig, Result<SelectionOutcome>) {
+        let reid = self
+            .controller
+            .reid_config(self.controller.fit_color_metric(data));
+        let outcome = self.controller.select_live(
+            data,
+            &self.matched,
+            &self.budgets,
+            &reid,
+            self.config.mode == OperatingMode::FullEecs,
+            live,
+        );
+        (reid, outcome)
     }
 
     /// Fuses one frame's reports and scores against ground truth. Returns
@@ -1958,6 +679,1277 @@ fn publish_detection(
     }
 }
 
+/// A round's assignment (camera → algorithm) and active-camera set.
+type Plan = (BTreeMap<usize, AlgorithmId>, Vec<usize>);
+
+/// One round's frame window and running score: assessment covers the
+/// annotated frames `start..assess_end`, operation `assess_end..end`.
+struct Round {
+    index: usize,
+    start: usize,
+    assess_end: usize,
+    end: usize,
+    energy_before: f64,
+    correct: usize,
+    gt: usize,
+}
+
+/// What the assessment window delivered, and the planning view built
+/// from it (fresh or cached reports, and the cameras selection may use).
+struct Assessment {
+    fresh: Vec<CameraAssessment>,
+    delivered: Vec<bool>,
+    data: AssessmentData,
+    live: Vec<bool>,
+}
+
+/// Everything one [`Simulation::run`] carries from round to round. The
+/// report doubles as the accumulator of the run's counters.
+struct MissionState<'a> {
+    sim: &'a Simulation,
+    /// Every publish goes through this handle; with the default null sink
+    /// each call is one branch and nothing else, keeping the run
+    /// bit-identical to a build without the telemetry layer. All emission
+    /// sites sit on the serial effect-replay path, so the stream is also
+    /// bit-identical across `Parallelism` settings.
+    tel: &'a Telemetry,
+    /// Annotated frames per camera, after sensor impairment.
+    frames: Vec<Vec<FrameData>>,
+    impairments: Vec<Vec<FrameImpairment>>,
+    nodes: Vec<CameraNode>,
+    net: Network,
+    /// Controller seats, each with its own quarantine ledger and
+    /// assessment cache. `seats[0]` is the official seat — the mains hub,
+    /// or its crash-failover replacement; partitions can temporarily add
+    /// acting island controllers. `route[j]` names the seat camera `j`
+    /// reports to, and `fenced[j]` the highest handover epoch it has
+    /// accepted. All of it stays inert under ideal plans.
+    seats: Vec<SeatState>,
+    route: Vec<usize>,
+    fenced: Vec<u64>,
+    orphan_age: Vec<usize>,
+    was_partitioned: bool,
+    prev_islands: usize,
+    checkpoints: CheckpointStore,
+    /// Fleet membership, mirroring the churn plan one round at a time so
+    /// each transition fires its join/leave work exactly once.
+    members: Vec<bool>,
+    uploaded: Vec<bool>,
+    /// Re-id configuration of the latest official plan, used to score.
+    reid: ReidConfig,
+    report: SimulationReport,
+}
+
+impl<'a> MissionState<'a> {
+    /// Captures the frames and sets up the fleet, transport and
+    /// checkpoint store; cameras present at round 0 upload their features.
+    fn new(sim: &'a Simulation) -> Result<MissionState<'a>> {
+        let cams = sim.config.cameras;
+        let mut frames: Vec<Vec<FrameData>> = sim
+            .feeds
+            .iter()
+            .map(|f| f.annotated_frames(sim.config.start_frame, sim.config.end_frame))
+            .collect();
+        if frames[0].is_empty() {
+            return Err(EecsError::InvalidArgument(
+                "no annotated frames in the requested range".into(),
+            ));
+        }
+
+        // Sensor faults corrupt the captured frames before anything reads
+        // them — every consumer downstream (assessment, operation,
+        // feature caches, parallel workers) sees the same degraded pixels,
+        // so worker count cannot change what was "seen". With the ideal
+        // plan no pixel is touched.
+        let impairments: Vec<Vec<FrameImpairment>> = frames
+            .iter_mut()
+            .enumerate()
+            .map(|(j, cam_frames)| {
+                cam_frames
+                    .iter_mut()
+                    .map(|fd| sim.config.sensor_plan.corrupt(j, fd.frame, &mut fd.image))
+                    .collect()
+            })
+            .collect();
+        let degraded_frames = impairments
+            .iter()
+            .flatten()
+            .filter(|i| i.degraded() && !i.dropped)
+            .count();
+        let dropped_frames = impairments.iter().flatten().filter(|i| i.dropped).count();
+        let tel = &sim.config.eecs.telemetry;
+        tel.counter_add("sensor.degraded_frames", degraded_frames as u64);
+        tel.counter_add("sensor.dropped_frames", dropped_frames as u64);
+
+        let nodes = (0..cams)
+            .map(|j| {
+                CameraNode::new(
+                    j,
+                    sim.bank.clone(),
+                    BatteryState::new(sim.fleet[j].battery_capacity_j).expect("positive capacity"),
+                    sim.budgets[j],
+                )
+            })
+            .collect();
+        // The transport every flow goes through. With the ideal plan every
+        // reliable send costs exactly one idealized attempt, so the energy
+        // accounting matches the raw byte math. Each endpoint radios at
+        // its own profile's rates (all identical under a uniform fleet).
+        let net = Network::with_nodes(
+            (0..cams)
+                .map(|j| (sim.config.eecs.link, sim.fleet[j].device))
+                .collect(),
+        )
+        .with_fault_plan(sim.config.fault_plan.clone())
+        .with_retry_policy(sim.config.eecs.retry);
+        // Generation 1 is the empty initial state, so a crash before the
+        // first round-end snapshot still has something to restore.
+        let mut checkpoints = CheckpointStore::new(sim.checkpoint_faults);
+        checkpoints.commit(&SimulationCheckpoint::initial(cams).to_json());
+
+        let mut mission = MissionState {
+            sim,
+            tel,
+            frames,
+            impairments,
+            nodes,
+            net,
+            seats: vec![SeatState::hub(cams)],
+            route: vec![0; cams],
+            fenced: vec![0; cams],
+            orphan_age: vec![0; cams],
+            was_partitioned: false,
+            prev_islands: 1,
+            checkpoints,
+            members: vec![true; cams],
+            uploaded: vec![false; cams],
+            reid: sim.controller.reid_config(None),
+            report: SimulationReport {
+                mode: sim.config.mode,
+                rounds: Vec::new(),
+                total_energy_j: 0.0,
+                correctly_detected: 0,
+                gt_objects: 0,
+                per_camera_energy: Vec::new(),
+                transport: Vec::new(),
+                downlink: TransportStats::default(),
+                failovers: Vec::new(),
+                degraded_frames,
+                dropped_frames,
+                quarantine_strikes: 0,
+                partitions: 0,
+                elections: 0,
+                reconciliations: 0,
+                split_brain_rounds: 0,
+                corrupted_frames: 0,
+                checkpoint_rollbacks: 0,
+                camera_joins: 0,
+                camera_leaves: 0,
+            },
+        };
+        // One-time feature upload (Section IV-B.1). Cameras absent at
+        // round 0 upload later, when they first join.
+        for j in 0..cams {
+            if sim.churn.is_member(j, 0) {
+                mission.upload_features(0, j)?;
+            }
+        }
+        Ok(mission)
+    }
+
+    /// Opens the next round, or `None` once every frame has run.
+    fn next_round(&self) -> Option<Round> {
+        let config = &self.sim.config;
+        let gt_interval = config.profile.gt_interval;
+        let per_round = (config.eecs.recalibration_interval / gt_interval).max(1);
+        let assess_len = (config.eecs.assessment_period / gt_interval).clamp(1, per_round);
+        let index = self.report.rounds.len();
+        let start = index * per_round;
+        let n = self.frames[0].len();
+        if start >= n {
+            return None;
+        }
+        let end = (start + per_round).min(n);
+        let assess_end = match config.mode {
+            OperatingMode::AllBest => start,
+            OperatingMode::CameraSubset | OperatingMode::FullEecs => (start + assess_len).min(end),
+        };
+        let energy_before = self.energy_spent();
+        let first_frame = self.frames[0][start].frame;
+        self.tel.event(|| TraceEvent::RoundStart {
+            round: index,
+            first_frame,
+        });
+        Some(Round {
+            index,
+            start,
+            assess_end,
+            end,
+            energy_before,
+            correct: 0,
+            gt: 0,
+        })
+    }
+
+    /// Fleet energy drawn so far (J).
+    fn energy_spent(&self) -> f64 {
+        self.nodes.iter().map(|c| c.meter().total()).sum()
+    }
+
+    /// The round boundary: fleet churn, then (except for the all-best
+    /// baseline, which has no controller loop) the partition control
+    /// plane, crash failover, liveness probe and re-probe deferral.
+    fn boundary(&mut self, round: &Round) -> Result<()> {
+        let sim = self.sim;
+        let config = &sim.config;
+        if sim.churn.enabled() {
+            self.apply_churn(round.index)?;
+        }
+        if config.mode == OperatingMode::AllBest {
+            return Ok(());
+        }
+        if config.fault_plan.partition().enabled() {
+            self.partition_control(round.index)?;
+        }
+        self.crash_failover(round.index)?;
+        self.probe_liveness(round.index)?;
+        if config.fault_plan.enabled() {
+            self.defer_reprobes(round.index);
+        }
+        Ok(())
+    }
+
+    /// Diffs the churn plan's membership against last round's. Departures
+    /// drain every index-keyed route to the camera (quarantine entries,
+    /// sticky assignments, the radio endpoint); joins admit the newcomer
+    /// through an incremental probe instead of a full fleet reassessment.
+    fn apply_churn(&mut self, round: usize) -> Result<()> {
+        let (sim, tel) = (self.sim, self.tel);
+        let mut joined_now: Vec<usize> = Vec::new();
+        for j in 0..sim.config.cameras {
+            let mut present = sim.churn.is_member(j, round);
+            // Deferred leave: an acting controller cannot vanish without a
+            // handover, so a seat-holding camera stays until the seat
+            // moves off it (or the plan readmits it).
+            if !present && self.members[j] && self.seats.iter().any(|st| st.location == Some(j)) {
+                present = true;
+            }
+            if present == self.members[j] {
+                continue;
+            }
+            self.members[j] = present;
+            if present {
+                self.report.camera_joins += 1;
+                tel.counter_add("churn.joins", 1);
+                tel.event(|| TraceEvent::CameraJoin { round, camera: j });
+                self.net.set_attached(j, true).map_err(EecsError::from)?;
+                // A rejoin restores identity, not stale state: cached
+                // assessments past the staleness bound are evicted so
+                // planning never trusts a scene the camera stopped
+                // watching.
+                for st in self.seats.iter_mut() {
+                    if st
+                        .cache
+                        .evict_stale(j, round, sim.config.eecs.staleness_limit_rounds)
+                    {
+                        tel.counter_add("churn.cache_evictions", 1);
+                    }
+                }
+                joined_now.push(j);
+            } else {
+                self.report.camera_leaves += 1;
+                tel.counter_add("churn.leaves", 1);
+                tel.event(|| TraceEvent::CameraLeave { round, camera: j });
+                self.net.set_attached(j, false).map_err(EecsError::from)?;
+                for st in self.seats.iter_mut() {
+                    let purged = st.quarantine.purge_camera(j);
+                    if purged > 0 {
+                        tel.counter_add("churn.quarantine_purged", purged as u64);
+                    }
+                    st.last_plan.0.remove(&j);
+                    st.last_plan.1.retain(|&x| x != j);
+                }
+                self.nodes[j].set_assignment(None);
+            }
+        }
+        let fleet_size = self.members.iter().filter(|&&m| m).count();
+        tel.gauge_set("fleet.size", fleet_size as f64);
+        // A newcomer introduces itself: the one-time feature upload (first
+        // join only), then one incremental assessment probe — the
+        // controller learns about the newcomer without re-probing the
+        // standing fleet.
+        for j in joined_now {
+            if !self.uploaded[j] {
+                self.upload_features(round, j)?;
+            }
+            self.probe(round, j)?;
+        }
+        Ok(())
+    }
+
+    /// The partition control plane, a pure function of the round number:
+    /// island layout, heal-time reconciliation, camera → seat routing and
+    /// orphan elections.
+    fn partition_control(&mut self, round: usize) -> Result<()> {
+        let tel = self.tel;
+        let cams = self.sim.config.cameras;
+        let partition = self.sim.config.fault_plan.partition();
+        let island = partition_islands(partition, cams, round);
+        let n_islands = island.iter().collect::<BTreeSet<_>>().len();
+        let now_partitioned = partition.is_partitioned(round);
+        if now_partitioned && !self.was_partitioned {
+            self.report.partitions += 1;
+            tel.counter_add("partition.starts", 1);
+            tel.event(|| TraceEvent::PartitionStart {
+                round,
+                islands: n_islands,
+            });
+        } else if !now_partitioned && self.was_partitioned {
+            tel.counter_add("partition.heals", 1);
+            tel.event(|| TraceEvent::PartitionHeal {
+                round,
+                islands: self.prev_islands,
+            });
+        }
+        self.was_partitioned = now_partitioned;
+        self.prev_islands = n_islands;
+        tel.gauge_set("partition.islands", n_islands as f64);
+
+        self.heal_seats(round, &island);
+        // Route every camera to the seat sharing its island; cameras on
+        // seatless islands fall back to the official seat (their sends die
+        // at the radio, which is exactly the probe-burn that starts an
+        // election clock).
+        let seated: Vec<usize> = self
+            .seats
+            .iter()
+            .map(|st| island_of(&island, st.location))
+            .collect();
+        for (route, isl) in self.route.iter_mut().zip(&island) {
+            *route = seated.iter().position(|i| i == isl).unwrap_or(0);
+        }
+        self.elect_orphans(round, &island, &seated)
+    }
+
+    /// Heal: seats that can see each other again merge into one via the
+    /// commutative/associative reconcile join — the merged state is the
+    /// same whichever side heals first.
+    fn heal_seats(&mut self, round: usize, island: &[usize]) {
+        if self.seats.len() < 2 {
+            return;
+        }
+        let cams = self.sim.config.cameras;
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (k, st) in self.seats.iter().enumerate() {
+            groups
+                .entry(island_of(island, st.location))
+                .or_default()
+                .push(k);
+        }
+        if groups.values().all(|g| g.len() == 1) {
+            return;
+        }
+        let mut old: Vec<Option<SeatState>> = self.seats.drain(..).map(Some).collect();
+        let mut groups: Vec<Vec<usize>> = groups.into_values().collect();
+        groups.sort_by_key(|g| g[0]);
+        for g in groups {
+            let mut states = g.iter().map(|&k| old[k].take().expect("seat taken once"));
+            let first = states.next().expect("groups are non-empty");
+            if g.len() == 1 {
+                self.seats.push(first);
+                continue;
+            }
+            let snap = states.fold(first.snapshot(cams, &self.members), |snap, st| {
+                reconcile(&snap, &st.snapshot(cams, &self.members))
+            });
+            self.report.reconciliations += 1;
+            self.tel.counter_add("reconcile.count", 1);
+            let (epoch, demoted) = (snap.epoch, g.len() - 1);
+            self.tel.event(|| TraceEvent::Reconcile {
+                round,
+                epoch,
+                demoted,
+            });
+            self.seats.push(SeatState::from_snapshot(snap, cams));
+        }
+    }
+
+    /// Orphan elections: an island that has lost sight of every seat for
+    /// `election_timeout_rounds` elects its least-drained member as an
+    /// acting controller at a fenced, strictly higher epoch.
+    fn elect_orphans(&mut self, round: usize, island: &[usize], seated: &[usize]) -> Result<()> {
+        let mut orphans: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (j, (age, &isl)) in self.orphan_age.iter_mut().zip(island).enumerate() {
+            if seated.contains(&isl) {
+                *age = 0;
+            } else {
+                *age += 1;
+                orphans.entry(isl).or_default().push(j);
+            }
+        }
+        let timeout = self.sim.config.eecs.partition.election_timeout_rounds;
+        for group in orphans.into_values() {
+            let ripe = group.iter().map(|&j| self.orphan_age[j]).max().unwrap_or(0) >= timeout;
+            if !ripe {
+                continue;
+            }
+            let Some(new_seat) = self.least_drained(group.iter().copied()) else {
+                continue;
+            };
+            let fence_floor = group.iter().map(|&j| self.fenced[j]).max().unwrap_or(0);
+            let seat = self.restore_seat(round, new_seat, fence_floor)?;
+            let epoch = seat.epoch;
+            let announced =
+                self.announce_handover(round, new_seat, epoch, group.iter().copied())?;
+            self.report.elections += 1;
+            self.tel.counter_add("election.count", 1);
+            self.tel.event(|| TraceEvent::Election {
+                round,
+                elected: new_seat,
+                epoch,
+                announced,
+            });
+            let k = self.seats.len();
+            self.seats.push(seat);
+            for &j in &group {
+                self.route[j] = k;
+                self.orphan_age[j] = 0;
+            }
+        }
+        Ok(())
+    }
+
+    /// Controller crash: the hub (or the camera currently holding the
+    /// seat) goes dark at the start of this round. Every survivor burns
+    /// one failed probe discovering the silence, then the least-drained
+    /// survivor takes the seat and restores the last checkpoint — within
+    /// this same round it is planning again.
+    fn crash_failover(&mut self, round: usize) -> Result<()> {
+        if !self.sim.config.controller_plan.crash_starts(round) {
+            return Ok(());
+        }
+        let cams = self.sim.config.cameras;
+        self.net.set_controller_down(true);
+        let failed_seat = self.seats[0].location.take();
+        for j in 0..cams {
+            if self.net.is_camera_down(j) || failed_seat == Some(j) {
+                continue;
+            }
+            let (battery, meter) = self.nodes[j].radio_mut();
+            let d = self
+                .net
+                .send_reliable(j, Message::EnergyReport, battery, meter)
+                .map_err(EecsError::from)?;
+            self.tel.observe_delivery(round, j, &d);
+        }
+        // With no survivor the hub stays dark: every send from here on
+        // times out and the run degrades gracefully instead of aborting.
+        let Some(new_seat) = self.least_drained((0..cams).filter(|&j| failed_seat != Some(j)))
+        else {
+            return Ok(());
+        };
+        self.net.set_controller_down(false);
+        let seat = self.restore_seat(round, new_seat, 0)?;
+        let (epoch, checkpoint_round) = (seat.epoch, seat.plan_round);
+        self.seats[0] = seat;
+        let announced = self.announce_handover(round, new_seat, epoch, 0..cams)?;
+        self.report.failovers.push(FailoverEvent {
+            round,
+            elected: new_seat,
+            checkpoint_round,
+            announced,
+        });
+        self.tel.counter_add("failover.count", 1);
+        self.tel.event(|| TraceEvent::Failover {
+            round,
+            elected: new_seat,
+            checkpoint_round,
+            announced,
+        });
+        Ok(())
+    }
+
+    /// The seat-election rule shared by island elections and crash
+    /// failover: the live candidate with the least energy spent
+    /// (`PowerMeter::total`), ties to the first candidate.
+    fn least_drained(&self, candidates: impl IntoIterator<Item = usize>) -> Option<usize> {
+        let mut elected: Option<(usize, f64)> = None;
+        for j in candidates {
+            if self.net.is_camera_down(j) {
+                continue;
+            }
+            let used = self.nodes[j].meter().total();
+            if elected.is_none_or(|(_, best)| used < best) {
+                elected = Some((j, used));
+            }
+        }
+        elected.map(|(j, _)| j)
+    }
+
+    /// Restores the newest checkpoint generation that verifies into a seat
+    /// held by camera `new_seat`, fenced at epoch `max(fence_floor,
+    /// checkpoint epoch) + 1`; its plan round is the checkpoint's round.
+    fn restore_seat(
+        &mut self,
+        round: usize,
+        new_seat: usize,
+        fence_floor: u64,
+    ) -> Result<SeatState> {
+        let restored = self
+            .checkpoints
+            .restore()
+            .map_err(|e| EecsError::Subsystem(format!("checkpoint restore: {e}")))?;
+        if restored.rolled_back > 0 {
+            self.report.checkpoint_rollbacks += restored.rolled_back;
+            self.tel
+                .counter_add("checkpoint.rollbacks", restored.rolled_back);
+            self.tel.event(|| TraceEvent::CheckpointRollback {
+                round,
+                generation: restored.generation,
+                rolled_back: restored.rolled_back,
+            });
+        }
+        let ckpt = SimulationCheckpoint::from_json(&restored.payload)
+            .map_err(|m| EecsError::Subsystem(format!("checkpoint restore: {m}")))?;
+        Ok(SeatState::from_snapshot(
+            SeatSnapshot {
+                epoch: fence_floor.max(ckpt.epoch) + 1,
+                seat: Some(new_seat),
+                plan_round: ckpt.round,
+                assignment: ckpt.assignment,
+                active: ckpt.active,
+                cache: ckpt.cache,
+                quarantine: ckpt.quarantine,
+                members: ckpt.members,
+            },
+            self.sim.config.cameras,
+        ))
+    }
+
+    /// The new seat announces itself to every live peer with a
+    /// `ControllerHandover` charged to its own battery. Epoch fencing: a
+    /// peer accepts only a strictly newer seat, and never one implausibly
+    /// far ahead of what it has witnessed. Returns how many accepted.
+    fn announce_handover(
+        &mut self,
+        round: usize,
+        new_seat: usize,
+        epoch: u64,
+        peers: impl IntoIterator<Item = usize>,
+    ) -> Result<usize> {
+        let max_skew = self.sim.config.eecs.partition.max_epoch_skew;
+        let mut announced = 0usize;
+        for peer in peers {
+            if peer == new_seat || self.net.is_camera_down(peer) {
+                continue;
+            }
+            let msg = Message::ControllerHandover {
+                controller: new_seat,
+                epoch,
+            };
+            let (battery, meter) = self.nodes[new_seat].radio_mut();
+            let d = self
+                .net
+                .send_peer(new_seat, peer, msg, battery, meter)
+                .map_err(EecsError::from)?;
+            self.tel.observe_delivery(round, new_seat, &d);
+            let fence = &mut self.fenced[peer];
+            if d.delivered && epoch > *fence && epoch <= *fence + max_skew {
+                *fence = epoch;
+                announced += 1;
+            }
+        }
+        self.fenced[new_seat] = self.fenced[new_seat].max(epoch);
+        Ok(announced)
+    }
+
+    /// Liveness probe: lets the controller tell a silent-but-alive camera
+    /// from a dead one. On an ideal network silence is impossible, so the
+    /// probe (and its energy) is elided and the idealized accounting is
+    /// unchanged. A departed camera is not silent — it is gone: no probe,
+    /// no phantom Probe event.
+    fn probe_liveness(&mut self, round: usize) -> Result<()> {
+        let needed = self.sim.config.fault_plan.enabled()
+            || self.net.controller_down()
+            || self.seats.len() > 1
+            || self.seats[0].location.is_some();
+        if !needed {
+            return Ok(());
+        }
+        for j in 0..self.sim.config.cameras {
+            if self.members[j] {
+                self.probe(round, j)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// A quarantine re-probe that comes due in a round its camera is
+    /// unreachable would burn silently: the backoff window closes, no
+    /// detector gets to prove itself, and the next health failure
+    /// escalates as if a real probe had failed. Defer those re-probes to
+    /// the next round instead of letting them lapse.
+    fn defer_reprobes(&mut self, round: usize) {
+        let plan = &self.sim.config.fault_plan;
+        for j in 0..self.sim.config.cameras {
+            if !self.members[j] {
+                continue;
+            }
+            let seat = &mut self.seats[self.route[j]];
+            let target = match seat.location {
+                Some(s) if s == j => continue,
+                Some(s) => Endpoint::Camera(s),
+                None => Endpoint::Hub,
+            };
+            let unreachable = self.net.is_camera_down(j)
+                || plan.is_outage(j, round)
+                || !plan
+                    .partition()
+                    .can_reach(Endpoint::Camera(j), target, round);
+            if unreachable {
+                let deferred = seat.quarantine.defer_probes(j, round);
+                if deferred > 0 {
+                    self.tel.counter_add("quarantine.deferred", deferred as u64);
+                }
+            }
+        }
+    }
+
+    /// Fresh assessment: every feasible algorithm on every reachable
+    /// camera, each report uploaded through the transport. Only what
+    /// actually arrives this round reaches the controller; a lost upload
+    /// leaves an empty placeholder (the header timestamps tell the
+    /// controller a frame happened, not what it held).
+    ///
+    /// The detection work is pure (camera state is only touched by
+    /// ingestion and the sends), and both the crash schedule and the
+    /// feasible sets are constant within a round, so the per-(camera,
+    /// frame) tasks are enumerated up front, fanned over the worker pool,
+    /// and consumed serially in exactly the order the serial loop ran
+    /// them — keeping battery drains, op counters and transport
+    /// interactions bit-identical.
+    fn assess(&mut self, round: &Round) -> Result<Assessment> {
+        let sim = self.sim;
+        let cams = sim.config.cameras;
+        let window = round.start..round.assess_end;
+        let feasible: Vec<Vec<AlgorithmId>> = (0..cams)
+            .map(|j| {
+                if self.net.is_camera_down(j) {
+                    return Vec::new();
+                }
+                let quarantine = &self.seats[self.route[j]].quarantine;
+                sim.record_for(j)
+                    .feasible_ranked(&sim.budgets[j])
+                    .iter()
+                    .map(|p| p.algorithm)
+                    // Quarantined detectors sit out their backoff;
+                    // `allows` turns true again at the re-probe round.
+                    .filter(|&alg| quarantine.allows(j, alg, round.index))
+                    .collect()
+            })
+            .collect();
+        // Each task runs all of one camera's feasible algorithms on one
+        // frame its sensor actually produced (dropped frames run no
+        // detector at all), sharing that frame's feature cache across
+        // them when enabled.
+        let kept = |j: usize| {
+            let impairments = &self.impairments[j];
+            window.clone().filter(move |&f| !impairments[f].dropped)
+        };
+        let tasks: Vec<(usize, usize)> = (0..cams)
+            .filter(|&j| !feasible[j].is_empty())
+            .flat_map(|j| kept(j).map(move |f| (j, f)))
+            .collect();
+        let kept_count: Vec<usize> = (0..cams).map(|j| kept(j).count()).collect();
+        let (bank, par, frames) = (&sim.bank, sim.config.parallel, &self.frames);
+        let outputs = crate::par::par_map_indexed(tasks.len(), par.workers, |t| {
+            let (j, f) = tasks[t];
+            bank.run_algorithms(&feasible[j], &frames[j][f].image, par.feature_cache)
+        });
+        let mut outputs = outputs.into_iter().map(Vec::into_iter);
+
+        let mut fresh: Vec<CameraAssessment> = vec![BTreeMap::new(); cams];
+        let mut attempted = vec![false; cams];
+        let mut delivered = vec![false; cams];
+        for j in 0..cams {
+            if feasible[j].is_empty() {
+                continue;
+            }
+            let cam_outputs = outputs.by_ref().take(kept_count[j]).collect();
+            (fresh[j], attempted[j], delivered[j]) =
+                self.assess_camera(round, j, &feasible[j], cam_outputs)?;
+        }
+
+        // Graceful degradation: fresh data where it arrived, cached data
+        // (within the staleness cap) for cameras that are alive but
+        // unheard, exclusion for the rest. A departed camera contributes
+        // nothing to planning — not even the "no feasible algorithm"
+        // liveness fallback.
+        let mut data = AssessmentData {
+            reports: vec![BTreeMap::new(); cams],
+        };
+        let mut live = vec![false; cams];
+        for j in (0..cams).filter(|&j| self.members[j]) {
+            if delivered[j] {
+                // `fresh[j]` is recorded into the assessment cache by move
+                // after scoring — one clone here instead of two.
+                data.reports[j] = fresh[j].clone();
+                live[j] = true;
+            } else if self.net.is_camera_down(j) || attempted[j] {
+                // Silent this round: crashed, or every upload was lost.
+                // Reuse the last-known assessment if the camera is still
+                // heard and the data is not too stale; otherwise exclude
+                // it.
+                let cache = &self.seats[self.route[j]].cache;
+                if cache.heard_in(j, round.index) {
+                    let limit = sim.config.eecs.staleness_limit_rounds;
+                    if let Some(cached) = cache.usable(j, round.index, limit) {
+                        data.reports[j] = cached.clone();
+                        live[j] = true;
+                    }
+                }
+            } else {
+                // Nothing feasible to send — a budget condition, not a
+                // network one: keep the camera's real budget in play so
+                // selection treats it exactly as the idealized model did.
+                live[j] = true;
+            }
+        }
+        Ok(Assessment {
+            fresh,
+            delivered,
+            data,
+            live,
+        })
+    }
+
+    /// Replays one camera's assessment serially (`outputs`: one iterator
+    /// per kept frame, in algorithm order). Returns the camera's reports
+    /// and whether it attempted, and delivered, any upload.
+    fn assess_camera(
+        &mut self,
+        round: &Round,
+        j: usize,
+        feasible: &[AlgorithmId],
+        mut outputs: Vec<std::vec::IntoIter<DetectionOutput>>,
+    ) -> Result<(CameraAssessment, bool, bool)> {
+        let window = round.start..round.assess_end;
+        let (mut attempted, mut delivered) = (false, false);
+        for f in window.clone() {
+            if self.impairments[j][f].dropped {
+                attempted = true;
+                if self.send_gap(round.index, j)? {
+                    self.seats[self.route[j]].cache.mark_heard(j, round.index);
+                }
+            }
+        }
+        let mut fresh = CameraAssessment::new();
+        for &alg in feasible {
+            let mut kept = outputs.iter_mut();
+            let mut series = Vec::new();
+            for f in window.clone() {
+                if self.impairments[j][f].dropped {
+                    series.push(CameraReport::default());
+                    continue;
+                }
+                let output = kept
+                    .next()
+                    .and_then(Iterator::next)
+                    .expect("one output per kept frame and feasible algorithm");
+                let (report, healthy) = self.ingest(round.index, j, f, alg, output)?;
+                attempted = true;
+                let msg = Message::DetectionMetadata {
+                    objects: report.len(),
+                };
+                let d = self.send_up(j, msg)?;
+                self.tel.observe_delivery(round.index, j, &d);
+                if !on_time(&d) {
+                    series.push(CameraReport::default());
+                    continue;
+                }
+                delivered = true;
+                let st = &mut self.seats[self.route[j]];
+                st.cache.mark_heard(j, round.index);
+                if healthy {
+                    st.quarantine.report_healthy(j, alg);
+                } else {
+                    self.strike(round.index, j, alg);
+                }
+                series.push(report);
+            }
+            fresh.insert(alg, series);
+        }
+        Ok((fresh, attempted, delivered))
+    }
+
+    /// Selection: a split-brain union of island plans, a fresh plan (or
+    /// the boost override), or the sticky fallback when every camera is
+    /// silent — filtered to the fleet's members and sent down.
+    fn select(&mut self, round: &mut Round, assessment: Assessment) -> Result<Plan> {
+        let sim = self.sim;
+        // Section VII: every `boost_every`-th round overrides the
+        // energy-saving choice with the full-accuracy configuration.
+        // Split-brain rounds never boost — no seat can see the whole
+        // network anyway.
+        let boost = self.seats.len() == 1
+            && sim.config.boost_every > 0
+            && (round.index + 1).is_multiple_of(sim.config.boost_every);
+        let planned = if self.seats.len() > 1 {
+            Some(self.plan_split_brain(round.index, &assessment)?)
+        } else if assessment.live.iter().any(|&l| l) {
+            let (reid, outcome) = sim.plan_live(&assessment.data, &assessment.live);
+            self.reid = reid;
+            let outcome = outcome?;
+            self.seats[0].plan_round = round.index;
+            Some((outcome.assignment, outcome.active))
+        } else {
+            // Every camera silent: nothing to plan with. Keep the previous
+            // round's assignment (the cameras keep whatever they last
+            // heard anyway).
+            None
+        };
+
+        // Score the assessment frames with the baseline (all-best)
+        // reports that actually arrived.
+        let best = sim.all_best();
+        for (fi, f) in (round.start..round.assess_end).enumerate() {
+            let reports: Vec<CameraReport> = best
+                .iter()
+                .filter_map(|(&j, alg)| {
+                    assessment.fresh[j]
+                        .get(alg)
+                        .and_then(|v| v.get(fi))
+                        .cloned()
+                })
+                .collect();
+            let (c, g) = sim.score_frame(&reports, &self.frames, f, &self.reid);
+            round.correct += c;
+            round.gt += g;
+        }
+        // Record the delivered assessments by move. Safe after planning:
+        // `record` (delivered cameras) and `usable` (silent cameras) touch
+        // disjoint camera sets within a round, and `mark_heard` already
+        // fired during the uploads.
+        for (j, fresh) in assessment.fresh.into_iter().enumerate() {
+            if assessment.delivered[j] {
+                let st = &mut self.seats[self.route[j]];
+                st.cache.record(j, round.index, fresh);
+                st.slot_epoch[j] = st.epoch;
+            }
+        }
+
+        let (mut assignment, mut active) = match planned {
+            Some(_) if boost => {
+                let active = best.keys().copied().collect();
+                (best, active)
+            }
+            Some(plan) => plan,
+            None => self.seats[0].last_plan.clone(),
+        };
+        // Whatever produced the plan, it must never name a departed
+        // camera: sticky plans and index-keyed caches outlive membership.
+        assignment.retain(|j, _| self.members[*j]);
+        active.retain(|j| self.members[*j]);
+        self.send_plan(round.index, &assignment)?;
+        Ok((assignment, active))
+    }
+
+    /// Split brain: every island seat plans locally against the cameras
+    /// it can see, under those cameras' real budgets. The per-island plans
+    /// are disjoint (routing partitions the cameras), so their union is
+    /// the round's assignment. An island too small to meet the accuracy
+    /// target keeps its standing plan instead of killing the run.
+    fn plan_split_brain(&mut self, round: usize, assessment: &Assessment) -> Result<Plan> {
+        let sim = self.sim;
+        let cams = sim.config.cameras;
+        self.report.split_brain_rounds += 1;
+        self.tel.counter_add("partition.split_brain_rounds", 1);
+        let mut merged = BTreeMap::new();
+        let mut merged_active: Vec<usize> = Vec::new();
+        for k in 0..self.seats.len() {
+            let seen: Vec<bool> = self.route.iter().map(|&r| r == k).collect();
+            let live: Vec<bool> = (0..cams).map(|j| seen[j] && assessment.live[j]).collect();
+            let mut data = AssessmentData {
+                reports: vec![BTreeMap::new(); cams],
+            };
+            for j in (0..cams).filter(|&j| seen[j]) {
+                data.reports[j] = assessment.data.reports[j].clone();
+            }
+            let fresh_plan = if live.iter().any(|&l| l) {
+                let (reid, outcome) = sim.plan_live(&data, &live);
+                if k == 0 {
+                    self.reid = reid;
+                }
+                match outcome {
+                    Ok(outcome) => Some((outcome.assignment, outcome.active)),
+                    Err(EecsError::Infeasible(_)) => None,
+                    Err(e) => return Err(e),
+                }
+            } else {
+                None
+            };
+            let seat = &mut self.seats[k];
+            let (assignment, active) = match fresh_plan {
+                Some(plan) => {
+                    seat.plan_round = round;
+                    plan
+                }
+                None => {
+                    let (mut assignment, mut active) = seat.last_plan.clone();
+                    assignment.retain(|&j, _| seen[j]);
+                    active.retain(|&j| seen[j]);
+                    (assignment, active)
+                }
+            };
+            seat.last_plan = (assignment.clone(), active.clone());
+            merged.extend(assignment);
+            merged_active.extend(active);
+        }
+        merged_active.sort_unstable();
+        merged_active.dedup();
+        Ok((merged, merged_active))
+    }
+
+    /// The baseline has no controller loop: every member camera runs its
+    /// best budget-feasible algorithm, applied by fiat rather than over
+    /// the network.
+    fn select_all_best(&mut self) -> Result<Plan> {
+        let mut assignment = self.sim.all_best();
+        if assignment.is_empty() {
+            return Err(EecsError::Infeasible(
+                "no budget-feasible algorithm on any camera".into(),
+            ));
+        }
+        assignment.retain(|j, _| self.members[*j]);
+        for (j, node) in self.nodes.iter_mut().enumerate() {
+            node.set_assignment(assignment.get(&j).copied());
+        }
+        let active = assignment.keys().copied().collect();
+        Ok((assignment, active))
+    }
+
+    /// Downlink: the new plan must actually reach each camera. A camera
+    /// that misses its assignment keeps the previous one (sticky); one
+    /// that misses a deactivation keeps burning energy — unreliability has
+    /// a price on both ends.
+    fn send_plan(&mut self, round: usize, assignment: &BTreeMap<usize, AlgorithmId>) -> Result<()> {
+        for j in 0..self.sim.config.cameras {
+            if !self.members[j] {
+                continue;
+            }
+            let intended = assignment.get(&j).copied();
+            let msg = if intended.is_some() {
+                Message::AlgorithmAssignment
+            } else {
+                Message::ActivationCommand
+            };
+            // A camera-held seat pays for its own downlinks: peer radio
+            // sends charged to the seat's battery, a free loopback to
+            // itself. The mains hub sends for free.
+            let d = match self.seats[self.route[j]].location {
+                Some(s) if s == j => Delivery::loopback(),
+                Some(s) => {
+                    let (battery, meter) = self.nodes[s].radio_mut();
+                    self.net
+                        .send_peer(s, j, msg, battery, meter)
+                        .map_err(EecsError::from)?
+                }
+                None => self.net.send_downlink(j, msg).map_err(EecsError::from)?,
+            };
+            self.tel.event(|| TraceEvent::Assignment {
+                round,
+                camera: j,
+                algorithm: intended,
+                delivered: d.delivered,
+            });
+            if d.delivered {
+                self.nodes[j].set_assignment(intended);
+            }
+        }
+        Ok(())
+    }
+
+    /// Operation: each camera runs what it last heard from the
+    /// controller — which under chaos may lag the plan the controller
+    /// just computed — and delivers metadata plus cropped object images
+    /// (Section VI). Assignments and the crash schedule are fixed for the
+    /// whole span (the controller only re-plans at round boundaries), so
+    /// the detections are precomputed on the pool and the stateful effects
+    /// replayed serially. One algorithm runs per camera here, so there is
+    /// nothing for a feature cache to share.
+    fn operate(&mut self, round: &mut Round) -> Result<()> {
+        let sim = self.sim;
+        let cams = sim.config.cameras;
+        let (net, nodes, impairments) = (&self.net, &self.nodes, &self.impairments);
+        let tasks: Vec<(usize, usize, AlgorithmId)> = (round.assess_end..round.end)
+            .flat_map(|f| {
+                (0..cams).filter_map(move |j| {
+                    if net.is_camera_down(j) || impairments[j][f].dropped {
+                        return None;
+                    }
+                    nodes[j].assigned().map(|alg| (f, j, alg))
+                })
+            })
+            .collect();
+        let (bank, frames) = (&sim.bank, &self.frames);
+        let outputs = crate::par::par_map_indexed(tasks.len(), sim.config.parallel.workers, |t| {
+            let (f, j, alg) = tasks[t];
+            bank.detector(alg).detect(&frames[j][f].image)
+        });
+        let mut outputs = tasks.iter().zip(outputs);
+        for f in round.assess_end..round.end {
+            let mut reports = Vec::new();
+            for j in 0..cams {
+                if self.net.is_camera_down(j) {
+                    continue;
+                }
+                let Some(alg) = self.nodes[j].assigned() else {
+                    continue;
+                };
+                if self.impairments[j][f].dropped {
+                    self.send_gap(round.index, j)?;
+                    continue;
+                }
+                let (&task, output) = outputs.next().expect("one task per detection");
+                debug_assert_eq!(task, (f, j, alg));
+                let (report, healthy) = self.ingest(round.index, j, f, alg, output)?;
+                let crop_bytes: u64 = report
+                    .objects
+                    .iter()
+                    .map(|o| (o.bbox.area().max(0.0) * JPEG_BYTES_PER_PIXEL) as u64 + 100)
+                    .sum();
+                let msg = Message::ObjectDelivery {
+                    objects: report.len(),
+                    crop_bytes,
+                };
+                let d = self.send_up(j, msg)?;
+                self.tel.observe_delivery(round.index, j, &d);
+                if on_time(&d) {
+                    if !healthy {
+                        self.strike(round.index, j, alg);
+                    }
+                    reports.push(report);
+                }
+            }
+            let (c, g) = sim.score_frame(&reports, &self.frames, f, &self.reid);
+            round.correct += c;
+            round.gt += g;
+        }
+        Ok(())
+    }
+
+    /// Charges one detector output on camera `j`'s frame `f`: health
+    /// check, ingestion (battery, meter, threshold filter), and the
+    /// detection telemetry. A detector spewing NaNs or absurd counts must
+    /// not poison fusion: its energy is spent, but its output is discarded
+    /// for an empty report. Returns the report and the health verdict.
+    fn ingest(
+        &mut self,
+        round: usize,
+        j: usize,
+        f: usize,
+        alg: AlgorithmId,
+        output: DetectionOutput,
+    ) -> Result<(CameraReport, bool)> {
+        let sim = self.sim;
+        let profile = sim.record_for(j).profile(alg).expect("planned ⇒ profiled");
+        let ops = output.ops;
+        let health = DetectorHealth::check(alg, &output, &sim.config.eecs.health);
+        let healthy = health.is_healthy();
+        let fd = &self.frames[j][f];
+        let mut report =
+            self.nodes[j].ingest_detection(&fd.image, output, profile, &sim.fleet[j].device)?;
+        if !healthy {
+            report = CameraReport::default();
+        }
+        publish_detection(self.tel, round, j, fd.frame, &health, ops, report.len());
+        Ok((report, healthy))
+    }
+
+    /// Gives `(j, alg)` a detector-health strike in the ledger of camera
+    /// `j`'s seat.
+    fn strike(&mut self, round: usize, j: usize, alg: AlgorithmId) {
+        let st = &mut self.seats[self.route[j]];
+        st.quarantine
+            .report_unhealthy(j, alg, round, &self.sim.config.eecs.quarantine);
+        self.report.quarantine_strikes += 1;
+        self.tel.counter_add("quarantine.strikes", 1);
+        let strikes = st.quarantine.strikes(j, alg);
+        self.tel.event(|| TraceEvent::QuarantineStrike {
+            round,
+            camera: j,
+            algorithm: alg,
+            strikes,
+        });
+    }
+
+    /// Routes a camera → controller send through the transport — unless
+    /// the sender currently *holds* the seat it reports to (post-failover
+    /// or acting island controller), in which case its own traffic never
+    /// touches the radio and costs nothing.
+    fn send_up(&mut self, j: usize, message: Message) -> Result<Delivery> {
+        let (battery, meter) = self.nodes[j].radio_mut();
+        match self.seats[self.route[j]].location {
+            Some(s) if s == j => Ok(Delivery::loopback()),
+            Some(s) => self
+                .net
+                .send_reliable_to(j, Endpoint::Camera(s), message, battery, meter),
+            None => self.net.send_reliable(j, message, battery, meter),
+        }
+        .map_err(EecsError::from)
+    }
+
+    /// The one-time feature upload (Section IV-B.1).
+    fn upload_features(&mut self, round: usize, j: usize) -> Result<()> {
+        self.uploaded[j] = true;
+        let msg = Message::FeatureUpload {
+            frames: self.sim.config.eecs.key_frames,
+            feature_dim: self.sim.controller.records()[0].video.feature_dim(),
+        };
+        let d = self.send_up(j, msg)?;
+        self.tel.observe_delivery(round, j, &d);
+        Ok(())
+    }
+
+    /// One assessment probe (`EnergyReport`); the seat marks the camera
+    /// heard if it arrives this round.
+    fn probe(&mut self, round: usize, j: usize) -> Result<()> {
+        let d = self.send_up(j, Message::EnergyReport)?;
+        let heard = on_time(&d);
+        self.tel.observe_delivery(round, j, &d);
+        self.tel.event(|| TraceEvent::Probe {
+            round,
+            camera: j,
+            delivered: heard,
+        });
+        if heard {
+            self.seats[self.route[j]].cache.mark_heard(j, round);
+        }
+        Ok(())
+    }
+
+    /// A sensor gap: no detection ran on a dropped frame, so the camera
+    /// reports it with a tiny `DegradedFrame` message. Returns whether the
+    /// report arrived this round.
+    fn send_gap(&mut self, round: usize, j: usize) -> Result<bool> {
+        let d = self.send_up(j, Message::DegradedFrame)?;
+        self.tel.observe_delivery(round, j, &d);
+        self.tel.counter_add("sensor.gap_reports", 1);
+        Ok(on_time(&d))
+    }
+
+    /// Closes the round: the sticky plan, the round record and its
+    /// telemetry, a checkpoint when one is due, and the network clock.
+    fn commit(&mut self, round: Round, (assignment, active): Plan) {
+        let tel = self.tel;
+        let round_energy = self.energy_spent() - round.energy_before;
+        // Sticky fallback for silent rounds. Split-brain rounds set each
+        // seat's own plan while planning instead — the union is no single
+        // seat's view.
+        if self.seats.len() == 1 {
+            self.seats[0].last_plan = (assignment.clone(), active.clone());
+        }
+        self.report.rounds.push(RoundRecord {
+            first_frame: self.frames[0][round.start].frame,
+            last_frame: self.frames[0][round.end - 1].frame,
+            active,
+            assignment,
+            energy_j: round_energy,
+            correct: round.correct,
+            gt: round.gt,
+        });
+        self.report.correctly_detected += round.correct;
+        self.report.gt_objects += round.gt;
+        tel.counter_add("rounds.completed", 1);
+        tel.histogram_record("round.energy_j", ROUND_ENERGY_BOUNDS, round_energy);
+        tel.event(|| TraceEvent::RoundEnd {
+            round: round.index,
+            energy_j: round_energy,
+            correct: round.correct,
+            gt: round.gt,
+        });
+
+        let config = &self.sim.config;
+        let seat_chaos =
+            config.controller_plan.enabled() || config.fault_plan.partition().enabled();
+        if seat_chaos
+            && !self.net.controller_down()
+            && round.index.is_multiple_of(config.eecs.checkpoint_every)
+        {
+            self.checkpoint(round.index);
+        }
+        self.net.advance_round();
+        let _ = self.net.drain_inbox();
+    }
+
+    /// Checkpoints the official seat's volatile state so the next failover
+    /// loses at most `checkpoint_every` rounds of it. Serialize/parse
+    /// through real JSON every time: the restored state is exactly what a
+    /// crash would recover.
+    fn checkpoint(&mut self, round: usize) {
+        let snap = self.seats[0].snapshot(self.sim.config.cameras, &self.members);
+        let checkpoint = SimulationCheckpoint {
+            round,
+            epoch: snap.epoch,
+            assignment: snap.assignment,
+            active: snap.active,
+            battery_used_j: self.nodes.iter().map(|c| c.meter().total()).collect(),
+            cache: snap.cache,
+            quarantine: snap.quarantine,
+            members: snap.members,
+            profiles: self.sim.fleet.iter().map(|p| p.name.clone()).collect(),
+        };
+        self.checkpoints.commit(&checkpoint.to_json());
+        self.tel.counter_add("checkpoint.taken", 1);
+        self.tel.event(|| TraceEvent::Checkpoint { round });
+    }
+
+    /// Fills in the fleet-wide totals and returns the report, after the
+    /// final telemetry scrape: per-camera energy meters and transport
+    /// statistics, as gauges/counters. The scrape is guarded so the null
+    /// sink never pays for the metric-name formatting.
+    fn finish(self) -> SimulationReport {
+        let (tel, net) = (self.tel, &self.net);
+        let cams = self.sim.config.cameras;
+        let total_energy_j = self.energy_spent();
+        if tel.enabled() {
+            for (j, node) in self.nodes.iter().enumerate() {
+                tel.observe_meter(&format!("camera.{j}"), node.meter());
+            }
+            for j in 0..cams {
+                if let Ok(stats) = net.stats(j) {
+                    tel.observe_transport(&format!("transport.cam{j}"), &stats);
+                }
+            }
+            tel.observe_transport("transport.downlink", &net.downlink_stats());
+            tel.gauge_set("run.total_energy_j", total_energy_j);
+            tel.counter_add("run.correct", self.report.correctly_detected as u64);
+            tel.counter_add("run.gt_objects", self.report.gt_objects as u64);
+        }
+        let mut report = self.report;
+        report.transport = (0..cams)
+            .map(|j| net.stats(j).expect("node exists"))
+            .collect();
+        report.downlink = net.downlink_stats();
+        report.corrupted_frames =
+            report.transport.iter().map(|s| s.corrupted).sum::<u64>() + report.downlink.corrupted;
+        report.total_energy_j = total_energy_j;
+        report.per_camera_energy = self.nodes.iter().map(|c| c.meter().total()).collect();
+        report
+    }
+}
+
+/// Whether a delivery reached its receiver within the round it was sent.
+fn on_time(d: &Delivery) -> bool {
+    d.delivered && d.delayed_rounds == 0
+}
+
+/// The island of a seat at `location` (`None` = the hub, the last node
+/// of `island`).
+fn island_of(island: &[usize], location: Option<usize>) -> usize {
+    island[location.unwrap_or(island.len() - 1)]
+}
+
 /// One live controller seat: the mains hub, a crash-failover replacement,
 /// or an island's acting controller during a partition. Without partition
 /// or controller chaos exactly one of these exists for the whole run and
@@ -2020,20 +2012,21 @@ impl SeatState {
 
     /// Rebuilds a live seat from a snapshot (a reconciliation result, or
     /// a checkpoint recast as one).
-    fn from_snapshot(s: &SeatSnapshot, cams: usize) -> SeatState {
+    fn from_snapshot(s: SeatSnapshot, cams: usize) -> SeatState {
+        let slot_epoch = (0..cams)
+            .map(|j| s.cache.get(j).map_or(0, |c| c.epoch))
+            .collect();
         let mut cache = AssessmentCache::new(cams);
-        for (j, slot) in s.cache.iter().enumerate().take(cams) {
-            cache.restore_entry(j, slot.heard, slot.entry.clone());
+        for (j, slot) in s.cache.into_iter().enumerate().take(cams) {
+            cache.restore_entry(j, slot.heard, slot.entry);
         }
         SeatState {
             location: s.seat,
             epoch: s.epoch,
             cache,
-            slot_epoch: (0..cams)
-                .map(|j| s.cache.get(j).map_or(0, |c| c.epoch))
-                .collect(),
-            quarantine: QuarantineLedger::from_entries(s.quarantine.clone()),
-            last_plan: (s.assignment.clone(), s.active.clone()),
+            slot_epoch,
+            quarantine: QuarantineLedger::from_entries(s.quarantine),
+            last_plan: (s.assignment, s.active),
             plan_round: s.plan_round,
         }
     }
@@ -2069,26 +2062,6 @@ fn partition_islands(plan: &PartitionPlan, cams: usize, round: usize) -> Vec<usi
         }
     }
     id
-}
-
-/// Routes a camera→controller send through the transport — unless the
-/// sender currently *holds* the controller seat (post-failover or acting
-/// island controller), in which case its own traffic never touches the
-/// radio and costs nothing. `seat` is the *location* of the seat the
-/// sender is routed to: `None` targets the hub, `Some(s)` camera `s`.
-fn uplink(
-    net: &mut Network,
-    seat: Option<usize>,
-    from: usize,
-    message: Message,
-    battery: &mut BatteryState,
-    meter: &mut PowerMeter,
-) -> eecs_net::Result<Delivery> {
-    match seat {
-        Some(s) if s == from => Ok(Delivery::loopback()),
-        Some(s) => net.send_reliable_to(from, Endpoint::Camera(s), message, battery, meter),
-        None => net.send_reliable(from, message, battery, meter),
-    }
 }
 
 /// Per-camera budgets under a fleet: each camera's per-frame allowance is

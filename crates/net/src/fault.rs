@@ -26,6 +26,15 @@
 
 use std::collections::BTreeMap;
 
+/// SplitMix64's output finalizer: a bijective avalanche of `z`. Seeded
+/// rolls mix their own key layout into `z` and finalize it here, so each
+/// draw is a pure function of its key.
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Event-tag for a data transmission roll.
 pub(crate) const TAG_DATA: u64 = 1;
 /// Event-tag for an acknowledgement roll.
@@ -382,10 +391,7 @@ impl CorruptionPlan {
         let mut mask = Vec::with_capacity(self.flips as usize);
         let mut draw = 0u64;
         while mask.len() < (self.flips as usize).min(frame_bits) {
-            let mut z = base.wrapping_add(draw.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
+            let z = mix64(base.wrapping_add(draw.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
             draw += 1;
             let bit = (z % frame_bits as u64) as usize;
             // Distinct positions only: a repeated flip would cancel out
@@ -556,15 +562,13 @@ impl FaultPlan {
     /// replay with the same plan and the same event order reproduces
     /// every outcome exactly.
     pub(crate) fn unit_roll(&self, link: usize, tag: u64, counter: u64) -> f64 {
-        let mut z = self
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((link as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-            .wrapping_add(tag.wrapping_mul(0x94D0_49BB_1331_11EB))
-            .wrapping_add(counter.wrapping_mul(0xD6E8_FEB8_6659_FD93));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = mix64(
+            self.seed
+                .wrapping_add(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add((link as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+                .wrapping_add(tag.wrapping_mul(0x94D0_49BB_1331_11EB))
+                .wrapping_add(counter.wrapping_mul(0xD6E8_FEB8_6659_FD93)),
+        );
         (z >> 11) as f64 / (1u64 << 53) as f64
     }
 }
@@ -580,8 +584,9 @@ impl Default for FaultPlan {
 /// Where [`FaultPlan`] kills cameras and links, this plan kills the hub:
 /// at the first round of each window the currently acting controller
 /// dies mid-round. The runtime reacts by failing over — every camera
-/// burns a probe discovering the silence, the highest-battery camera is
-/// elected, and selection state is restored from the latest checkpoint.
+/// burns a probe discovering the silence, the camera that has spent the
+/// least energy is elected, and selection state is restored from the
+/// latest checkpoint.
 /// Once a camera holds the controller seat it keeps it (no failback);
 /// later windows crash *that* controller in turn, so a multi-window plan
 /// produces a chain of handovers.
@@ -754,14 +759,12 @@ impl ChurnPlan {
         if self.random_rate > 0.0 && round >= self.random_from {
             // Keyed directly on (camera, round): no event counter, so
             // the draw cannot drift with evaluation order.
-            let mut z = self
-                .seed
-                .wrapping_add(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add((camera as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-                .wrapping_add((round as u64).wrapping_mul(0x94D0_49BB_1331_11EB));
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
+            let z = mix64(
+                self.seed
+                    .wrapping_add(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add((camera as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+                    .wrapping_add((round as u64).wrapping_mul(0x94D0_49BB_1331_11EB)),
+            );
             let unit = (z >> 11) as f64 / (1u64 << 53) as f64;
             if unit < self.random_rate {
                 return false;

@@ -9,7 +9,7 @@
 //! template.
 
 use crate::dataset::DatasetProfile;
-use crate::world::World;
+use crate::world::{World, WorldRng};
 use eecs_geometry::camera::Camera;
 use eecs_geometry::point::Point2;
 use eecs_vision::draw;
@@ -72,17 +72,13 @@ pub fn render_frame(world: &World, camera: &Camera, camera_index: usize) -> RgbI
 /// the cues that lets the video-comparison stage tell *views* apart
 /// (Table V). Deterministic per `(dataset, camera)`.
 fn apply_color_cast(img: &mut RgbImage, profile: &DatasetProfile, camera_index: usize) {
-    let mut state = profile
-        .seed
-        .wrapping_mul(0xD6E8_FEB8_6659_FD93)
-        .wrapping_add(camera_index as u64 + 1);
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) >> 11) as f32 / (1u64 << 53) as f32
-    };
+    let mut rng = WorldRng::new(
+        profile
+            .seed
+            .wrapping_mul(0xD6E8_FEB8_6659_FD93)
+            .wrapping_add(camera_index as u64 + 1),
+    );
+    let mut next = || (rng.next_u64() >> 11) as f32 / (1u64 << 53) as f32;
     let gains = [
         0.88 + 0.24 * next(),
         0.88 + 0.24 * next(),
@@ -124,14 +120,8 @@ fn dist_to_camera(camera: &Camera, ground: &Point2) -> f64 {
 fn draw_landmarks(img: &mut RgbImage, profile: &DatasetProfile, camera: &Camera) {
     let c = profile.arena / 2.0;
     let r = profile.arena * 0.62;
-    let mut state = profile.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) as f64 / u64::MAX as f64
-    };
+    let mut rng = WorldRng::new(profile.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut next = || rng.next_u64() as f64 / u64::MAX as f64;
     for k in 0..6 {
         let angle = k as f64 / 6.0 * std::f64::consts::TAU + next() * 0.6;
         let pos = Point2::new(c + r * angle.cos(), c + r * angle.sin());

@@ -404,16 +404,13 @@ impl SensorFaultPlan {
 
     /// SplitMix64-style finalizer over the mixed inputs.
     fn mix(&self, camera: usize, frame: usize, tag: u64) -> u64 {
-        let mut z = self
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add((camera as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
-            .wrapping_add((frame as u64).wrapping_mul(0x94D0_49BB_1331_11EB))
-            .wrapping_add(tag.wrapping_mul(0xD6E8_FEB8_6659_FD93));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        z
+        crate::world::mix64(
+            self.seed
+                .wrapping_add(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add((camera as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))
+                .wrapping_add((frame as u64).wrapping_mul(0x94D0_49BB_1331_11EB))
+                .wrapping_add(tag.wrapping_mul(0xD6E8_FEB8_6659_FD93)),
+        )
     }
 }
 

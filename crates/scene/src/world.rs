@@ -8,6 +8,15 @@
 use crate::dataset::DatasetProfile;
 use eecs_geometry::point::Point2;
 
+/// SplitMix64's output finalizer: a bijective avalanche of `z`. The
+/// scene's seeded draws ([`WorldRng`] streams and the sensor-fault rolls)
+/// mix their own key layout into `z` and finalize it here.
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A tiny clonable deterministic PRNG (SplitMix64) for world evolution.
 ///
 /// `rand::rngs::StdRng` is not `Clone`, and cloning a [`World`] (to fork a
@@ -25,10 +34,7 @@ impl WorldRng {
     /// Next raw 64-bit value (SplitMix64).
     pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(self.0)
     }
 
     /// Uniform `f64` in `[lo, hi)`.

@@ -14,6 +14,7 @@
 //! ones: determinism first, fidelity second.
 
 use crate::request::{MissionRequest, Priority, Rejected};
+use eecs_net::fault::mix64;
 use std::collections::BTreeMap;
 
 /// Static service parameters. The seed drives arrival spacing — the
@@ -176,12 +177,8 @@ impl Schedule {
 /// no-shared-stream discipline every seeded plan in the workspace uses,
 /// so arrival spacing can never be perturbed by drawing order.
 fn mix(seed: u64, tag: u64, i: u64) -> u64 {
-    let mut z =
-        seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let z = seed ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    mix64(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 const GAP_TAG: u64 = 0x5E21;

@@ -5,6 +5,7 @@
 //! The whole episode must replay bit-for-bit, across worker counts, and
 //! an inert partition plan must change nothing at all.
 
+use eecs::core::checkpoint::CheckpointFaultPlan;
 use eecs::core::config::EecsConfig;
 use eecs::core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
 use eecs::core::telemetry::{summary, Telemetry};
@@ -134,6 +135,40 @@ fn partitioned_run_replays_bit_exactly() {
     // included) must match byte for byte.
     assert_eq!(report_a, report_b);
     assert_eq!(doc_a, doc_b);
+}
+
+#[test]
+fn election_restore_rolls_back_past_a_torn_checkpoint() {
+    // Generation 2 (the round-0 snapshot) is torn on write, so the
+    // orphaned island's election at the split must skip it and restore
+    // the initial generation — the election side of the restore path that
+    // crash failover shares.
+    let sim = partition_simulation(split_plan())
+        .with_checkpoint_faults(CheckpointFaultPlan::seeded(5).with_torn_write(2));
+    let run = || {
+        let tel = Telemetry::recording(8192);
+        let report = sim
+            .with_telemetry(tel.clone())
+            .run()
+            .expect("torn-checkpoint partitioned run completes");
+        let doc = summary::golden_document("partition", &report, &tel).expect("golden doc");
+        (report, tel, doc)
+    };
+    let (report, tel, doc) = run();
+    assert_eq!(report.elections, 1);
+    assert_eq!(report.checkpoint_rollbacks, 1);
+    assert!(report.failovers.is_empty());
+    let rollback = tel
+        .events()
+        .iter()
+        .find(|e| e.kind() == "checkpoint_rollback")
+        .cloned()
+        .expect("checkpoint_rollback event");
+    assert_eq!(rollback.round(), SPLIT_START);
+
+    let (again, _, doc_again) = run();
+    assert_eq!(report, again);
+    assert_eq!(doc, doc_again);
 }
 
 #[test]
