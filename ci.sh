@@ -52,6 +52,13 @@ cargo run -q --release -p eecs-bench --bin check_bench -- \
 cp "$bench_baseline" BENCH_pipeline.json
 rm -f "$bench_baseline"
 
+echo "==> repository benchmark (unit tests + smoke run of every workload)"
+# The benchmark is a package of its own (benchmark/Cargo.toml) outside
+# the workspace, so nothing above compiles it. Its tests include a
+# miniature run of all four workloads through the correctness gate, so
+# a core API change cannot break the benchmark unnoticed.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> sweep smoke (2 workers, kill after 2 cells, resume)"
 # Tiny budget × fault-seed grid through the sweep engine: a 2-worker run
 # aborted mid-sweep and resumed from its manifest must merge to bytes

@@ -46,7 +46,10 @@ use eecs_scene::dataset::DatasetProfile;
 use eecs_scene::rig::rig_calibrations;
 use eecs_scene::sensor_fault::{FrameImpairment, SensorFaultPlan};
 use eecs_scene::sequence::{FrameData, VideoFeed};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Ground-distance tolerance when scoring fused objects against ground
 /// truth (meters).
@@ -63,6 +66,11 @@ const ROUND_ENERGY_BOUNDS: &[f64] = &[5.0, 10.0, 25.0, 50.0, 100.0, 250.0];
 /// detections, op counters, and every Joule of modeled energy are
 /// bit-identical across all settings (the stateful battery/network
 /// effects always replay serially in the original order).
+///
+/// They govern [`Simulation::run`] only. Offline training in
+/// [`Simulation::prepare`] (`training::detect_all`) always fans out over
+/// the host's full available parallelism, even under
+/// [`Parallelism::serial`]; its records are identical either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
     /// Worker threads for the per-round detection fan-out. `0` means
@@ -148,8 +156,10 @@ pub struct SimulationConfig {
     /// checkpoint. [`ControllerFaultPlan::none`] keeps the mains-powered
     /// controller immortal and the run bit-identical to pre-chaos.
     pub controller_plan: ControllerFaultPlan,
-    /// Host-side execution settings (worker pool, feature cache). Affects
-    /// wall-clock only; reports are bit-identical across settings.
+    /// Host-side execution settings (worker pool, feature cache) for the
+    /// rounds of [`Simulation::run`]. Affects wall-clock only; reports are
+    /// bit-identical across settings. Offline training in
+    /// [`Simulation::prepare`] ignores it and uses every host core.
     pub parallel: Parallelism,
 }
 
@@ -310,6 +320,26 @@ pub struct Simulation {
     /// Deterministic join/leave/rejoin schedule. [`ChurnPlan::ideal`]
     /// keeps every camera present every round.
     churn: ChurnPlan,
+    /// The test segment's clean frames, shared by every clone.
+    clean_frames: FrameStore,
+}
+
+/// The clean annotated frames of a prepared simulation's test segment,
+/// one `Vec` per camera. Empty until the first clean-sensor run renders
+/// them on its calling thread; every clone of the simulation (the
+/// `with_*` builders included) shares the one copy, which is never
+/// written to afterwards. Sensor-fault runs render their own copy.
+#[derive(Clone, Default)]
+struct FrameStore(Arc<OnceLock<Vec<Vec<FrameData>>>>);
+
+/// Terse, so a `Simulation`'s derived `Debug` does not dump pixels.
+impl fmt::Debug for FrameStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0.get() {
+            Some(frames) => write!(f, "FrameStore({} cameras, filled)", frames.len()),
+            None => f.write_str("FrameStore(empty)"),
+        }
+    }
 }
 
 impl Simulation {
@@ -375,7 +405,7 @@ impl Simulation {
                 config.start_frame,
                 (config.start_frame + 5 * config.profile.gt_interval + 1).min(config.end_frame),
             );
-            let images: Vec<_> = sample.iter().map(|f| f.image.clone()).collect();
+            let images: Vec<_> = sample.into_iter().map(|f| f.image).collect();
             if images.len() >= 2 {
                 let item = extractor.extract_video(format!("V_cam{j}"), &images)?;
                 let (m, _) = controller.match_feed(&item)?;
@@ -401,6 +431,7 @@ impl Simulation {
             checkpoint_faults: CheckpointFaultPlan::none(),
             fleet,
             churn: ChurnPlan::ideal(),
+            clean_frames: FrameStore::default(),
         })
     }
 
@@ -578,6 +609,15 @@ impl Simulation {
         Ok(mission.finish())
     }
 
+    /// Renders the annotated frames of the test segment, per camera.
+    fn render_test_frames(&self) -> Vec<Vec<FrameData>> {
+        let (start, end) = (self.config.start_frame, self.config.end_frame);
+        self.feeds
+            .iter()
+            .map(|f| f.annotated_frames(start, end))
+            .collect()
+    }
+
     fn record_for(&self, camera: usize) -> &TrainingRecord {
         &self.controller.records()[self.matched[camera]]
     }
@@ -682,6 +722,10 @@ fn publish_detection(
 /// A round's assignment (camera → algorithm) and active-camera set.
 type Plan = (BTreeMap<usize, AlgorithmId>, Vec<usize>);
 
+/// A run's annotated frames per camera: borrowed from the simulation's
+/// clean-frame store, or an owned copy the sensor plan corrupted.
+type Frames<'a> = Cow<'a, [Vec<FrameData>]>;
+
 /// One round's frame window and running score: assessment covers the
 /// annotated frames `start..assess_end`, operation `assess_end..end`.
 struct Round {
@@ -713,8 +757,10 @@ struct MissionState<'a> {
     /// sites sit on the serial effect-replay path, so the stream is also
     /// bit-identical across `Parallelism` settings.
     tel: &'a Telemetry,
-    /// Annotated frames per camera, after sensor impairment.
-    frames: Vec<Vec<FrameData>>,
+    /// Annotated frames per camera, after sensor impairment: borrowed
+    /// from the simulation's clean-frame store when the sensor plan is
+    /// disabled, an owned corrupted copy otherwise.
+    frames: Frames<'a>,
     impairments: Vec<Vec<FrameImpairment>>,
     nodes: Vec<CameraNode>,
     net: Network,
@@ -745,32 +791,7 @@ impl<'a> MissionState<'a> {
     /// checkpoint store; cameras present at round 0 upload their features.
     fn new(sim: &'a Simulation) -> Result<MissionState<'a>> {
         let cams = sim.config.cameras;
-        let mut frames: Vec<Vec<FrameData>> = sim
-            .feeds
-            .iter()
-            .map(|f| f.annotated_frames(sim.config.start_frame, sim.config.end_frame))
-            .collect();
-        if frames[0].is_empty() {
-            return Err(EecsError::InvalidArgument(
-                "no annotated frames in the requested range".into(),
-            ));
-        }
-
-        // Sensor faults corrupt the captured frames before anything reads
-        // them — every consumer downstream (assessment, operation,
-        // feature caches, parallel workers) sees the same degraded pixels,
-        // so worker count cannot change what was "seen". With the ideal
-        // plan no pixel is touched.
-        let impairments: Vec<Vec<FrameImpairment>> = frames
-            .iter_mut()
-            .enumerate()
-            .map(|(j, cam_frames)| {
-                cam_frames
-                    .iter_mut()
-                    .map(|fd| sim.config.sensor_plan.corrupt(j, fd.frame, &mut fd.image))
-                    .collect()
-            })
-            .collect();
+        let (frames, impairments) = Self::capture(sim)?;
         let degraded_frames = impairments
             .iter()
             .flatten()
@@ -855,6 +876,48 @@ impl<'a> MissionState<'a> {
             }
         }
         Ok(mission)
+    }
+
+    /// The test segment's frames and what the sensors did to each.
+    /// Sensor faults corrupt the captured frames before anything reads
+    /// them — every consumer downstream (assessment, operation, feature
+    /// caches, parallel workers) sees the same degraded pixels, so worker
+    /// count cannot change what was "seen". A disabled plan touches no
+    /// pixel, so it borrows the shared clean frames instead of rendering.
+    /// Either way the frames are rendered on the calling thread.
+    fn capture(sim: &'a Simulation) -> Result<(Frames<'a>, Vec<Vec<FrameImpairment>>)> {
+        let plan = &sim.config.sensor_plan;
+        let mut frames: Frames<'a> = if plan.enabled() {
+            Cow::Owned(sim.render_test_frames())
+        } else {
+            Cow::Borrowed(sim.clean_frames.0.get_or_init(|| sim.render_test_frames()))
+        };
+        if frames[0].is_empty() {
+            return Err(EecsError::InvalidArgument(
+                "no annotated frames in the requested range".into(),
+            ));
+        }
+        let impairments = if plan.enabled() {
+            // Owned: `to_mut` never copies here, and never writes through
+            // to the store.
+            frames
+                .to_mut()
+                .iter_mut()
+                .enumerate()
+                .map(|(j, cam_frames)| {
+                    cam_frames
+                        .iter_mut()
+                        .map(|fd| plan.corrupt(j, fd.frame, &mut fd.image))
+                        .collect()
+                })
+                .collect()
+        } else {
+            frames
+                .iter()
+                .map(|cam_frames| vec![FrameImpairment::clean(); cam_frames.len()])
+                .collect()
+        };
+        Ok((frames, impairments))
     }
 
     /// Opens the next round, or `None` once every frame has run.
