@@ -67,9 +67,10 @@ cargo run -q --release -p eecs-bench --bin sweep_smoke
 
 echo "==> serve smoke (mission service: kill mid-queue, resume, replay)"
 # Per seed, a chaotic 6-mission batch through the admission-controlled
-# service: a 2-worker journaled run killed after 2 missions and resumed
-# must produce a service trace byte-identical to an uninterrupted
-# 1-worker run, with no completed mission re-executing.
+# service: a 2-worker journaled run killed after 2 missions, with half
+# of its journal's final line torn off, and resumed must produce a
+# service trace byte-identical to an uninterrupted 1-worker run, with
+# only the torn mission re-executing.
 cargo run -q --release -p eecs-bench --bin serve_smoke -- 1 2 3
 
 echo "==> fault-matrix smoke (sensor + network + controller chaos)"

@@ -4,17 +4,20 @@
 //!
 //! 1. an uninterrupted reference batch runs on 1 worker with no journal;
 //! 2. a journaled batch on 2 workers is killed after 2 executed
-//!    missions (`stop_after`) — it must return no assembled run;
+//!    missions (`stop_after`) — it must return no assembled run — and
+//!    half of the journal's final line is torn off, as a kill inside the
+//!    last append leaves it;
 //! 3. a resumed batch against the same journal must skip exactly the
-//!    journaled missions and assemble a service trace *byte-identical*
-//!    to the reference.
+//!    intact journaled mission, re-run the torn one, and assemble a
+//!    service trace *byte-identical* to the reference.
 //!
 //! One telemetry handle is shared across the killed and resumed runs, so
-//! `serve.runs.<mission> == 1` proves no completed mission re-executed.
+//! `serve.runs.<mission>` proves that only the torn mission re-executed.
 
 use eecs_bench::artifacts::Artifacts;
 use eecs_bench::serving::{mixed_batch, service_base};
 use eecs_bench::Scale;
+use eecs_core::jsonio::{parse, Json};
 use eecs_core::telemetry::Telemetry;
 use eecs_serve::{BatchOptions, MissionService, ServiceConfig};
 use std::collections::BTreeMap;
@@ -67,12 +70,28 @@ fn smoke_seed(base: &eecs_core::simulation::Simulation, seed: u64) -> Result<(),
         "killed batch executes exactly 2 missions",
     )?;
 
-    eprintln!("[serve_smoke] seed {seed}: resumed batch (2 workers, same journal)…");
+    // Kill mid-write: tear off half of the final record and its newline.
+    let text = std::fs::read_to_string(&journal).map_err(|e| format!("read journal: {e}"))?;
+    let (committed, last) = text
+        .trim_end_matches('\n')
+        .rsplit_once('\n')
+        .ok_or("journal holds no record")?;
+    let torn = parse(last)?
+        .get("mission")
+        .and_then(Json::as_num)
+        .ok_or("journal record lacks a mission")? as usize;
+    std::fs::write(
+        &journal,
+        format!("{committed}\n{}", &last[..last.len() / 2]),
+    )
+    .map_err(|e| format!("tear journal: {e}"))?;
+
+    eprintln!("[serve_smoke] seed {seed}: resumed batch (2 workers, torn journal)…");
     let resumed = service.run_batch(&batch, &BatchOptions::journaled(journal.clone()))?;
     let _ = std::fs::remove_file(&journal);
     ensure(
-        resumed.skipped == 2,
-        "resume skips the 2 journaled missions",
+        resumed.skipped == 1,
+        "resume skips the intact journaled mission",
     )?;
     let run = resumed.run.ok_or("resumed batch did not assemble")?;
     ensure(
@@ -80,26 +99,27 @@ fn smoke_seed(base: &eecs_core::simulation::Simulation, seed: u64) -> Result<(),
         "kill/resume service trace is byte-identical to the uninterrupted run",
     )?;
 
-    // Across kill + resume, every admitted mission executed exactly once.
+    // Across kill + resume, only the torn mission executed twice.
     let counters: BTreeMap<String, u64> = telemetry
         .metrics()
         .counters()
         .map(|(k, v)| (k.to_owned(), v))
         .collect();
-    for m in &admitted {
+    for &m in &admitted {
         let key = format!("serve.runs.{m}");
+        let runs = if m == torn { 2 } else { 1 };
         ensure(
-            counters.get(&key) == Some(&1),
-            &format!("{key} == 1 (no completed mission re-executes)"),
+            counters.get(&key) == Some(&runs),
+            &format!("{key} == {runs} (only the torn mission re-executes)"),
         )?;
     }
     ensure(
-        counters.get("serve.executed") == Some(&(admitted.len() as u64)),
-        "every admitted mission executed exactly once across kill + resume",
+        counters.get("serve.executed") == Some(&(admitted.len() as u64 + 1)),
+        "every admitted mission executed once, the torn one twice",
     )?;
     ensure(
-        counters.get("serve.skipped") == Some(&2),
-        "2 missions skipped in total across kill + resume",
+        counters.get("serve.skipped") == Some(&1),
+        "1 mission skipped in total across kill + resume",
     )?;
     Ok(())
 }

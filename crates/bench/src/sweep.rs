@@ -7,7 +7,7 @@
 //! (axes of labels), expands it into a job list, executes the jobs across
 //! a work-stealing worker pool ([`eecs_core::par::par_map_streamed`]),
 //! and streams every finished cell as a bit-stable [`eecs_core::jsonio`]
-//! record into an append-only [manifest](self::load_manifest) file.
+//! record into an append-only manifest — an [`eecs_core::journal`] file.
 //!
 //! Determinism contract (enforced by `tests/sweep_determinism.rs`,
 //! `tests/sweep_resume.rs` and the golden `sweep_tiny.json` snapshot):
@@ -23,20 +23,20 @@
 //! cells; per-cell `sweep.runs.<cell>` telemetry counters prove that no
 //! completed cell ever re-executes.
 
-use eecs_core::checksum::crc32;
-use eecs_core::jsonio::{self, Json};
+use eecs_core::journal::Journal;
+use eecs_core::jsonio::Json;
 use eecs_core::par::par_map_streamed;
 use eecs_core::telemetry::Telemetry;
 use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Schema tag of the merged sweep document.
 pub const SWEEP_SCHEMA: &str = "eecs-sweep/1";
 
-/// Schema tag of the manifest header line. `/2` added a per-record
-/// CRC-32 member, so interior bit-rot is pinpointed to its line as a
-/// typed [`ManifestError::ChecksumMismatch`] instead of being half-read.
+/// Schema tag of the manifest header line. `/2` added the journal's
+/// per-record CRC-32 member, so interior bit-rot is pinpointed to its
+/// line as a typed [`eecs_core::journal::JournalError::ChecksumMismatch`]
+/// instead of being half-read.
 pub const MANIFEST_SCHEMA: &str = "eecs-sweep-manifest/2";
 
 /// One sweep axis: a name and its ordered value labels.
@@ -281,192 +281,6 @@ pub fn manifest_identity(name: &str, specs: &[&SweepSpec]) -> Json {
     ])
 }
 
-/// Why a manifest could not be loaded — each variant pinpoints the
-/// failing line, so interior bit-rot names exactly the record it hit.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum ManifestError {
-    /// The file exists but cannot be read.
-    Io {
-        /// Manifest path.
-        path: String,
-        /// Underlying I/O error text.
-        error: String,
-    },
-    /// The header line is not valid JSON or names a different sweep.
-    Header {
-        /// Manifest path.
-        path: String,
-        /// What was wrong with the header.
-        reason: String,
-    },
-    /// An interior record line failed to parse (final-line tears from a
-    /// kill mid-write are tolerated, not errors).
-    CorruptRecord {
-        /// Manifest path.
-        path: String,
-        /// 1-based line number of the corrupt record.
-        line: usize,
-        /// Parse failure detail.
-        reason: String,
-    },
-    /// A record parsed but its stored CRC-32 does not match the record's
-    /// canonical bytes — interior bit-rot, pinpointed to its line.
-    ChecksumMismatch {
-        /// Manifest path.
-        path: String,
-        /// 1-based line number of the rotten record.
-        line: usize,
-        /// CRC the line claims.
-        expected: u32,
-        /// CRC recomputed from the record it carries.
-        actual: u32,
-    },
-}
-
-impl std::fmt::Display for ManifestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ManifestError::Io { path, error } => {
-                write!(f, "cannot read manifest {path}: {error}")
-            }
-            ManifestError::Header { path, reason } => {
-                write!(f, "manifest {path}: {reason}")
-            }
-            ManifestError::CorruptRecord { path, line, reason } => {
-                write!(
-                    f,
-                    "manifest {path}: corrupt record on line {line}: {reason}"
-                )
-            }
-            ManifestError::ChecksumMismatch {
-                path,
-                line,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "manifest {path}: checksum mismatch on line {line}: \
-                 recorded {expected:#010x}, recomputed {actual:#010x} — interior bit-rot"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ManifestError {}
-
-/// One manifest line for a record: the record's members plus a trailing
-/// `"crc"` member holding the CRC-32 of the record's *canonical*
-/// encoding ([`CellRecord::to_json`] without the crc). Verification
-/// recomputes that CRC from the parsed record — sound because
-/// encode → decode → encode is a fixed point in `jsonio`.
-///
-/// # Errors
-///
-/// Returns an error when the record holds a non-finite number.
-pub fn record_line(rec: &CellRecord) -> Result<String, String> {
-    let canonical = rec.to_json().write()?;
-    let crc = crc32(canonical.as_bytes());
-    let Json::Obj(mut members) = rec.to_json() else {
-        unreachable!("cell records serialize to objects")
-    };
-    members.push(("crc".into(), Json::Num(f64::from(crc))));
-    Json::Obj(members).write()
-}
-
-/// Parses and checksum-verifies one manifest record line.
-fn parse_record_line(line: &str) -> Result<CellRecord, (bool, String, u32, u32)> {
-    let parse_err = |reason: String| (false, reason, 0, 0);
-    let v = jsonio::parse(line).map_err(parse_err)?;
-    let rec = CellRecord::from_json(&v).map_err(parse_err)?;
-    let stored =
-        v.get("crc")
-            .and_then(Json::as_num)
-            .filter(|n| n.fract() == 0.0 && *n >= 0.0 && *n <= f64::from(u32::MAX))
-            .ok_or_else(|| parse_err("record missing integral \"crc\"".into()))? as u32;
-    let canonical = rec
-        .to_json()
-        .write()
-        .map_err(|e| parse_err(format!("cannot re-encode record: {e}")))?;
-    let actual = crc32(canonical.as_bytes());
-    if stored != actual {
-        return Err((true, String::new(), stored, actual));
-    }
-    Ok(rec)
-}
-
-/// Loads a manifest: header line (verified against `identity`) followed
-/// by one checksummed [`CellRecord`] JSON line per completed cell
-/// (see [`record_line`]).
-///
-/// A missing file is an empty manifest. A malformed **final** line is
-/// tolerated and ignored — it is the signature of a kill mid-write; a
-/// malformed or checksum-mismatched line anywhere else is corruption
-/// and a typed [`ManifestError`] naming the line. Duplicate indices
-/// keep the first record.
-///
-/// # Errors
-///
-/// Returns a [`ManifestError`] on a header mismatch or interior
-/// corruption.
-pub fn load_manifest(path: &Path, identity: &Json) -> Result<Vec<CellRecord>, ManifestError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(ManifestError::Io {
-                path: path.display().to_string(),
-                error: e.to_string(),
-            })
-        }
-    };
-    let mut lines: Vec<&str> = text.lines().collect();
-    // A trailing newline-terminated file yields no empty last element from
-    // `lines()`; an unterminated (killed mid-write) final line does.
-    let last_complete = text.ends_with('\n');
-    if lines.is_empty() {
-        return Ok(Vec::new());
-    }
-    let header = jsonio::parse(lines[0]).map_err(|e| ManifestError::Header {
-        path: path.display().to_string(),
-        reason: format!("bad header: {e}"),
-    })?;
-    if &header != identity {
-        return Err(ManifestError::Header {
-            path: path.display().to_string(),
-            reason: "belongs to a different sweep (header mismatch); \
-                     delete it to start fresh"
-                .into(),
-        });
-    }
-    let mut records = Vec::new();
-    let tail = lines.split_off(1);
-    let n = tail.len();
-    for (i, line) in tail.into_iter().enumerate() {
-        let is_last = i + 1 == n;
-        match parse_record_line(line) {
-            Ok(rec) => records.push(rec),
-            Err(_) if is_last && !last_complete => break, // killed mid-write
-            Err((true, _, expected, actual)) => {
-                return Err(ManifestError::ChecksumMismatch {
-                    path: path.display().to_string(),
-                    line: i + 2,
-                    expected,
-                    actual,
-                })
-            }
-            Err((false, reason, ..)) => {
-                return Err(ManifestError::CorruptRecord {
-                    path: path.display().to_string(),
-                    line: i + 2,
-                    reason,
-                })
-            }
-        }
-    }
-    Ok(combine(&records, &[]))
-}
-
 /// Builds the merged sweep document from a complete cell set.
 ///
 /// Cells are emitted in canonical job order inside their shard sections,
@@ -665,34 +479,34 @@ pub fn run_shards(
 
     // Resume: cells the manifest already holds are never re-executed.
     let mut completed: BTreeMap<usize, CellRecord> = BTreeMap::new();
+    let mut manifest = None;
     if let Some(path) = &opts.manifest_path {
-        for rec in load_manifest(path, &identity).map_err(|e| e.to_string())? {
-            let job = jobs.get(rec.index).ok_or_else(|| {
-                format!(
-                    "manifest cell index {} out of range (total {total})",
-                    rec.index
-                )
-            })?;
-            if rec.cell != job.cell_id() {
-                return Err(format!(
-                    "manifest cell {:?} does not match job {:?} at index {}",
+        let (journal, records) = Journal::open(path, &identity, |v| {
+            let rec = CellRecord::from_json(v)?;
+            match jobs.get(rec.index) {
+                Some(job) if rec.cell == job.cell_id() => Ok(rec),
+                Some(job) => Err(format!(
+                    "cell {:?} does not match job {:?} at index {}",
                     rec.cell,
                     job.cell_id(),
                     rec.index
-                ));
+                )),
+                None => Err(format!(
+                    "cell index {} out of range (total {total})",
+                    rec.index
+                )),
             }
-            completed.insert(rec.index, rec);
+        })
+        .map_err(|e| e.to_string())?;
+        for rec in records {
+            completed.entry(rec.index).or_insert(rec);
         }
+        manifest = Some(journal);
     }
     let skipped = completed.len();
     let tel = &opts.telemetry;
     tel.gauge_set("sweep.cells_total", total as f64);
     tel.counter_add("sweep.skipped", skipped as u64);
-
-    let mut manifest = match &opts.manifest_path {
-        Some(path) => Some(open_manifest(path, &identity, skipped > 0)?),
-        None => None,
-    };
 
     // Which shard owns a global index (for runner dispatch).
     let mut owner = Vec::with_capacity(total);
@@ -731,9 +545,9 @@ pub fn run_shards(
                     return false;
                 }
             };
-            if let Some(file) = manifest.as_mut() {
-                if let Err(e) = append_record(file, &rec) {
-                    failure = Some(e);
+            if let Some(journal) = manifest.as_mut() {
+                if let Err(e) = journal.append(&rec.to_json()) {
+                    failure = Some(e.to_string());
                     return false;
                 }
             }
@@ -781,39 +595,6 @@ fn global_jobs(specs: &[&SweepSpec]) -> Vec<SweepJob> {
     jobs
 }
 
-/// Opens the manifest for appending, writing the identity header when the
-/// file is new (or was empty).
-fn open_manifest(path: &Path, identity: &Json, has_records: bool) -> Result<std::fs::File, String> {
-    let existed = std::fs::metadata(path)
-        .map(|m| m.len() > 0)
-        .unwrap_or(false);
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("cannot open manifest {}: {e}", path.display()))?;
-    debug_assert!(existed || !has_records, "records without a header");
-    if !existed {
-        let mut line = identity.write()?;
-        line.push('\n');
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.flush())
-            .map_err(|e| format!("cannot write manifest header: {e}"))?;
-    }
-    Ok(file)
-}
-
-/// Appends one completed, checksummed cell line and flushes, so a kill
-/// loses at most the line being written (which [`load_manifest`]
-/// tolerates).
-fn append_record(file: &mut std::fs::File, rec: &CellRecord) -> Result<(), String> {
-    let mut line = record_line(rec)?;
-    line.push('\n');
-    file.write_all(line.as_bytes())
-        .and_then(|()| file.flush())
-        .map_err(|e| format!("cannot append to manifest: {e}"))
-}
-
 /// Seeded Fisher–Yates over the pending jobs (SplitMix64 stream).
 fn shuffle<T>(items: &mut [T], seed: u64) {
     let mut state = seed;
@@ -830,6 +611,7 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eecs_core::jsonio;
 
     fn spec() -> SweepSpec {
         SweepSpec::new("demo")
@@ -955,69 +737,6 @@ mod tests {
         let merged = combine(&[rec(3), rec(1)], &[rec(1), rec(0)]);
         let indices: Vec<usize> = merged.iter().map(|r| r.index).collect();
         assert_eq!(indices, vec![0, 1, 3]);
-    }
-
-    #[test]
-    fn record_lines_carry_verifiable_checksums() {
-        let rec = CellRecord {
-            index: 3,
-            cell: "demo:mode=a/seed=1".into(),
-            data: Json::Num(42.0),
-        };
-        let line = record_line(&rec).unwrap();
-        assert!(line.contains("\"crc\""));
-        assert_eq!(parse_record_line(&line).unwrap(), rec);
-        // A record without a crc member (the /1 format) is rejected.
-        let legacy = rec.to_json().write().unwrap();
-        assert!(matches!(parse_record_line(&legacy), Err((false, ..))));
-    }
-
-    #[test]
-    fn interior_bit_rot_is_pinpointed_with_a_typed_error() {
-        let dir = std::env::temp_dir().join("eecs_sweep_rot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.jsonl");
-        let s = spec();
-        let identity = manifest_identity("demo", &[&s]);
-
-        let mut text = identity.write().unwrap();
-        text.push('\n');
-        let mut lines = Vec::new();
-        for (i, job) in s.jobs().iter().take(3).enumerate() {
-            lines.push(
-                record_line(&CellRecord {
-                    index: job.index,
-                    cell: job.cell_id(),
-                    data: Json::Num(i as f64),
-                })
-                .unwrap(),
-            );
-        }
-        // Rot one byte of the middle record's payload: the value 1.0
-        // becomes 7.0, every line still parses as JSON.
-        lines[1] = lines[1].replacen("1", "7", 1);
-        text.push_str(&lines.join("\n"));
-        text.push('\n');
-        std::fs::write(&path, &text).unwrap();
-
-        let err = load_manifest(&path, &identity).unwrap_err();
-        match err {
-            ManifestError::ChecksumMismatch { line, .. } => assert_eq!(line, 3),
-            other => panic!("expected a checksum mismatch, got {other:?}"),
-        }
-        assert!(err.to_string().contains("line 3"));
-        assert!(err.to_string().contains("bit-rot"));
-
-        // A torn *final* line is still tolerated (kill mid-write).
-        let mut torn = identity.write().unwrap();
-        torn.push('\n');
-        torn.push_str(&lines[0]);
-        torn.push('\n');
-        torn.push_str(&lines[2][..lines[2].len() / 2]);
-        std::fs::write(&path, &torn).unwrap();
-        let records = load_manifest(&path, &identity).unwrap();
-        assert_eq!(records.len(), 1);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

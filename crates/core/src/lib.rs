@@ -35,6 +35,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod controller;
 pub mod features;
+pub mod journal;
 pub mod jsonio;
 pub mod metadata;
 pub mod par;
@@ -55,7 +56,7 @@ pub use checkpoint::{
 pub use config::{ConfigError, EecsConfig};
 pub use controller::{Controller, QuarantineLedger, QuarantinePolicy};
 /// The CRC-32 unit shared by wire framing, the checkpoint store, and
-/// the sweep-manifest journal (re-exported from `eecs_net`, which sits
+/// the [`journal`] (re-exported from `eecs_net`, which sits
 /// below this crate in the dependency order).
 pub use eecs_net::checksum;
 pub use features::FeatureExtractor;

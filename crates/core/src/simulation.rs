@@ -552,6 +552,11 @@ impl Simulation {
         sim
     }
 
+    /// The configuration this simulation runs with.
+    pub fn config(&self) -> &SimulationConfig {
+        &self.config
+    }
+
     /// The per-camera device profiles this simulation runs with.
     pub fn fleet(&self) -> &[DeviceProfile] {
         &self.fleet

@@ -16,15 +16,15 @@
 //!   unacknowledged messages with exponential backoff. Every attempt —
 //!   successful or not — drains the sender's battery.
 //!
-//! The controller's downlink ([`Network::send_downlink`]) runs the same
-//! ARQ but charges no camera battery: the controller is mains-powered
-//! and receive energy is not modeled (matching the uplink, where the
-//! controller's receive side is also free).
+//! The controller's downlink ([`Network::send_downlink`]) and the
+//! camera-to-camera path ([`Network::send_peer`]) run the same ARQ — one
+//! private loop keyed by direction. The downlink charges no camera
+//! battery: the controller is mains-powered and receive energy is not
+//! modeled (matching the uplink, where the controller's receive side is
+//! also free).
 //!
 //! Time advances in simulation rounds via [`Network::advance_round`],
 //! which matures delayed deliveries into the inbox.
-
-use std::collections::BTreeSet;
 
 use crate::fault::{
     Endpoint, FaultPlan, TAG_ACK, TAG_CORRUPT, TAG_DATA, TAG_DUP, TAG_JITTER, TAG_REORDER,
@@ -138,9 +138,6 @@ struct Node {
     attached: bool,
     /// Next uplink sequence number this camera will use.
     next_seq: u64,
-    /// Sequence numbers already accepted into the inbox (duplicate
-    /// suppression).
-    delivered_seqs: BTreeSet<u64>,
 }
 
 impl Node {
@@ -151,7 +148,56 @@ impl Node {
             stats: TransportStats::default(),
             attached: true,
             next_seq: 0,
-            delivered_seqs: BTreeSet::new(),
+        }
+    }
+
+    /// Charges one transmission of `bytes` to `battery` and this node's
+    /// statistics. A battery that cannot cover it charges nothing.
+    fn charge(
+        &mut self,
+        bytes: u64,
+        battery: &mut BatteryState,
+        meter: &mut PowerMeter,
+    ) -> Result<()> {
+        let energy = self.link.transmit_energy(bytes, &self.device);
+        battery.drain(energy).map_err(send_failed)?;
+        meter.record(EnergyCategory::Communication, energy);
+        self.stats.attempts += 1;
+        self.stats.bytes += bytes;
+        self.stats.energy_j += energy;
+        self.stats.airtime_s += self.link.transfer_time(bytes);
+        Ok(())
+    }
+}
+
+/// The direction of one reliable send. Faults, rolls and corruption are
+/// keyed on the camera end: the sender on `Up` and `Peer`, the receiver
+/// on `Down`.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    /// Camera `from` to its controller seat (the hub or an acting camera).
+    Up { from: usize, seat: Endpoint },
+    /// Controller to camera `to`; mains-powered, so no battery is charged.
+    Down { to: usize },
+    /// Camera `from` to camera `to` (failover announcements).
+    Peer { from: usize, to: usize },
+}
+
+impl Route {
+    /// The camera whose link faults, rolls and battery govern the send.
+    fn camera(self) -> usize {
+        match self {
+            Route::Up { from, .. } | Route::Peer { from, .. } => from,
+            Route::Down { to } => to,
+        }
+    }
+
+    /// The sending and receiving endpoints.
+    fn ends(self) -> (Endpoint, Endpoint) {
+        match self {
+            Route::Up { from, seat } => (Endpoint::Camera(from), seat),
+            Route::Down { to } => (Endpoint::Hub, Endpoint::Camera(to)),
+            Route::Peer { from, to } => (Endpoint::Camera(from), Endpoint::Camera(to)),
         }
     }
 }
@@ -332,15 +378,8 @@ impl Network {
             .nodes
             .get_mut(from)
             .ok_or(NetError::UnknownNode(from))?;
-        let bytes = message.wire_bytes();
-        let energy = node.link.transmit_energy(bytes, &node.device);
-        battery.drain(energy).map_err(send_failed)?;
-        meter.record(EnergyCategory::Communication, energy);
+        node.charge(message.wire_bytes(), battery, meter)?;
         node.stats.messages += 1;
-        node.stats.attempts += 1;
-        node.stats.bytes += bytes;
-        node.stats.energy_j += energy;
-        node.stats.airtime_s += node.link.transfer_time(bytes);
         self.inbox.push((from, message));
         Ok(())
     }
@@ -388,99 +427,11 @@ impl Network {
         battery: &mut BatteryState,
         meter: &mut PowerMeter,
     ) -> Result<Delivery> {
-        if from >= self.nodes.len() {
-            return Err(NetError::UnknownNode(from));
-        }
-        let seq = self.nodes[from].next_seq;
-        self.nodes[from].next_seq += 1;
-        let mut delivery = Delivery::pending(seq);
-
-        if self.is_camera_down(from) {
-            self.nodes[from].stats.timeouts += 1;
-            return Ok(delivery);
-        }
-
-        let bytes = message.wire_bytes();
-        let faults = self.plan.faults(from);
-        // A dead controller looks exactly like an outage from the
-        // camera's side: the probe goes unanswered. So does a partition
-        // between the sender and its seat.
-        let outage = self.plan.is_outage(from, self.round)
-            || self.controller_down
-            || !self
-                .plan
-                .partition()
-                .can_reach(Endpoint::Camera(from), target, self.round);
-        // During an outage the channel is deterministically dead for the
-        // round, and the MAC layer notices (no association, no ack to the
-        // first probe): one attempt, then give up until next round.
-        let max_attempts: u64 = if outage {
-            1
-        } else {
-            u64::from(self.retry.max_retries).saturating_add(1)
-        };
-
-        loop {
-            if delivery.attempts > 0 {
-                let backoff = self.retry.backoff_before_attempt(delivery.attempts + 1);
-                delivery.backoff_s += backoff;
-                self.nodes[from].stats.retries += 1;
-                self.nodes[from].stats.backoff_s += backoff;
-            }
-            let node = &mut self.nodes[from];
-            let energy = node.link.transmit_energy(bytes, &node.device);
-            battery.drain(energy).map_err(send_failed)?;
-            meter.record(EnergyCategory::Communication, energy);
-            node.stats.attempts += 1;
-            node.stats.bytes += bytes;
-            node.stats.energy_j += energy;
-            node.stats.airtime_s += node.link.transfer_time(bytes);
-            delivery.attempts += 1;
-
-            let data_lost =
-                outage || (faults.loss > 0.0 && self.roll(from, TAG_DATA) < faults.loss);
-            if data_lost {
-                self.nodes[from].stats.drops += 1;
-            } else if self.corrupt_attempt(from, target, &message, delivery.attempts) {
-                // The frame arrived, but wrong: the receiver's checksum
-                // rejects it, no ack comes back, and the ARQ retries.
-                // The attempt's energy (charged above) stays spent.
-                delivery.corrupted += 1;
-                self.nodes[from].stats.corrupted += 1;
-                self.nodes[from].stats.rejected += 1;
-            } else {
-                if self.nodes[from].delivered_seqs.insert(seq) {
-                    // First copy to arrive: admit it, after any delay.
-                    delivery.delivered = true;
-                    let mut delay = faults.delay_rounds;
-                    if faults.jitter_rounds > 0 {
-                        let draw = self.roll(from, TAG_JITTER);
-                        delay += (draw * (faults.jitter_rounds + 1) as f64) as usize;
-                    }
-                    delivery.delayed_rounds = delay;
-                    self.admit(from, message.clone(), delay);
-                    // The network itself may duplicate the packet; the
-                    // extra copy carries the same seq and is suppressed.
-                    if faults.duplicate > 0.0 && self.roll(from, TAG_DUP) < faults.duplicate {
-                        self.nodes[from].stats.duplicates += 1;
-                    }
-                } else {
-                    // Retransmission of a seq the inbox already has
-                    // (its ack was lost): suppress.
-                    self.nodes[from].stats.duplicates += 1;
-                }
-                let ack_lost = faults.loss > 0.0 && self.roll(from, TAG_ACK) < faults.loss;
-                if !ack_lost {
-                    delivery.acked = true;
-                    self.nodes[from].stats.messages += 1;
-                    return Ok(delivery);
-                }
-            }
-            if u64::from(delivery.attempts) >= max_attempts {
-                self.nodes[from].stats.timeouts += 1;
-                return Ok(delivery);
-            }
-        }
+        self.arq(
+            Route::Up { from, seat: target },
+            message,
+            Some((battery, meter)),
+        )
     }
 
     /// Sends `message` from the controller to camera `to` with the same
@@ -494,74 +445,7 @@ impl Network {
     ///
     /// Returns [`NetError::UnknownNode`] for a bad index.
     pub fn send_downlink(&mut self, to: usize, message: Message) -> Result<Delivery> {
-        if to >= self.nodes.len() {
-            return Err(NetError::UnknownNode(to));
-        }
-        let seq = self.next_downlink_seq;
-        self.next_downlink_seq += 1;
-        let mut delivery = Delivery::pending(seq);
-
-        if self.controller_down {
-            // A dead controller transmits nothing.
-            self.downlink_stats.timeouts += 1;
-            return Ok(delivery);
-        }
-        if self.is_camera_down(to) {
-            self.downlink_stats.timeouts += 1;
-            return Ok(delivery);
-        }
-
-        let bytes = message.wire_bytes();
-        let faults = self.plan.faults(to);
-        let outage = self.plan.is_outage(to, self.round)
-            || !self
-                .plan
-                .partition()
-                .can_reach(Endpoint::Hub, Endpoint::Camera(to), self.round);
-
-        let max_attempts: u64 = if outage {
-            1
-        } else {
-            u64::from(self.retry.max_retries).saturating_add(1)
-        };
-
-        loop {
-            if delivery.attempts > 0 {
-                let backoff = self.retry.backoff_before_attempt(delivery.attempts + 1);
-                delivery.backoff_s += backoff;
-                self.downlink_stats.retries += 1;
-                self.downlink_stats.backoff_s += backoff;
-            }
-            self.downlink_stats.attempts += 1;
-            self.downlink_stats.bytes += bytes;
-            delivery.attempts += 1;
-
-            let data_lost = outage || (faults.loss > 0.0 && self.roll(to, TAG_DATA) < faults.loss);
-            if data_lost {
-                self.downlink_stats.drops += 1;
-            } else if self.corrupt_attempt(to, Endpoint::Camera(to), &message, delivery.attempts) {
-                delivery.corrupted += 1;
-                self.downlink_stats.corrupted += 1;
-                self.downlink_stats.rejected += 1;
-            } else {
-                if delivery.delivered {
-                    // The camera already has this seq; the repeat is
-                    // suppressed on its side.
-                    self.downlink_stats.duplicates += 1;
-                }
-                delivery.delivered = true;
-                let ack_lost = faults.loss > 0.0 && self.roll(to, TAG_ACK) < faults.loss;
-                if !ack_lost {
-                    delivery.acked = true;
-                    self.downlink_stats.messages += 1;
-                    return Ok(delivery);
-                }
-            }
-            if u64::from(delivery.attempts) >= max_attempts {
-                self.downlink_stats.timeouts += 1;
-                return Ok(delivery);
-            }
-        }
+        self.arq(Route::Down { to }, message, None)
     }
 
     /// Sends `message` camera-to-camera (the failover announcement path:
@@ -584,80 +468,7 @@ impl Network {
         battery: &mut BatteryState,
         meter: &mut PowerMeter,
     ) -> Result<Delivery> {
-        if from >= self.nodes.len() {
-            return Err(NetError::UnknownNode(from));
-        }
-        if to >= self.nodes.len() {
-            return Err(NetError::UnknownNode(to));
-        }
-        let seq = self.nodes[from].next_seq;
-        self.nodes[from].next_seq += 1;
-        let mut delivery = Delivery::pending(seq);
-
-        if self.is_camera_down(from) {
-            self.nodes[from].stats.timeouts += 1;
-            return Ok(delivery);
-        }
-
-        let bytes = message.wire_bytes();
-        let faults = self.plan.faults(from);
-        // A dead or outaged peer cannot respond; either end's outage
-        // window — or a partition between the two cameras — kills the
-        // channel for the round.
-        let peer_dark = self.is_camera_down(to)
-            || self.plan.is_outage(from, self.round)
-            || self.plan.is_outage(to, self.round)
-            || !self.plan.partition().can_reach(
-                Endpoint::Camera(from),
-                Endpoint::Camera(to),
-                self.round,
-            );
-        let max_attempts: u64 = if peer_dark {
-            1
-        } else {
-            u64::from(self.retry.max_retries).saturating_add(1)
-        };
-
-        loop {
-            if delivery.attempts > 0 {
-                let backoff = self.retry.backoff_before_attempt(delivery.attempts + 1);
-                delivery.backoff_s += backoff;
-                self.nodes[from].stats.retries += 1;
-                self.nodes[from].stats.backoff_s += backoff;
-            }
-            let node = &mut self.nodes[from];
-            let energy = node.link.transmit_energy(bytes, &node.device);
-            battery.drain(energy).map_err(send_failed)?;
-            meter.record(EnergyCategory::Communication, energy);
-            node.stats.attempts += 1;
-            node.stats.bytes += bytes;
-            node.stats.energy_j += energy;
-            node.stats.airtime_s += node.link.transfer_time(bytes);
-            delivery.attempts += 1;
-
-            let data_lost =
-                peer_dark || (faults.loss > 0.0 && self.roll(from, TAG_DATA) < faults.loss);
-            if data_lost {
-                self.nodes[from].stats.drops += 1;
-            } else if self.corrupt_attempt(from, Endpoint::Camera(to), &message, delivery.attempts)
-            {
-                delivery.corrupted += 1;
-                self.nodes[from].stats.corrupted += 1;
-                self.nodes[from].stats.rejected += 1;
-            } else {
-                delivery.delivered = true;
-                let ack_lost = faults.loss > 0.0 && self.roll(from, TAG_ACK) < faults.loss;
-                if !ack_lost {
-                    delivery.acked = true;
-                    self.nodes[from].stats.messages += 1;
-                    return Ok(delivery);
-                }
-            }
-            if u64::from(delivery.attempts) >= max_attempts {
-                self.nodes[from].stats.timeouts += 1;
-                return Ok(delivery);
-            }
-        }
+        self.arq(Route::Peer { from, to }, message, Some((battery, meter)))
     }
 
     /// Drains the controller's inbox, returning `(sender, message)` pairs
@@ -703,6 +514,155 @@ impl Network {
             .get_mut(id)
             .map(|n| n.link = link)
             .ok_or(NetError::UnknownNode(id))
+    }
+
+    /// The one stop-and-wait ARQ loop behind [`Network::send_reliable_to`],
+    /// [`Network::send_downlink`] and [`Network::send_peer`]. The
+    /// directions differ only in:
+    ///
+    /// * the sequence space — the sending camera's, or the controller's
+    ///   on `Down`;
+    /// * who cannot transmit at all (a timeout, no attempt): a down
+    ///   sending camera, or on `Down` a dead controller or a down target;
+    /// * what darkens the channel to one unanswered probe attempt: a
+    ///   partition or the camera's outage, plus a dead controller on
+    ///   `Up` and a down or outaged peer on `Peer`;
+    /// * charging — `power` drains the sending camera's battery per
+    ///   attempt; `Down` has none and counts into the downlink stats;
+    /// * acceptance — only `Up` admits into the inbox (with its jitter,
+    ///   duplicate and reorder rolls); `Up` and `Down` count repeat
+    ///   deliveries as duplicates, `Peer` does not.
+    fn arq(
+        &mut self,
+        route: Route,
+        message: Message,
+        mut power: Option<(&mut BatteryState, &mut PowerMeter)>,
+    ) -> Result<Delivery> {
+        let camera = route.camera();
+        let peer = match route {
+            Route::Peer { to, .. } => to,
+            Route::Up { .. } | Route::Down { .. } => camera,
+        };
+        for id in [camera, peer] {
+            if id >= self.nodes.len() {
+                return Err(NetError::UnknownNode(id));
+            }
+        }
+        let seq = match route {
+            Route::Down { .. } => &mut self.next_downlink_seq,
+            Route::Up { .. } | Route::Peer { .. } => &mut self.nodes[camera].next_seq,
+        };
+        *seq += 1;
+        let mut delivery = Delivery::pending(*seq - 1);
+
+        let silent = match route {
+            Route::Down { to } => self.controller_down || self.is_camera_down(to),
+            Route::Up { from, .. } | Route::Peer { from, .. } => self.is_camera_down(from),
+        };
+        if silent {
+            self.stats_mut(route).timeouts += 1;
+            return Ok(delivery);
+        }
+
+        let round = self.round;
+        let (source, target) = route.ends();
+        // During an outage the channel is deterministically dead for the
+        // round, and the MAC layer notices (no association, no ack to the
+        // first probe): one attempt, then give up until next round. A
+        // dead controller looks exactly like that from the camera's side;
+        // so does a partition between the two ends, or a dark peer.
+        let dark = !self.plan.partition().can_reach(source, target, round)
+            || self.plan.is_outage(camera, round)
+            || match route {
+                Route::Up { .. } => self.controller_down,
+                Route::Down { .. } => false,
+                Route::Peer { to, .. } => self.is_camera_down(to) || self.plan.is_outage(to, round),
+            };
+        let max_attempts: u64 = if dark {
+            1
+        } else {
+            u64::from(self.retry.max_retries).saturating_add(1)
+        };
+        let bytes = message.wire_bytes();
+        let faults = self.plan.faults(camera);
+
+        loop {
+            if delivery.attempts > 0 {
+                let backoff = self.retry.backoff_before_attempt(delivery.attempts + 1);
+                delivery.backoff_s += backoff;
+                let stats = self.stats_mut(route);
+                stats.retries += 1;
+                stats.backoff_s += backoff;
+            }
+            match power.as_mut() {
+                Some((battery, meter)) => self.nodes[camera].charge(bytes, battery, meter)?,
+                None => {
+                    self.downlink_stats.attempts += 1;
+                    self.downlink_stats.bytes += bytes;
+                }
+            }
+            delivery.attempts += 1;
+
+            if dark || (faults.loss > 0.0 && self.roll(camera, TAG_DATA) < faults.loss) {
+                self.stats_mut(route).drops += 1;
+            } else if self.corrupt_attempt(camera, target, &message, delivery.attempts) {
+                // The frame arrived, but wrong: the receiver's checksum
+                // rejects it, no ack comes back, and the ARQ retries.
+                // The attempt's energy (charged above) stays spent.
+                delivery.corrupted += 1;
+                let stats = self.stats_mut(route);
+                stats.corrupted += 1;
+                stats.rejected += 1;
+            } else {
+                if delivery.delivered {
+                    // A retransmission whose ack was lost: the receiver
+                    // already has this seq and suppresses the repeat.
+                    if !matches!(route, Route::Peer { .. }) {
+                        self.stats_mut(route).duplicates += 1;
+                    }
+                } else {
+                    delivery.delivered = true;
+                    if let Route::Up { from, .. } = route {
+                        self.admit_uplink(from, &message, &mut delivery);
+                    }
+                }
+                let ack_lost = faults.loss > 0.0 && self.roll(camera, TAG_ACK) < faults.loss;
+                if !ack_lost {
+                    delivery.acked = true;
+                    self.stats_mut(route).messages += 1;
+                    return Ok(delivery);
+                }
+            }
+            if u64::from(delivery.attempts) >= max_attempts {
+                self.stats_mut(route).timeouts += 1;
+                return Ok(delivery);
+            }
+        }
+    }
+
+    /// The statistics a route's outcomes accumulate into.
+    fn stats_mut(&mut self, route: Route) -> &mut TransportStats {
+        match route {
+            Route::Down { .. } => &mut self.downlink_stats,
+            Route::Up { from, .. } | Route::Peer { from, .. } => &mut self.nodes[from].stats,
+        }
+    }
+
+    /// The first copy of an uplink message to arrive: into the inbox
+    /// after any delay, and the network itself may duplicate the packet
+    /// (the extra copy carries the same seq and is suppressed).
+    fn admit_uplink(&mut self, from: usize, message: &Message, delivery: &mut Delivery) {
+        let faults = self.plan.faults(from);
+        let mut delay = faults.delay_rounds;
+        if faults.jitter_rounds > 0 {
+            let draw = self.roll(from, TAG_JITTER);
+            delay += (draw * (faults.jitter_rounds + 1) as f64) as usize;
+        }
+        delivery.delayed_rounds = delay;
+        self.admit(from, message.clone(), delay);
+        if faults.duplicate > 0.0 && self.roll(from, TAG_DUP) < faults.duplicate {
+            self.nodes[from].stats.duplicates += 1;
+        }
     }
 
     /// One deterministic roll for `link`/`tag`, consuming the next event

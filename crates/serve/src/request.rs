@@ -94,14 +94,17 @@ impl MissionSpec {
         }
         if self.fault_plan.is_some() || self.sensor_plan.is_some() || self.controller_plan.is_some()
         {
+            let config = base.config();
             sim = sim.with_faults(
-                self.fault_plan.clone().unwrap_or_else(FaultPlan::ideal),
+                self.fault_plan
+                    .clone()
+                    .unwrap_or_else(|| config.fault_plan.clone()),
                 self.sensor_plan
                     .clone()
-                    .unwrap_or_else(SensorFaultPlan::ideal),
+                    .unwrap_or_else(|| config.sensor_plan.clone()),
                 self.controller_plan
                     .clone()
-                    .unwrap_or_else(ControllerFaultPlan::none),
+                    .unwrap_or_else(|| config.controller_plan.clone()),
             );
         }
         if let Some(churn) = self.churn.clone() {

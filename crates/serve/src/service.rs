@@ -21,7 +21,8 @@
 
 use crate::request::MissionRequest;
 use crate::schedule::{plan_schedule, MissionVerdict, Schedule, ServiceConfig, ServiceEvent};
-use eecs_core::jsonio::{parse, Json};
+use eecs_core::journal::Journal;
+use eecs_core::jsonio::Json;
 use eecs_core::par::par_map_streamed;
 use eecs_core::simulation::{Simulation, SimulationReport};
 use eecs_core::telemetry::summary::report_to_json;
@@ -30,12 +31,13 @@ use eecs_core::TraceEvent;
 use eecs_net::checksum::crc32;
 use eecs_net::message::{decode_frame, encode_frame, Message};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Schema tag of the batch journal's header line.
-pub const JOURNAL_SCHEMA: &str = "eecs-serve-journal/1";
+/// Schema tag of the batch journal's header line. `/2` moved the batch
+/// journal onto [`eecs_core::journal`]: one CRC per record covering the
+/// mission index, the report and the energy bits alike.
+pub const JOURNAL_SCHEMA: &str = "eecs-serve-journal/2";
 /// Schema tag of the service trace document.
 pub const TRACE_SCHEMA: &str = "eecs-serve-trace/1";
 
@@ -307,29 +309,14 @@ impl MissionService {
         let admitted = schedule.admitted();
 
         // Journal: restore completed missions, then open for appends.
-        let fingerprint = batch_fingerprint(&self.config, requests);
-        let mut restored: BTreeMap<usize, (String, u32, u64)> = BTreeMap::new();
+        let mut restored: BTreeMap<usize, (String, u64)> = BTreeMap::new();
         let mut journal = None;
         if let Some(path) = &options.journal_path {
-            if path.exists() {
-                restored = load_journal(path, fingerprint)?;
-            } else {
-                let header = Json::Obj(vec![
-                    ("schema".into(), Json::Str(JOURNAL_SCHEMA.into())),
-                    (
-                        "seed".into(),
-                        Json::Str(format!("{:016x}", self.config.seed)),
-                    ),
-                    ("requests".into(), Json::Num(requests.len() as f64)),
-                    ("fingerprint".into(), Json::Num(f64::from(fingerprint))),
-                ]);
-                std::fs::write(path, header.write()? + "\n")
-                    .map_err(|e| format!("journal create {}: {e}", path.display()))?;
-            }
-            let file = std::fs::OpenOptions::new()
-                .append(true)
-                .open(path)
-                .map_err(|e| format!("journal open {}: {e}", path.display()))?;
+            let identity = journal_identity(&self.config, requests);
+            let (file, records) =
+                Journal::open(path, &identity, |v| decode_completion(v, requests.len()))
+                    .map_err(|e| e.to_string())?;
+            restored = records.into_iter().collect();
             journal = Some(file);
         }
         for m in restored.keys() {
@@ -372,8 +359,16 @@ impl MissionService {
             |_, result| match result {
                 Ok((mission, report, json)) => {
                     if let Some(file) = journal.as_mut() {
-                        if let Err(e) = append_journal(file, mission, &report, &json) {
-                            first_error = Some(e);
+                        let record = Json::Obj(vec![
+                            ("mission".into(), Json::Num(mission as f64)),
+                            ("report".into(), report_to_json(&report)),
+                            (
+                                "energy_bits".into(),
+                                Json::Str(format!("{:016x}", report.total_energy_j.to_bits())),
+                            ),
+                        ]);
+                        if let Err(e) = file.append(&record) {
+                            first_error = Some(e.to_string());
                             aborted = true;
                             return false;
                         }
@@ -422,19 +417,19 @@ impl MissionService {
                 continue;
             };
             let m = outcome.mission;
-            let (report, report_json, report_crc, energy_bits) = match fresh.remove(&m) {
+            let (report, report_json, energy_bits) = match fresh.remove(&m) {
                 Some((report, json)) => {
-                    let crc = crc32(json.as_bytes());
                     let bits = report.total_energy_j.to_bits();
-                    (Some(report), json, crc, bits)
+                    (Some(report), json, bits)
                 }
                 None => {
-                    let (json, crc, bits) = restored
+                    let (json, bits) = restored
                         .remove(&m)
                         .ok_or_else(|| format!("mission {m} neither executed nor restored"))?;
-                    (None, json, crc, bits)
+                    (None, json, bits)
                 }
             };
+            let report_crc = crc32(report_json.as_bytes());
             roundtrip(&Message::MissionReport {
                 mission: m,
                 report_crc: u64::from(report_crc),
@@ -563,79 +558,39 @@ fn batch_fingerprint(config: &ServiceConfig, requests: &[MissionRequest]) -> u32
     crc32(canon.as_bytes())
 }
 
-/// Appends one completed mission to the journal, embedding the report's
-/// canonical JSON tree so a resume can reproduce the exact bytes.
-fn append_journal(
-    file: &mut std::fs::File,
-    mission: usize,
-    report: &SimulationReport,
-    report_json: &str,
-) -> Result<(), String> {
-    let line = Json::Obj(vec![
-        ("mission".into(), Json::Num(mission as f64)),
-        ("report".into(), report_to_json(report)),
+/// The journal header binding a file to one `(config, batch)`.
+fn journal_identity(config: &ServiceConfig, requests: &[MissionRequest]) -> Json {
+    Json::Obj(vec![
+        ("schema".into(), Json::Str(JOURNAL_SCHEMA.into())),
+        ("seed".into(), Json::Str(format!("{:016x}", config.seed))),
+        ("requests".into(), Json::Num(requests.len() as f64)),
         (
-            "energy_bits".into(),
-            Json::Str(format!("{:016x}", report.total_energy_j.to_bits())),
+            "fingerprint".into(),
+            Json::Num(f64::from(batch_fingerprint(config, requests))),
         ),
-        (
-            "report_crc".into(),
-            Json::Num(f64::from(crc32(report_json.as_bytes()))),
-        ),
-    ]);
-    writeln!(file, "{}", line.write()?).map_err(|e| format!("journal append: {e}"))
+    ])
 }
 
-/// Loads a journal, returning `mission -> (report_json, crc, energy
-/// bits)` after verifying the header belongs to this batch and every
-/// line's CRC matches its embedded report.
-fn load_journal(
-    path: &std::path::Path,
-    fingerprint: u32,
-) -> Result<BTreeMap<usize, (String, u32, u64)>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("journal read {}: {e}", path.display()))?;
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = parse(lines.next().ok_or("journal is empty")?)?;
-    if header.get("schema").and_then(Json::as_str) != Some(JOURNAL_SCHEMA) {
-        return Err("journal has a foreign schema".into());
-    }
-    let stored = header
-        .get("fingerprint")
+/// Decodes one journal record into `(mission, (report JSON, energy
+/// bits))`, refusing a mission index that is not an integer below
+/// `requests`.
+fn decode_completion(v: &Json, requests: usize) -> Result<(usize, (String, u64)), String> {
+    let mission = v
+        .get("mission")
         .and_then(Json::as_num)
-        .ok_or("journal header lacks a fingerprint")?;
-    if stored != f64::from(fingerprint) {
-        return Err(format!(
-            "journal belongs to another batch (fingerprint {stored} != {fingerprint})"
-        ));
-    }
-    let mut restored = BTreeMap::new();
-    for line in lines {
-        let entry = parse(line)?;
-        let mission = entry
-            .get("mission")
-            .and_then(Json::as_num)
-            .ok_or("journal line lacks a mission index")? as usize;
-        let report_json = entry
-            .get("report")
-            .ok_or("journal line lacks a report")?
-            .write()?;
-        let crc = entry
-            .get("report_crc")
-            .and_then(Json::as_num)
-            .ok_or("journal line lacks a report CRC")? as u32;
-        if crc32(report_json.as_bytes()) != crc {
-            return Err(format!("journal line for mission {mission} fails its CRC"));
-        }
-        let bits_hex = entry
-            .get("energy_bits")
-            .and_then(Json::as_str)
-            .ok_or("journal line lacks energy bits")?;
-        let energy_bits = u64::from_str_radix(bits_hex, 16)
-            .map_err(|e| format!("journal energy bits for mission {mission}: {e}"))?;
-        restored.insert(mission, (report_json, crc, energy_bits));
-    }
-    Ok(restored)
+        .filter(|n| n.fract() == 0.0 && (0.0..requests as f64).contains(n))
+        .ok_or_else(|| format!("record needs an integral \"mission\" below {requests}"))?
+        as usize;
+    let report_json = v
+        .get("report")
+        .ok_or("record lacks a \"report\"")?
+        .write()?;
+    let energy_bits = v
+        .get("energy_bits")
+        .and_then(Json::as_str)
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .ok_or("record lacks hex \"energy_bits\"")?;
+    Ok((mission, (report_json, energy_bits)))
 }
 
 #[cfg(test)]
@@ -674,17 +629,20 @@ mod tests {
     }
 
     #[test]
-    fn foreign_journals_are_refused() {
-        let dir = std::env::temp_dir().join("eecs-serve-test-journal");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("foreign.jsonl");
-        std::fs::write(
-            &path,
-            "{\"schema\":\"eecs-serve-journal/1\",\"seed\":\"00\",\"requests\":1,\"fingerprint\":12345}\n",
-        )
-        .unwrap();
-        let err = load_journal(&path, 999).unwrap_err();
-        assert!(err.contains("another batch"), "{err}");
-        std::fs::remove_file(&path).unwrap();
+    fn completion_records_reject_bad_mission_indices() {
+        let record = |mission: f64| {
+            Json::Obj(vec![
+                ("mission".into(), Json::Num(mission)),
+                ("report".into(), Json::Obj(Vec::new())),
+                ("energy_bits".into(), Json::Str("3ff0000000000000".into())),
+            ])
+        };
+        assert_eq!(
+            decode_completion(&record(2.0), 3),
+            Ok((2, ("{}".into(), 1.0f64.to_bits())))
+        );
+        for bad in [1.5, -1.0, 3.0, 1e300] {
+            assert!(decode_completion(&record(bad), 3).is_err(), "{bad}");
+        }
     }
 }

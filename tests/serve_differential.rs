@@ -18,7 +18,7 @@ use eecs::core::telemetry::summary::report_to_json;
 use eecs::core::telemetry::Telemetry;
 use eecs::core::testkit::{InvariantChecker, InvariantContext};
 use eecs::net::checksum::crc32;
-use eecs::net::fault::{ChurnPlan, CorruptionPlan, FaultPlan, LinkFaults};
+use eecs::net::fault::{ChurnPlan, ControllerFaultPlan, CorruptionPlan, FaultPlan, LinkFaults};
 use eecs::scene::sensor_fault::{SensorFaultPlan, SensorImpairments};
 use eecs_bench::artifacts::Artifacts;
 use eecs_bench::serving::{mixed_batch, service_base};
@@ -186,6 +186,34 @@ fn service_matches_direct_runs_under_sensor_chaos() {
 #[test]
 fn service_matches_direct_runs_under_churn() {
     differential("churn");
+}
+
+/// `MissionSpec::apply` overrides only the plans a spec sets: every plan
+/// left `None` keeps the base's, whichever of the three is set.
+#[test]
+fn partial_fault_specs_keep_the_base_plans_they_leave_unset() {
+    let fault = FaultPlan::seeded(3).with_default_faults(LinkFaults::lossy(0.1));
+    let sensor = SensorFaultPlan::seeded(5).with_default_impairments(SensorImpairments::harsh());
+    let controller = ControllerFaultPlan::none().with_crash(1, 2);
+    let chaotic = base().with_faults(fault.clone(), sensor.clone(), controller.clone());
+
+    let only_fault = MissionSpec {
+        fault_plan: Some(FaultPlan::seeded(9)),
+        ..MissionSpec::default()
+    };
+    let applied = only_fault.apply(&chaotic).expect("spec applies");
+    assert_eq!(applied.config().fault_plan, FaultPlan::seeded(9));
+    assert_eq!(applied.config().sensor_plan, sensor);
+    assert_eq!(applied.config().controller_plan, controller);
+
+    let only_sensor = MissionSpec {
+        sensor_plan: Some(SensorFaultPlan::ideal()),
+        ..MissionSpec::default()
+    };
+    let applied = only_sensor.apply(&chaotic).expect("spec applies");
+    assert_eq!(applied.config().fault_plan, fault);
+    assert_eq!(applied.config().sensor_plan, SensorFaultPlan::ideal());
+    assert_eq!(applied.config().controller_plan, controller);
 }
 
 /// Soak: 500 mixed-priority missions — seeded corruption, churn and
