@@ -28,6 +28,9 @@ use eecs_geometry::camera::Camera;
 use eecs_geometry::point::{Point2, Point3};
 use eecs_scene::dataset::{DatasetId, DatasetProfile};
 use eecs_scene::sequence::VideoFeed;
+use eecs_vision::gradient::GradientField;
+use eecs_vision::hog::{HogCellGrid, HogConfig};
+use eecs_vision::image::GrayImage;
 
 fn reid_bench(c: &mut Criterion) {
     // 4 cameras × 8 people per frame.
@@ -187,6 +190,27 @@ fn kernel_bench(c: &mut Criterion) -> f64 {
     group.bench_function("c4_scan_cached", |b| {
         b.iter(|| black_box(bank.c4().detect_with_cache(black_box(&frame), &warmed)))
     });
+    // HOG cell binning alone: the fused single-pass kernel against the
+    // two-pass gradient-field definition, on the HOG detector's layout.
+    let gray = frame.to_gray();
+    let hog_cfg = bank.hog().config().hog;
+    let cells = HogCellGrid::compute(&gray, hog_cfg).expect("hog cells");
+    let want = hog_cells_two_pass(&gray, hog_cfg);
+    let got = (0..cells.cells_y()).flat_map(|cy| (0..cells.cells_x()).map(move |cx| (cx, cy)));
+    let got: Vec<f32> = got
+        .flat_map(|(cx, cy)| cells.cell(cx, cy).to_vec())
+        .collect();
+    assert_eq!(
+        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "hog cells diverged from the two-pass definition"
+    );
+    group.bench_function("hog_cells", |b| {
+        b.iter(|| black_box(HogCellGrid::compute(black_box(&gray), hog_cfg)))
+    });
+    group.bench_function("hog_cells_reference", |b| {
+        b.iter(|| black_box(hog_cells_two_pass(black_box(&gray), hog_cfg)))
+    });
     group.finish();
 
     let (windows, rejected) = bank.c4().cascade_stats(&frame);
@@ -195,6 +219,29 @@ fn kernel_bench(c: &mut Criterion) -> f64 {
     } else {
         rejected as f64 / windows as f64
     }
+}
+
+/// HOG cell histograms the two-pass way: materialise the gradient field,
+/// then bin each cell's pixels through `orientation_bin` (`atan2f`).
+fn hog_cells_two_pass(img: &GrayImage, config: HogConfig) -> Vec<f32> {
+    let cs = config.cell_size;
+    let (cells_x, cells_y) = (img.width() / cs, img.height() / cs);
+    let grad = GradientField::compute(img);
+    let mut hist = vec![0.0f32; cells_x * cells_y * config.bins];
+    for cy in 0..cells_y {
+        for cx in 0..cells_x {
+            let base = (cy * cells_x + cx) * config.bins;
+            for y in cy * cs..(cy + 1) * cs {
+                for x in cx * cs..(cx + 1) * cs {
+                    let mag = grad.magnitude.get(x, y);
+                    if mag != 0.0 {
+                        hist[base + grad.orientation_bin(x, y, config.bins)] += mag;
+                    }
+                }
+            }
+        }
+    }
+    hist
 }
 
 fn round_sim(parallel: Parallelism) -> Simulation {
@@ -519,6 +566,16 @@ fn main() {
         println!("kernel speedup {alg} (reference/optimized): {ratio:.2}x");
         metrics.push((format!("kernel_speedup_{alg}"), ratio));
     }
+    let cells_opt = c
+        .mean_ns("kernels/hog_cells")
+        .expect("hog cells ran")
+        .max(1);
+    let cells_ref = c
+        .mean_ns("kernels/hog_cells_reference")
+        .expect("hog cells reference ran");
+    let cells_ratio = cells_ref as f64 / cells_opt as f64;
+    println!("kernel speedup hog_cells (two-pass/fused): {cells_ratio:.2}x");
+    metrics.push(("kernel_speedup_hog_cells".into(), cells_ratio));
     metrics.push(("c4_cascade_reject_ratio".into(), cascade_reject_ratio));
     metrics.push(("host_parallelism".into(), host as f64));
     // The controller-side cost of one departure + rejoin (quarantine

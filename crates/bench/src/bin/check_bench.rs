@@ -123,7 +123,7 @@ fn check_against_baseline(
             ));
         }
         println!(
-            "  kernel {kernel:<6} {current:>6.2}x (baseline {base:.2}x, floor {floor:.2}x) ok"
+            "  kernel {kernel:<9} {current:>6.2}x (baseline {base:.2}x, floor {floor:.2}x) ok"
         );
     }
     Ok(())

@@ -430,12 +430,12 @@ mod tests {
         let frame = test_frame();
         let cache = FrameFeatures::new(&frame);
         let cap = cache.with_scratch(|s| {
-            s.descriptor.clear();
-            s.descriptor.extend(std::iter::repeat(0.5).take(512));
-            s.descriptor.capacity()
+            s.row_scores.clear();
+            s.row_scores.extend(std::iter::repeat(0.5).take(512));
+            s.row_scores.capacity()
         });
         // The same buffer (or at least its capacity) comes back.
-        let cap2 = cache.with_scratch(|s| s.descriptor.capacity());
+        let cap2 = cache.with_scratch(|s| s.row_scores.capacity());
         assert!(cap2 >= cap);
     }
 

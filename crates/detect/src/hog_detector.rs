@@ -238,48 +238,51 @@ impl Detector for HogSvmDetector {
         let cells_h = WINDOW_H / cell;
         let mut ops = (frame.width() * frame.height()) as u64; // grayscale
         let mut candidates = Vec::new();
+        let stride = self.config.stride_cells.max(1);
 
-        for scale in ScaleSchedule::usable_from(&self.scale_levels, frame.width(), frame.height()) {
-            let (sw, sh) = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
-            // The cache stages mirror the direct resize-then-grid
-            // computation so the ops increment lands between the same
-            // failure points as before.
-            if cache.resized_gray(sw, sh).is_err() {
-                continue;
-            }
-            ops += (sw * sh) as u64 * 3; // resize + gradient + cell binning
-            let Ok(grid) = cache.hog_grid(sw, sh, self.config.hog) else {
-                continue;
-            };
-            if grid.cells_x() < cells_w || grid.cells_y() < cells_h {
-                continue;
-            }
-            // Blocks are normalized once per level; each window then scores
-            // as a running dot over its blocks — same values, same order as
-            // assembling the descriptor, so scores are bit-identical.
-            let Ok(blocks) = cache.hog_blocks(sw, sh, self.config.hog) else {
-                continue;
-            };
-            let Some(win_len) = blocks.window_len(cells_w, cells_h) else {
-                // Window smaller than one block: the reference path would
-                // fail every `window_descriptor` call and emit nothing.
-                continue;
-            };
-            let stride = self.config.stride_cells.max(1);
-            let mut cy0 = 0;
-            while cy0 + cells_h <= grid.cells_y() {
-                let mut cx0 = 0;
-                while cx0 + cells_w <= grid.cells_x() {
-                    if let Some(dot) =
-                        blocks.window_score(cx0, cy0, cells_w, cells_h, self.svm.weights())
-                    {
+        cache.with_scratch(|scratch| {
+            for scale in
+                ScaleSchedule::usable_from(&self.scale_levels, frame.width(), frame.height())
+            {
+                let (sw, sh) = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
+                // The cache stages mirror the direct resize-then-grid
+                // computation so the ops increment lands between the same
+                // failure points as before.
+                if cache.resized_gray(sw, sh).is_err() {
+                    continue;
+                }
+                ops += (sw * sh) as u64 * 3; // resize + gradient + cell binning
+                let Ok(grid) = cache.hog_grid(sw, sh, self.config.hog) else {
+                    continue;
+                };
+                if grid.cells_x() < cells_w || grid.cells_y() < cells_h {
+                    continue;
+                }
+                // Blocks are normalized once per level; each window row
+                // then scores as running dots over its blocks — same
+                // values, same order as assembling each descriptor, so
+                // scores are bit-identical.
+                let Ok(blocks) = cache.hog_blocks(sw, sh, self.config.hog) else {
+                    continue;
+                };
+                let Some(win_len) = blocks.window_len(cells_w, cells_h) else {
+                    // Window smaller than one block: the reference path
+                    // would fail every `window_descriptor` call and emit
+                    // nothing.
+                    continue;
+                };
+                let mut cy0 = 0;
+                while cy0 + cells_h <= grid.cells_y() {
+                    let row = &mut scratch.row_scores;
+                    blocks.score_row_into(cy0, cells_w, cells_h, stride, self.svm.weights(), row);
+                    for (k, &dot) in row.iter().enumerate() {
                         ops += win_len as u64;
                         // `LinearSvm::score` is `dot + bias`; `dot` is
                         // bit-identical by construction, so adding the bias
                         // reproduces the reference score exactly.
                         let score = dot + self.svm.bias();
                         if score >= self.config.keep_floor {
-                            let x0 = (cx0 * cell) as f64 / scale;
+                            let x0 = (k * stride * cell) as f64 / scale;
                             let y0 = (cy0 * cell) as f64 / scale;
                             candidates.push(Detection {
                                 bbox: BBox::new(
@@ -292,11 +295,10 @@ impl Detector for HogSvmDetector {
                             });
                         }
                     }
-                    cx0 += stride;
+                    cy0 += stride;
                 }
-                cy0 += stride;
             }
-        }
+        });
 
         nms_in_place(&mut candidates, self.config.nms_iou);
         DetectionOutput {

@@ -10,9 +10,11 @@
 //!    [`CensusCodePlane`] materializes the cast once per level.
 //! 2. **Per-window allocations** — HOG descriptors, census histograms and
 //!    NMS buffers were freshly `Vec`-allocated in the innermost loops.
-//!    [`DetectScratch`] owns those buffers; detectors check one out of the
-//!    [`FrameFeatures`](crate::FrameFeatures) pool per `detect` call and
-//!    reuse it across every window and scale.
+//!    The HOG-family scans now score straight from the block grid and NMS
+//!    works in place, so only two buffers remain: a window row's scores
+//!    and the ACF lookup offsets. [`DetectScratch`] owns them; detectors
+//!    check one out of the [`FrameFeatures`](crate::FrameFeatures) pool
+//!    per `detect` call and reuse it across every row and scale.
 //!
 //! Everything here is **output-preserving by construction**: the same
 //! integer codes, the same `f64` values in the same order, so scores,
@@ -100,13 +102,9 @@ impl CensusCodePlane {
 /// before reading it.
 #[derive(Debug, Default)]
 pub struct DetectScratch {
-    /// HOG window / root descriptors (`window_descriptor_into`).
-    pub descriptor: Vec<f64>,
-    /// LSVM part descriptors (kept separate from `descriptor` so the root
-    /// descriptor could still be alive while parts are probed).
-    pub part_descriptor: Vec<f64>,
-    /// Census window histograms (`window_census_histogram_into`).
-    pub histogram: Vec<f64>,
+    /// One window row's HOG/LSVM root scores
+    /// (`HogBlockGrid::score_row_into`).
+    pub row_scores: Vec<f64>,
     /// Per-level flattened lookup offsets (ACF stump positions).
     pub offsets: Vec<usize>,
 }
@@ -144,9 +142,9 @@ mod tests {
     #[test]
     fn scratch_buffers_keep_capacity() {
         let mut s = DetectScratch::default();
-        s.descriptor.extend([1.0; 64]);
-        let cap = s.descriptor.capacity();
-        s.descriptor.clear();
-        assert!(s.descriptor.capacity() >= cap);
+        s.row_scores.extend([1.0; 64]);
+        let cap = s.row_scores.capacity();
+        s.row_scores.clear();
+        assert!(s.row_scores.capacity() >= cap);
     }
 }

@@ -418,41 +418,45 @@ impl Detector for LsvmDetector {
         let cells_h = WINDOW_H / cell;
         let mut ops = (frame.width() * frame.height()) as u64;
         let mut candidates = Vec::new();
+        let stride = self.config.stride_cells.max(1);
 
-        for scale in ScaleSchedule::usable_from(&self.scale_levels, frame.width(), frame.height()) {
-            let (sw, sh) = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
-            // Cache stages mirror the direct resize-then-grid computation
-            // so the ops increment lands between the same failure points.
-            if cache.resized_gray(sw, sh).is_err() {
-                continue;
-            }
-            ops += (sw * sh) as u64 * 3;
-            let Ok(grid) = cache.hog_grid(sw, sh, self.config.hog) else {
-                continue;
-            };
-            if grid.cells_x() < cells_w || grid.cells_y() < cells_h {
-                continue;
-            }
-            // Root and parts both score against the per-level normalized
-            // block grid: same values, same accumulation order as the
-            // assembled descriptors, so scores are bit-identical.
-            let Ok(blocks) = cache.hog_blocks(sw, sh, self.config.hog) else {
-                continue;
-            };
-            let Some(root_len) = blocks.window_len(cells_w, cells_h) else {
-                continue;
-            };
-            let part_len = blocks
-                .window_len(PART_CELLS, PART_CELLS)
-                .unwrap_or_default() as u64;
-            let stride = self.config.stride_cells.max(1);
-            let mut cy0 = 0;
-            while cy0 + cells_h <= grid.cells_y() {
-                let mut cx0 = 0;
-                while cx0 + cells_w <= grid.cells_x() {
-                    if let Some(dot) =
-                        blocks.window_score(cx0, cy0, cells_w, cells_h, self.root.weights())
-                    {
+        cache.with_scratch(|scratch| {
+            for scale in
+                ScaleSchedule::usable_from(&self.scale_levels, frame.width(), frame.height())
+            {
+                let (sw, sh) = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
+                // Cache stages mirror the direct resize-then-grid
+                // computation so the ops increment lands between the same
+                // failure points.
+                if cache.resized_gray(sw, sh).is_err() {
+                    continue;
+                }
+                ops += (sw * sh) as u64 * 3;
+                let Ok(grid) = cache.hog_grid(sw, sh, self.config.hog) else {
+                    continue;
+                };
+                if grid.cells_x() < cells_w || grid.cells_y() < cells_h {
+                    continue;
+                }
+                // Root and parts both score against the per-level
+                // normalized block grid: same values, same accumulation
+                // order as the assembled descriptors, so scores are
+                // bit-identical.
+                let Ok(blocks) = cache.hog_blocks(sw, sh, self.config.hog) else {
+                    continue;
+                };
+                let Some(root_len) = blocks.window_len(cells_w, cells_h) else {
+                    continue;
+                };
+                let part_len = blocks
+                    .window_len(PART_CELLS, PART_CELLS)
+                    .unwrap_or_default() as u64;
+                let mut cy0 = 0;
+                while cy0 + cells_h <= grid.cells_y() {
+                    let row = &mut scratch.row_scores;
+                    blocks.score_row_into(cy0, cells_w, cells_h, stride, self.root.weights(), row);
+                    for (k, &dot) in row.iter().enumerate() {
+                        let cx0 = k * stride;
                         ops += root_len as u64;
                         let root_score = dot + self.root.bias();
                         // Part cascade: only promising roots pay for parts.
@@ -476,11 +480,10 @@ impl Detector for LsvmDetector {
                             }
                         }
                     }
-                    cx0 += stride;
+                    cy0 += stride;
                 }
-                cy0 += stride;
             }
-        }
+        });
         nms_in_place(&mut candidates, self.config.nms_iou);
         DetectionOutput {
             detections: candidates,

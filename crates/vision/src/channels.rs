@@ -11,7 +11,7 @@
 //! 360×288: after shrink-4 aggregation a distant pedestrian spans only a
 //! couple of channel pixels.
 
-use crate::gradient::GradientField;
+use crate::gradient::binned_gradient_rows;
 use crate::image::{GrayImage, RgbImage};
 use crate::resize::box_downsample;
 use crate::{Result, VisionError};
@@ -54,31 +54,44 @@ impl AcfChannels {
             )));
         }
         let gray = img.to_gray();
-        let grad = GradientField::compute(&gray);
+        let (out_w, out_h) = (gray.width() / shrink, gray.height() / shrink);
 
-        // Orientation channels: gradient magnitude split across bins.
-        let (w, h) = (gray.width(), gray.height());
-        let mut orient = vec![GrayImage::new(w, h); ORIENT_BINS];
-        for y in 0..h {
-            for x in 0..w {
-                let mag = grad.magnitude.get(x, y);
-                if mag == 0.0 {
-                    continue;
+        // Magnitude and the orientation channels accumulate straight into
+        // their aggregated planes: pixels arrive in row-major order, so
+        // each aggregated pixel sums its block in `box_downsample`'s
+        // (dy, dx) order. Zero-magnitude pixels are skipped — they would
+        // add +0.0 to a sum of terms that are all ≥ +0, which changes
+        // nothing — and so is every orientation plane a pixel's magnitude
+        // does not land in.
+        let mut sums = vec![vec![0.0f32; out_w * out_h]; 1 + ORIENT_BINS];
+        let block_x: Vec<usize> = (0..out_w * shrink).map(|x| x / shrink).collect();
+        binned_gradient_rows(
+            &gray,
+            out_w * shrink,
+            out_h * shrink,
+            ORIENT_BINS,
+            |y, mag, bin| {
+                let row = (y / shrink) * out_w;
+                for ((&m, &b), &bx) in mag.iter().zip(bin).zip(&block_x) {
+                    if m != 0.0 {
+                        sums[0][row + bx] += m;
+                        sums[1 + b][row + bx] += m;
+                    }
                 }
-                let bin = grad.orientation_bin(x, y, ORIENT_BINS);
-                orient[bin].set(x, y, mag);
-            }
-        }
+            },
+        );
 
-        // Aggregate straight from borrowed full-resolution planes — the
-        // color and magnitude channels need no owned copies of their
-        // sources, only the downsampled outputs.
+        // The color channels aggregate straight from the borrowed planes.
+        let norm = 1.0 / (shrink * shrink) as f32;
         let mut channels: Vec<GrayImage> = Vec::with_capacity(CHANNEL_COUNT);
-        for c in [&img.r, &img.g, &img.b, &grad.magnitude] {
+        for c in [&img.r, &img.g, &img.b] {
             channels.push(box_downsample(c, shrink)?);
         }
-        for o in &orient {
-            channels.push(box_downsample(o, shrink)?);
+        for mut plane in sums {
+            for v in &mut plane {
+                *v *= norm;
+            }
+            channels.push(GrayImage::from_vec(out_w, out_h, plane));
         }
         Ok(AcfChannels { channels, shrink })
     }

@@ -5,7 +5,7 @@
 //! This module reproduces that layout and additionally exposes a pooled
 //! variant used as part of the per-frame video-comparison feature.
 
-use crate::gradient::GradientField;
+use crate::gradient::binned_gradient_rows;
 use crate::image::GrayImage;
 use crate::{Result, VisionError};
 
@@ -85,25 +85,22 @@ impl HogCellGrid {
                 config.cell_size
             )));
         }
-        let grad = GradientField::compute(img);
-        let mut hist = vec![0.0f32; cells_x * cells_y * config.bins];
-        for cy in 0..cells_y {
-            for cx in 0..cells_x {
-                let base = (cy * cells_x + cx) * config.bins;
-                for dy in 0..config.cell_size {
-                    for dx in 0..config.cell_size {
-                        let x = cx * config.cell_size + dx;
-                        let y = cy * config.cell_size + dy;
-                        let mag = grad.magnitude.get(x, y);
-                        if mag == 0.0 {
-                            continue;
-                        }
-                        let bin = grad.orientation_bin(x, y, config.bins);
-                        hist[base + bin] += mag;
+        // One fused pass in row-major order: each cell still receives its
+        // pixels in the (dy, dx) order of a per-cell walk, so every
+        // histogram entry sums the same terms in the same order.
+        let (cs, bins) = (config.cell_size, config.bins);
+        let mut hist = vec![0.0f32; cells_x * cells_y * bins];
+        binned_gradient_rows(img, cells_x * cs, cells_y * cs, bins, |y, mag, bin| {
+            let row = &mut hist[(y / cs) * cells_x * bins..][..cells_x * bins];
+            let cells = mag.chunks_exact(cs).zip(bin.chunks_exact(cs));
+            for (cell, (mag, bin)) in row.chunks_exact_mut(bins).zip(cells) {
+                for (&m, &b) in mag.iter().zip(bin) {
+                    if m != 0.0 {
+                        cell[b] += m;
                     }
                 }
             }
-        }
+        });
         Ok(HogCellGrid {
             cells_x,
             cells_y,
@@ -372,6 +369,87 @@ impl HogBlockGrid {
         }
         Some(acc)
     }
+
+    /// The scores of one window row: `out` is cleared and then holds
+    /// `window_score(k * stride, cy0, cells_w, cells_h, weights)` for
+    /// every `k` whose window fits the grid, in order of `k`. A row no
+    /// window fits (too small for a block, past the grid, or narrower
+    /// than one window) leaves `out` empty.
+    ///
+    /// Windows are scored four at a time with four independent
+    /// accumulators. Each lane folds its window in `window_score`'s exact
+    /// element order and no sum is ever re-associated, so every score is
+    /// bit-identical; the four dependency chains only let the adds
+    /// overlap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride == 0` or `weights` is shorter than the window
+    /// descriptor.
+    pub fn score_row_into(
+        &self,
+        cy0: usize,
+        cells_w: usize,
+        cells_h: usize,
+        stride: usize,
+        weights: &[f64],
+        out: &mut Vec<f64>,
+    ) {
+        assert!(stride > 0, "stride must be positive");
+        out.clear();
+        let b = self.config.block_cells;
+        if cells_w < b || cells_h < b {
+            return;
+        }
+        let (wx, wy) = (cells_w - b + 1, cells_h - b + 1);
+        if wx > self.blocks_x || cy0 + wy > self.blocks_y {
+            return;
+        }
+        let row_len = wx * self.block_len;
+        assert!(
+            weights.len() >= wy * row_len,
+            "weight vector shorter than the window descriptor"
+        );
+        // A window's blocks in one block row are adjacent in `data`, and
+        // so are their weights: each lane walks `wy` contiguous runs.
+        let start = |cx0: usize| (cy0 * self.blocks_x + cx0) * self.block_len;
+        let windows = (self.blocks_x - wx) / stride + 1;
+        let mut cx0 = 0;
+        for _ in 0..windows / 4 {
+            let lanes = [cx0, cx0 + stride, cx0 + 2 * stride, cx0 + 3 * stride].map(start);
+            out.extend(self.score_lanes(lanes, wy, row_len, weights));
+            cx0 += 4 * stride;
+        }
+        for _ in 0..windows % 4 {
+            out.extend(self.score_lanes([start(cx0)], wy, row_len, weights));
+            cx0 += stride;
+        }
+    }
+
+    /// `N` window scores, lane `j` starting at `data[starts[j]]`; each
+    /// lane accumulates `((0 + w0·x0) + w1·x1) + …` as `window_score`
+    /// does.
+    #[inline(always)]
+    fn score_lanes<const N: usize>(
+        &self,
+        starts: [usize; N],
+        wy: usize,
+        row_len: usize,
+        weights: &[f64],
+    ) -> [f64; N] {
+        let mut acc = [0.0f64; N];
+        let row_stride = self.blocks_x * self.block_len;
+        for (by, w) in weights.chunks_exact(row_len).take(wy).enumerate() {
+            let x = starts.map(|s| &self.data[s + by * row_stride..][..row_len]);
+            for i in 0..row_len {
+                let w = w[i];
+                for j in 0..N {
+                    acc[j] += w * x[j][i];
+                }
+            }
+        }
+        acc
+    }
 }
 
 /// Convenience: the full HOG descriptor of a standalone window image (the
@@ -419,22 +497,18 @@ pub fn pooled_hog(img: &GrayImage, grid_x: usize, grid_y: usize, bins: usize) ->
             grid_y
         )));
     }
-    let grad = GradientField::compute(img);
     let mut out = vec![0.0f64; grid_x * grid_y * bins];
     let w = img.width();
     let h = img.height();
-    for y in 0..h {
+    let tile_x: Vec<usize> = (0..w).map(|x| (x * grid_x / w).min(grid_x - 1)).collect();
+    binned_gradient_rows(img, w, h, bins, |y, mag, bin| {
         let ty = (y * grid_y / h).min(grid_y - 1);
-        for x in 0..w {
-            let tx = (x * grid_x / w).min(grid_x - 1);
-            let mag = grad.magnitude.get(x, y) as f64;
-            if mag == 0.0 {
-                continue;
+        for ((&m, &b), &tx) in mag.iter().zip(bin).zip(&tile_x) {
+            if m != 0.0 {
+                out[(ty * grid_x + tx) * bins + b] += m as f64;
             }
-            let bin = grad.orientation_bin(x, y, bins);
-            out[(ty * grid_x + tx) * bins + bin] += mag;
         }
-    }
+    });
     let total: f64 = out.iter().sum();
     if total > 1e-12 {
         for v in &mut out {
@@ -665,6 +739,45 @@ mod tests {
         // Invalid geometry returns None exactly where window_descriptor errs.
         assert!(blocks.window_score(100, 0, cw, ch, &weights).is_none());
         assert!(blocks.window_score(0, 0, 1, 1, &weights).is_none());
+    }
+
+    #[test]
+    fn row_scores_bit_identical_to_window_score() {
+        // Grids 5–13 blocks wide: with the window widths below, row
+        // lengths run through every remainder mod four, down to rows
+        // that hold no window at all.
+        for width in [24, 36, 44, 56] {
+            let img = GrayImage::from_fn(width, 56, |x, y| ((x * 7 + y * y) % 19) as f32 / 19.0);
+            let cfg = HogConfig {
+                cell_size: 4,
+                block_cells: 2,
+                bins: 9,
+            };
+            let grid = HogCellGrid::compute(&img, cfg).unwrap();
+            let blocks = HogBlockGrid::compute(&grid);
+            let mut row = vec![f64::NAN; 3];
+            for (cw, ch) in [(2, 2), (3, 5), (4, 12), (6, 3), (14, 2), (1, 1)] {
+                let weights: Vec<f64> = (0..blocks.window_len(cw, ch).unwrap_or(0))
+                    .map(|i| ((i * 53 % 97) as f64 - 48.0) / 7.0)
+                    .collect();
+                for stride in 1..=3 {
+                    for cy0 in 0..grid.cells_y() + 1 {
+                        blocks.score_row_into(cy0, cw, ch, stride, &weights, &mut row);
+                        let want: Vec<f64> = (0..)
+                            .map_while(|k| blocks.window_score(k * stride, cy0, cw, ch, &weights))
+                            .collect();
+                        assert_eq!(
+                            row.len(),
+                            want.len(),
+                            "{width}px {cw}x{ch} s{stride} row {cy0}"
+                        );
+                        for (got, want) in row.iter().zip(&want) {
+                            assert_eq!(got.to_bits(), want.to_bits());
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
