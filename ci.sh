@@ -73,32 +73,16 @@ echo "==> serve smoke (mission service: kill mid-queue, resume, replay)"
 # only the torn mission re-executing.
 cargo run -q --release -p eecs-bench --bin serve_smoke -- 1 2 3
 
-echo "==> fault-matrix smoke (sensor + network + controller chaos)"
-# One combined-chaos mission per seed: must complete, stay physical,
-# record the scheduled failover, and replay bit-for-bit.
+echo "==> chaos smoke (crash, integrity, partition and churn fault rows)"
+# Per seed, five fault rows on a miniature mission: a controller crash
+# under lossy links and harsh sensors, a corruption storm with a torn
+# checkpoint write, a clean and a flapping two-island partition, and a
+# heterogeneous fleet with a camera leaving and rejoining. Every run
+# must replay bit-for-bit (report, trace and metrics), pass the
+# testkit's InvariantChecker with no trace eviction, stay live, and meet
+# its row's expectations (failover on schedule, corrupt frames rejected
+# and one checkpoint rollback, election and heal reconcile, the churned
+# camera planned around and rejoined).
 cargo run -q --release -p eecs-bench --bin chaos_smoke -- 1 2 3
-
-echo "==> partition smoke (islands, split-brain election, heal reconcile)"
-# Per seed, a clean two-island split and a flapping split over lossy
-# links: each must elect an acting seat, reconcile on heal, record no
-# crash failover, and replay bit-for-bit.
-cargo run -q --release -p eecs-bench --bin chaos_smoke -- --partition 1 2 3
-
-echo "==> integrity smoke (wire corruption storm + torn checkpoint write)"
-# Per seed, a bit-flip corruption storm over lossy links plus a torn
-# write of the newest checkpoint generation under a controller crash:
-# corrupt frames must be rejected (never consumed) with their energy
-# charged, the restore must roll back exactly one generation, and the
-# whole run must replay bit-for-bit.
-cargo run -q --release -p eecs-bench --bin chaos_smoke -- --corruption 1 2 3
-
-echo "==> churn smoke (heterogeneous fleet, mid-mission leave/rejoin, crash)"
-# Per seed, a flagship/midrange/lowend fleet over lossy links with a
-# scheduled controller crash and a churn plan that removes one camera
-# for two rounds: the failover must land on schedule, planning must
-# route around the departure (the absent camera never appears in a
-# round's plan), the camera must rejoin, and the run must replay
-# bit-for-bit.
-cargo run -q --release -p eecs-bench --bin chaos_smoke -- --churn 1 2 3
 
 echo "CI OK"

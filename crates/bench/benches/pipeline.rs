@@ -1,5 +1,5 @@
 //! End-to-end pipeline benchmarks: cross-camera re-identification fusion,
-//! single-frame detection per algorithm, and a full assessment →
+//! per-kernel detection, and a full assessment →
 //! selection → operation round on the miniature dataset, run both serial
 //! and parallel.
 //!
@@ -14,11 +14,10 @@ use eecs_bench::artifacts::Artifacts;
 use eecs_bench::report::{self, BenchEntry};
 use eecs_bench::serving::{mixed_batch, service_base};
 use eecs_bench::sweep::{run_sweep, Shard, SweepOptions, SweepSpec};
-use eecs_bench::Scale;
-use eecs_core::config::EecsConfig;
+use eecs_bench::{miniature_config, Scale};
 use eecs_core::metadata::{CameraReport, ObjectMetadata};
 use eecs_core::reid::{fuse_reports, ReidConfig};
-use eecs_core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
+use eecs_core::simulation::{Parallelism, Simulation};
 use eecs_detect::bank::DetectorBank;
 use eecs_detect::detection::BBox;
 use eecs_detect::pyramid::ScaleSchedule;
@@ -78,25 +77,6 @@ fn reid_bench(c: &mut Criterion) {
     c.bench_function("reid_fuse_4cams_8people", |b| {
         b.iter(|| black_box(fuse_reports(black_box(&reports), &cals, &reid)))
     });
-}
-
-/// One miniature-resolution frame through each of the four detectors.
-fn detect_bench(c: &mut Criterion) {
-    let bank = DetectorBank::train_quick(5).expect("bank");
-    let profile = DatasetProfile::miniature(DatasetId::Lab);
-    let frame = VideoFeed::open(profile, 0)
-        .annotated_frames(40, 46)
-        .into_iter()
-        .next()
-        .expect("annotated frame")
-        .image;
-    let mut group = c.benchmark_group("detect_single_frame");
-    for (alg, det) in bank.all() {
-        group.bench_function(format!("{alg}"), |b| {
-            b.iter(|| black_box(det.detect(black_box(&frame))))
-        });
-    }
-    group.finish();
 }
 
 /// Per-kernel microbenches: the optimized detect path against the kept
@@ -245,34 +225,8 @@ fn hog_cells_two_pass(img: &GrayImage, config: HogConfig) -> Vec<f32> {
 }
 
 fn round_sim(parallel: Parallelism) -> Simulation {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
-    Simulation::prepare(
-        DetectorBank::train_quick(5).expect("bank"),
-        SimulationConfig {
-            profile,
-            cameras: 4,
-            start_frame: 40,
-            end_frame: 70,
-            budget_j_per_frame: 10.0,
-            mode: OperatingMode::FullEecs,
-            eecs,
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
-            fault_plan: eecs_net::fault::FaultPlan::ideal(),
-            sensor_plan: eecs_scene::sensor_fault::SensorFaultPlan::ideal(),
-            controller_plan: eecs_net::fault::ControllerFaultPlan::none(),
-            parallel,
-        },
-    )
-    .expect("prepare")
+    let bank = DetectorBank::train_quick(5).expect("bank");
+    Simulation::prepare(bank, miniature_config(4, 70, 10.0, parallel)).expect("prepare")
 }
 
 /// The full round, serial (1 worker, no cache) vs parallel (auto workers,
@@ -349,7 +303,7 @@ fn sweep_shard(base: &Simulation) -> Shard<'_> {
 fn churn_bench(c: &mut Criterion) {
     let sim = Simulation::prepare(
         DetectorBank::train_quick(5).expect("bank"),
-        sim_config_three_rounds(),
+        miniature_config(4, 130, 10.0, Parallelism::default()),
     )
     .expect("prepare");
     let churned = sim.with_churn(eecs_net::fault::ChurnPlan::seeded(3).with_leave(3, 1, 2));
@@ -406,34 +360,6 @@ fn churn_bench(c: &mut Criterion) {
             black_box((purged, evicted, plan.len(), active.len()))
         })
     });
-}
-
-/// The three-round variant of the miniature mission config.
-fn sim_config_three_rounds() -> SimulationConfig {
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
-    SimulationConfig {
-        profile,
-        cameras: 4,
-        start_frame: 40,
-        end_frame: 130,
-        budget_j_per_frame: 10.0,
-        mode: OperatingMode::FullEecs,
-        eecs,
-        feature_words: 12,
-        max_training_frames: 8,
-        boost_every: 0,
-        fault_plan: eecs_net::fault::FaultPlan::ideal(),
-        sensor_plan: eecs_scene::sensor_fault::SensorFaultPlan::ideal(),
-        controller_plan: eecs_net::fault::ControllerFaultPlan::none(),
-        parallel: Parallelism::default(),
-    }
 }
 
 /// The same sweep at 1 worker vs 4 workers. The engine guarantees the
@@ -511,7 +437,6 @@ fn main() {
     }
     let mut c = Criterion::new();
     reid_bench(&mut c);
-    detect_bench(&mut c);
     let cascade_reject_ratio = kernel_bench(&mut c);
     round_bench(&mut c);
     churn_bench(&mut c);

@@ -1,179 +1,100 @@
-//! Fault-matrix smoke: one miniature EECS mission run under combined
-//! sensor + network + controller chaos, once per seed given on the
-//! command line (default: 1 2 3).
+//! Fault-matrix smoke: a miniature EECS mission under every row of one
+//! fault table, once per seed given on the command line (default: 1 2 3).
 //!
 //! ```bash
 //! cargo run --release -p eecs-bench --bin chaos_smoke -- 1 2 3
 //! cargo run --release -p eecs-bench --bin chaos_smoke -- --telemetry 7
-//! cargo run --release -p eecs-bench --bin chaos_smoke -- --partition 1 2 3
-//! cargo run --release -p eecs-bench --bin chaos_smoke -- --corruption 1 2 3
 //! ```
 //!
-//! For every seed the run must complete, keep energy physical, record the
-//! scheduled controller failover, and replay bit-for-bit; any violation
-//! prints the flight-recorder tail around the failure — always including
-//! the failover round itself — and exits non-zero. With `--telemetry`
-//! each passing seed also prints the full summary table and the metrics
-//! registry. This is the CI gate that keeps the self-healing runtime
-//! honest without paying for a full test suite.
-//!
-//! `--partition` swaps the controller-crash matrix for a partition
-//! matrix: per seed, a clean two-island split and a flapping split each
-//! run on top of lossy links, and must elect, heal, reconcile, and
-//! replay bit-for-bit.
-//!
-//! `--corruption` swaps in the integrity matrix: per seed, a bit-flip
-//! corruption storm on every wire path plus a torn checkpoint write
-//! under a controller crash. The run must reject corrupted frames (never
-//! consume them), charge energy for the wasted attempts, roll the
-//! restore back one checkpoint generation, and replay bit-for-bit.
-//!
-//! `--churn` swaps in the elastic-fleet matrix: per seed, a
-//! heterogeneous fleet (flagship/midrange/lowend device profiles) runs
-//! under lossy links, a scheduled controller crash, and a churn plan
-//! that takes one camera out mid-mission and brings it back. The run
-//! must fail over on schedule, re-plan around the departure (the absent
-//! camera never appears in a round's plan), see it rejoin, and replay
-//! bit-for-bit.
+//! Rows: `crash`, `integrity` (wire corruption and a torn checkpoint),
+//! `partition/split`, `partition/flapping` and `churn`. Every (row, seed)
+//! cell runs one check: a bit-for-bit replay of report, trace and
+//! metrics ([`verify_replay`]), an eviction-free trace, the
+//! [`InvariantChecker`] default audit against the fleet's battery
+//! capacities, the shared liveness laws and the row's own expectations.
+//! A failing cell prints every violation and the flight-recorder tail,
+//! and the run exits non-zero. `--telemetry` also prints each passing
+//! cell's summary table and metrics registry.
 
+use eecs_bench::miniature_config;
 use eecs_core::checkpoint::CheckpointFaultPlan;
-use eecs_core::config::EecsConfig;
-use eecs_core::simulation::{
-    OperatingMode, Parallelism, Simulation, SimulationConfig, SimulationReport,
-};
+use eecs_core::simulation::{Parallelism, Simulation, SimulationReport};
 use eecs_core::telemetry::summary::render_summary;
 use eecs_core::telemetry::Telemetry;
+use eecs_core::testkit::{verify_replay, InvariantChecker, InvariantContext};
 use eecs_detect::bank::DetectorBank;
 use eecs_energy::profile::DeviceProfile;
 use eecs_net::fault::{
     ChurnPlan, ControllerFaultPlan, CorruptionPlan, Endpoint, FaultPlan, LinkFaults, PartitionPlan,
 };
-use eecs_scene::dataset::{DatasetId, DatasetProfile};
 use eecs_scene::sensor_fault::{SensorFaultPlan, SensorImpairments};
+use std::collections::BTreeMap;
 
-/// Round the controller dies at (the miniature run has two rounds).
+/// Round the controller dies at in the crash, integrity and churn rows.
 const CRASH_ROUND: usize = 1;
+
+/// The camera the churn row removes over rounds `[1, 3)`.
+const CHURN_CAMERA: usize = 3;
 
 /// Rounds of trace dumped on a failed check. `tail_rounds` is inclusive
 /// of the newest round, so two rounds always cover both the failover
-/// round and the final round of the miniature mission.
+/// round and the final round of the two-round missions.
 const POSTMORTEM_ROUNDS: usize = 2;
 
-fn ensure(cond: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
-    if cond {
-        Ok(())
-    } else {
-        Err(msg())
-    }
+/// Flight-recorder capacity: the rows record a few hundred events per
+/// run, and the check fails on any eviction rather than audit a
+/// truncated trace.
+const TRACE_CAPACITY: usize = 8192;
+
+/// One fault row: its name, its mission length (`end_frame`), how to
+/// build it from the prepared base of that length, and the violations of
+/// its expectations. The crash and integrity rows keep two rounds; a
+/// partition needs four (split, two dark rounds, heal) and so does churn
+/// (present, two rounds absent, rejoin).
+type Row = (
+    &'static str,
+    usize,
+    fn(&Simulation, u64) -> Simulation,
+    fn(&SimulationReport) -> Vec<String>,
+);
+
+const ROWS: [Row; 5] = [
+    ("crash", 100, crash, expect_crash),
+    ("integrity", 100, integrity, expect_integrity),
+    ("partition/split", 160, split, expect_partition),
+    ("partition/flapping", 160, flapping, expect_partition),
+    ("churn", 160, churn, expect_churn),
+];
+
+fn crash_plan() -> ControllerFaultPlan {
+    ControllerFaultPlan::none().with_crash(CRASH_ROUND, CRASH_ROUND + 1)
 }
 
-/// All invariants a chaos run must satisfy. Returns the human-readable
-/// violation instead of panicking so the caller can attach the
-/// flight-recorder post-mortem before exiting.
-fn check_report(seed: u64, report: &SimulationReport) -> Result<(), String> {
-    ensure(!report.rounds.is_empty(), || {
-        format!("seed {seed}: no rounds")
-    })?;
-    ensure(report.rounds.iter().all(|r| !r.active.is_empty()), || {
-        format!("seed {seed}: a round lost every camera")
-    })?;
-    ensure(
-        report.total_energy_j.is_finite() && report.total_energy_j > 0.0,
-        || {
-            format!(
-                "seed {seed}: unphysical total energy {}",
-                report.total_energy_j
-            )
-        },
-    )?;
-    ensure(
-        report
-            .per_camera_energy
-            .iter()
-            .all(|e| e.is_finite() && *e >= 0.0),
-        || {
-            format!(
-                "seed {seed}: negative per-camera energy {:?}",
-                report.per_camera_energy
-            )
-        },
-    )?;
-    ensure(report.degraded_frames > 0, || {
-        format!("seed {seed}: sensor plan never fired")
-    })?;
-    ensure(report.failovers.len() == 1, || {
-        format!(
-            "seed {seed}: expected exactly one failover, got {:?}",
-            report.failovers
-        )
-    })?;
-    ensure(report.failovers[0].round == CRASH_ROUND, || {
-        format!("seed {seed}: failover in wrong round")
-    })?;
-    Ok(())
-}
-
-/// Runs one seed of the fault matrix; `Err` carries the violation text.
-fn check_seed(
-    base: &Simulation,
-    seed: u64,
-    tel: &Telemetry,
-    show_telemetry: bool,
-) -> Result<(), String> {
-    let sim = base.with_faults(
+fn crash(base: &Simulation, seed: u64) -> Simulation {
+    base.with_faults(
         FaultPlan::seeded(seed).with_default_faults(LinkFaults::lossy(0.2)),
         SensorFaultPlan::seeded(seed)
             .with_default_impairments(SensorImpairments::harsh())
             .with_occlusion(1, 40, 100, 0.25),
-        ControllerFaultPlan::none().with_crash(CRASH_ROUND, CRASH_ROUND + 1),
-    );
-    let report = sim
-        .with_telemetry(tel.clone())
-        .run()
-        .map_err(|e| format!("seed {seed}: chaos run failed: {e}"))?;
-    // The replay records into its own handle so the caller's stream stays
-    // a single run — and the two streams must match byte-for-byte.
-    let replay_tel = Telemetry::recording(8192);
-    let replay = sim
-        .with_telemetry(replay_tel.clone())
-        .run()
-        .map_err(|e| format!("seed {seed}: chaos replay failed: {e}"))?;
-    ensure(report == replay, || {
-        format!("seed {seed}: run is not deterministic")
-    })?;
-    ensure(
-        tel.trace_json().ok() == replay_tel.trace_json().ok()
-            && tel.metrics_json().ok() == replay_tel.metrics_json().ok(),
-        || format!("seed {seed}: telemetry stream is not deterministic"),
-    )?;
-    check_report(seed, &report)?;
-
-    let f = &report.failovers[0];
-    println!(
-        "seed {seed}: OK — found {}/{}, {:.2} J, degraded {} dropped {}, \
-         failover → camera {} (checkpoint round {}, {} acks)",
-        report.correctly_detected,
-        report.gt_objects,
-        report.total_energy_j,
-        report.degraded_frames,
-        report.dropped_frames,
-        f.elected,
-        f.checkpoint_round,
-        f.announced,
-    );
-    if show_telemetry {
-        println!("{}", render_summary(&report, tel));
-        println!(
-            "metrics: {}",
-            tel.metrics_json()
-                .map_err(|e| format!("seed {seed}: metrics dump failed: {e}"))?
-        );
-    }
-    Ok(())
+        crash_plan(),
+    )
 }
 
-/// The two network islands of the partition matrix: the hub keeps
-/// cameras 0 and 1, cameras 2 and 3 go dark together.
+/// Generation 1 is the initial checkpoint; the round-0 snapshot lands as
+/// generation 2 and gets torn, so the crash restore must fall back
+/// exactly one generation.
+fn integrity(base: &Simulation, seed: u64) -> Simulation {
+    base.with_faults(
+        FaultPlan::seeded(seed)
+            .with_default_faults(LinkFaults::lossy(0.1))
+            .with_corruption(CorruptionPlan::with_rate(0.25)),
+        SensorFaultPlan::ideal(),
+        crash_plan(),
+    )
+    .with_checkpoint_faults(CheckpointFaultPlan::seeded(seed).with_torn_write(2))
+}
+
+/// The hub keeps cameras 0 and 1; cameras 2 and 3 go dark together.
 fn two_islands() -> Vec<Vec<Endpoint>> {
     vec![
         vec![Endpoint::Hub, Endpoint::Camera(0), Endpoint::Camera(1)],
@@ -181,403 +102,193 @@ fn two_islands() -> Vec<Vec<Endpoint>> {
     ]
 }
 
-/// Invariants a partitioned run must satisfy: the mission never stops,
-/// energy stays physical, the orphaned island elects, the heal
-/// reconciles, and no crash failover is ever recorded.
-fn check_partition_report(
-    seed: u64,
-    scenario: &str,
-    report: &SimulationReport,
-) -> Result<(), String> {
-    ensure(!report.rounds.is_empty(), || {
-        format!("seed {seed} [{scenario}]: no rounds")
-    })?;
-    ensure(report.rounds.iter().all(|r| !r.active.is_empty()), || {
-        format!("seed {seed} [{scenario}]: a round lost every camera")
-    })?;
-    ensure(
-        report.total_energy_j.is_finite() && report.total_energy_j > 0.0,
-        || {
-            format!(
-                "seed {seed} [{scenario}]: unphysical total energy {}",
-                report.total_energy_j
-            )
-        },
-    )?;
-    ensure(report.partitions >= 1, || {
-        format!("seed {seed} [{scenario}]: partition plan never fired")
-    })?;
-    ensure(report.elections >= 1, || {
-        format!("seed {seed} [{scenario}]: no island ever elected an acting seat")
-    })?;
-    ensure(report.reconciliations >= 1, || {
-        format!("seed {seed} [{scenario}]: no heal ever reconciled")
-    })?;
-    ensure(report.split_brain_rounds >= 1, || {
-        format!("seed {seed} [{scenario}]: no split-brain round recorded")
-    })?;
-    ensure(report.failovers.is_empty(), || {
-        format!(
-            "seed {seed} [{scenario}]: island election leaked a crash failover {:?}",
-            report.failovers
-        )
-    })?;
-    Ok(())
-}
-
-/// Runs the partition matrix for one seed: a clean split and a flapping
-/// split, each over lossy links, each replayed bit-for-bit. On violation
-/// the flight-recorder tail is folded into the error text.
-fn check_partition_seed(base: &Simulation, seed: u64, show_telemetry: bool) -> Result<(), String> {
-    let scenarios: [(&str, PartitionPlan); 2] = [
-        (
-            "split",
-            PartitionPlan::none().with_split(two_islands(), 1, 3),
-        ),
-        (
-            "flapping",
-            PartitionPlan::none().with_flapping(two_islands(), 1, 4, 1),
-        ),
-    ];
-    for (scenario, plan) in scenarios {
-        let tel = Telemetry::recording(8192);
-        if let Err(violation) =
-            check_partition_scenario(base, seed, scenario, plan, &tel, show_telemetry)
-        {
-            let tail = tel
-                .tail_json(POSTMORTEM_ROUNDS)
-                .unwrap_or_else(|e| format!("(tail dump failed: {e})"));
-            return Err(format!(
-                "{violation}\nflight recorder, last {POSTMORTEM_ROUNDS} rounds:\n{tail}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn check_partition_scenario(
-    base: &Simulation,
-    seed: u64,
-    scenario: &str,
-    plan: PartitionPlan,
-    tel: &Telemetry,
-    show_telemetry: bool,
-) -> Result<(), String> {
-    let sim = base.with_faults(
-        FaultPlan::seeded(seed)
-            .with_default_faults(LinkFaults::lossy(0.2))
-            .with_partition(plan),
+fn partitioned(base: &Simulation, seed: u64, plan: PartitionPlan) -> Simulation {
+    let links = FaultPlan::seeded(seed).with_default_faults(LinkFaults::lossy(0.2));
+    base.with_faults(
+        links.with_partition(plan),
         SensorFaultPlan::ideal(),
         ControllerFaultPlan::none(),
-    );
-    let report = sim
-        .with_telemetry(tel.clone())
-        .run()
-        .map_err(|e| format!("seed {seed} [{scenario}]: partition run failed: {e}"))?;
-    let replay_tel = Telemetry::recording(8192);
-    let replay = sim
-        .with_telemetry(replay_tel.clone())
-        .run()
-        .map_err(|e| format!("seed {seed} [{scenario}]: partition replay failed: {e}"))?;
-    ensure(report == replay, || {
-        format!("seed {seed} [{scenario}]: run is not deterministic")
-    })?;
-    ensure(
-        tel.trace_json().ok() == replay_tel.trace_json().ok()
-            && tel.metrics_json().ok() == replay_tel.metrics_json().ok(),
-        || format!("seed {seed} [{scenario}]: telemetry stream is not deterministic"),
-    )?;
-    check_partition_report(seed, scenario, &report)?;
+    )
+}
 
-    println!(
-        "seed {seed} [{scenario}]: OK — found {}/{}, {:.2} J, partitions {} \
-         elections {} reconciliations {} split-brain rounds {}",
-        report.correctly_detected,
-        report.gt_objects,
-        report.total_energy_j,
-        report.partitions,
-        report.elections,
-        report.reconciliations,
-        report.split_brain_rounds,
-    );
-    if show_telemetry {
-        println!("{}", render_summary(&report, tel));
-        println!(
-            "metrics: {}",
-            tel.metrics_json()
-                .map_err(|e| format!("seed {seed} [{scenario}]: metrics dump failed: {e}"))?
-        );
+fn split(base: &Simulation, seed: u64) -> Simulation {
+    let plan = PartitionPlan::none().with_split(two_islands(), 1, 3);
+    partitioned(base, seed, plan)
+}
+
+fn flapping(base: &Simulation, seed: u64) -> Simulation {
+    let plan = PartitionPlan::none().with_flapping(two_islands(), 1, 4, 1);
+    partitioned(base, seed, plan)
+}
+
+fn churn(base: &Simulation, seed: u64) -> Simulation {
+    base.with_fleet(vec![
+        DeviceProfile::flagship(),
+        DeviceProfile::midrange(),
+        DeviceProfile::midrange(),
+        DeviceProfile::lowend(),
+    ])
+    .expect("the four-profile fleet fits the four-camera mission")
+    .with_faults(
+        FaultPlan::seeded(seed).with_default_faults(LinkFaults::lossy(0.2)),
+        SensorFaultPlan::ideal(),
+        crash_plan(),
+    )
+    .with_churn(ChurnPlan::seeded(seed).with_leave(CHURN_CAMERA, 1, 3))
+}
+
+/// Collects a check's violation messages.
+trait Need {
+    /// Records `msg` as a violation unless `ok`.
+    fn need(&mut self, ok: bool, msg: impl ToString);
+}
+
+impl Need for Vec<String> {
+    fn need(&mut self, ok: bool, msg: impl ToString) {
+        if !ok {
+            self.push(msg.to_string());
+        }
     }
-    Ok(())
 }
 
-/// Invariants an integrity run must satisfy: corrupted frames were
-/// detected (and therefore never consumed), the torn checkpoint rolled
-/// the restore back exactly one generation, and the crash failover still
-/// happened on schedule.
-fn check_corruption_report(seed: u64, report: &SimulationReport) -> Result<(), String> {
-    ensure(!report.rounds.is_empty(), || {
-        format!("seed {seed} [integrity]: no rounds")
-    })?;
-    ensure(report.rounds.iter().all(|r| !r.active.is_empty()), || {
-        format!("seed {seed} [integrity]: a round lost every camera")
-    })?;
-    ensure(
-        report.total_energy_j.is_finite() && report.total_energy_j > 0.0,
-        || {
-            format!(
-                "seed {seed} [integrity]: unphysical total energy {}",
-                report.total_energy_j
-            )
-        },
-    )?;
-    ensure(report.corrupted_frames > 0, || {
-        format!("seed {seed} [integrity]: corruption plan never fired")
-    })?;
-    ensure(report.failovers.len() == 1, || {
-        format!(
-            "seed {seed} [integrity]: expected exactly one failover, got {:?}",
-            report.failovers
-        )
-    })?;
-    ensure(report.failovers[0].round == CRASH_ROUND, || {
-        format!("seed {seed} [integrity]: failover in wrong round")
-    })?;
-    ensure(report.checkpoint_rollbacks == 1, || {
-        format!(
-            "seed {seed} [integrity]: torn newest generation should roll back \
-             exactly once, got {}",
-            report.checkpoint_rollbacks
-        )
-    })?;
-    Ok(())
+/// Liveness every row shares: the mission never stops and its energy
+/// stays physical.
+fn liveness(r: &SimulationReport) -> Vec<String> {
+    let mut v = Vec::new();
+    v.need(!r.rounds.is_empty(), "no rounds");
+    let staffed = r.rounds.iter().all(|round| !round.active.is_empty());
+    v.need(staffed, "a round lost every camera");
+    let e = r.total_energy_j;
+    let physical = e.is_finite() && e > 0.0;
+    v.need(physical, format!("unphysical total energy {e}"));
+    v
 }
 
-/// Runs the integrity matrix for one seed: a wire corruption storm over
-/// lossy links plus a torn write of the newest checkpoint generation,
-/// under the scheduled controller crash. The run must complete, detect
-/// (never consume) the corrupted frames, recover from the torn
-/// checkpoint by falling back one generation, and replay bit-for-bit.
-fn check_corruption_seed(base: &Simulation, seed: u64, show_telemetry: bool) -> Result<(), String> {
-    let tel = Telemetry::recording(8192);
-    if let Err(violation) = check_corruption_scenario(base, seed, &tel, show_telemetry) {
-        let tail = tel
-            .tail_json(POSTMORTEM_ROUNDS)
-            .unwrap_or_else(|e| format!("(tail dump failed: {e})"));
-        return Err(format!(
-            "{violation}\nflight recorder, last {POSTMORTEM_ROUNDS} rounds:\n{tail}"
-        ));
-    }
-    Ok(())
-}
-
-fn check_corruption_scenario(
-    base: &Simulation,
-    seed: u64,
-    tel: &Telemetry,
-    show_telemetry: bool,
-) -> Result<(), String> {
-    // Generation 1 is the initial checkpoint; the round-0 snapshot lands
-    // as generation 2 and gets torn, so the crash restore must fall back
-    // exactly one generation.
-    let sim = base
-        .with_faults(
-            FaultPlan::seeded(seed)
-                .with_default_faults(LinkFaults::lossy(0.1))
-                .with_corruption(CorruptionPlan::with_rate(0.25)),
-            SensorFaultPlan::ideal(),
-            ControllerFaultPlan::none().with_crash(CRASH_ROUND, CRASH_ROUND + 1),
-        )
-        .with_checkpoint_faults(CheckpointFaultPlan::seeded(seed).with_torn_write(2));
-    let report = sim
-        .with_telemetry(tel.clone())
-        .run()
-        .map_err(|e| format!("seed {seed} [integrity]: corruption run failed: {e}"))?;
-    let replay_tel = Telemetry::recording(8192);
-    let replay = sim
-        .with_telemetry(replay_tel.clone())
-        .run()
-        .map_err(|e| format!("seed {seed} [integrity]: corruption replay failed: {e}"))?;
-    ensure(report == replay, || {
-        format!("seed {seed} [integrity]: run is not deterministic")
-    })?;
-    ensure(
-        tel.trace_json().ok() == replay_tel.trace_json().ok()
-            && tel.metrics_json().ok() == replay_tel.metrics_json().ok(),
-        || format!("seed {seed} [integrity]: telemetry stream is not deterministic"),
-    )?;
-    check_corruption_report(seed, &report)?;
-
-    let f = &report.failovers[0];
-    println!(
-        "seed {seed} [integrity]: OK — found {}/{}, {:.2} J, corrupted frames {} \
-         rejected, rollbacks {}, failover → camera {} (checkpoint round {})",
-        report.correctly_detected,
-        report.gt_objects,
-        report.total_energy_j,
-        report.corrupted_frames,
-        report.checkpoint_rollbacks,
-        f.elected,
-        f.checkpoint_round,
+/// The scheduled controller crash fails over exactly once, on schedule.
+fn failover_on_schedule(r: &SimulationReport) -> Vec<String> {
+    let mut v = Vec::new();
+    let f = &r.failovers;
+    v.need(
+        f.len() == 1,
+        format!("expected exactly one failover, got {f:?}"),
     );
-    if show_telemetry {
-        println!("{}", render_summary(&report, tel));
-        println!(
-            "metrics: {}",
-            tel.metrics_json()
-                .map_err(|e| format!("seed {seed} [integrity]: metrics dump failed: {e}"))?
-        );
-    }
-    Ok(())
+    let on_time = f.iter().all(|f| f.round == CRASH_ROUND);
+    v.need(on_time, "failover in wrong round");
+    v
 }
 
-/// The camera the churn matrix removes over rounds `[1, 3)`.
-const CHURN_CAMERA: usize = 3;
+fn expect_crash(r: &SimulationReport) -> Vec<String> {
+    let mut v = failover_on_schedule(r);
+    v.need(r.degraded_frames > 0, "sensor plan never fired");
+    v
+}
 
-/// Invariants an elastic-fleet run must satisfy: the crash failover
-/// still happens on schedule, the churn plan actually fired in both
-/// directions, the absent camera never leaks into a round's plan, and
-/// no round is ever planned empty.
-fn check_churn_report(seed: u64, report: &SimulationReport) -> Result<(), String> {
-    ensure(!report.rounds.is_empty(), || {
-        format!("seed {seed} [churn]: no rounds")
-    })?;
-    ensure(report.rounds.iter().all(|r| !r.active.is_empty()), || {
-        format!("seed {seed} [churn]: a round lost every camera")
-    })?;
-    ensure(
-        report.total_energy_j.is_finite() && report.total_energy_j > 0.0,
-        || {
-            format!(
-                "seed {seed} [churn]: unphysical total energy {}",
-                report.total_energy_j
-            )
-        },
-    )?;
-    ensure(report.failovers.len() == 1, || {
-        format!(
-            "seed {seed} [churn]: expected exactly one failover, got {:?}",
-            report.failovers
-        )
-    })?;
-    ensure(report.failovers[0].round == CRASH_ROUND, || {
-        format!("seed {seed} [churn]: failover in wrong round")
-    })?;
-    ensure(report.camera_leaves >= 1, || {
-        format!("seed {seed} [churn]: churn plan never removed a camera")
-    })?;
-    ensure(report.camera_joins >= 1, || {
-        format!("seed {seed} [churn]: the absent camera never rejoined")
-    })?;
+fn expect_integrity(r: &SimulationReport) -> Vec<String> {
+    let mut v = failover_on_schedule(r);
+    v.need(r.corrupted_frames > 0, "corruption plan never fired");
+    let rolled = r.checkpoint_rollbacks;
+    let msg = format!("torn newest generation should roll back exactly once, got {rolled}");
+    v.need(rolled == 1, msg);
+    v
+}
+
+fn expect_partition(r: &SimulationReport) -> Vec<String> {
+    let mut v = Vec::new();
+    v.need(r.partitions >= 1, "partition plan never fired");
+    v.need(r.elections >= 1, "no island ever elected an acting seat");
+    v.need(r.reconciliations >= 1, "no heal ever reconciled");
+    v.need(r.split_brain_rounds >= 1, "no split-brain round recorded");
+    let f = &r.failovers;
+    let msg = format!("island election leaked a crash failover {f:?}");
+    v.need(f.is_empty(), msg);
+    v
+}
+
+fn expect_churn(r: &SimulationReport) -> Vec<String> {
+    let mut v = failover_on_schedule(r);
+    v.need(r.camera_leaves >= 1, "churn plan never removed a camera");
+    v.need(r.camera_joins >= 1, "the absent camera never rejoined");
     // Re-planning around the departure: at least one round ran without
     // the churned camera in either the active set or the assignment.
-    ensure(
-        report.rounds.iter().any(|r| {
-            !r.active.contains(&CHURN_CAMERA) && !r.assignment.contains_key(&CHURN_CAMERA)
-        }),
-        || {
-            format!(
-                "seed {seed} [churn]: camera {CHURN_CAMERA} never left the plan — \
-                 sticky assignments leaked across the departure"
-            )
-        },
-    )?;
-    Ok(())
+    let left = r.rounds.iter().any(|round| {
+        !round.active.contains(&CHURN_CAMERA) && !round.assignment.contains_key(&CHURN_CAMERA)
+    });
+    let msg = format!(
+        "camera {CHURN_CAMERA} never left the plan — sticky assignments leaked across the departure"
+    );
+    v.need(left, msg);
+    v
 }
 
-/// Runs the elastic-fleet matrix for one seed over a heterogeneous
-/// device fleet. On violation the flight-recorder tail is folded into
-/// the error text.
-fn check_churn_seed(base: &Simulation, seed: u64, show_telemetry: bool) -> Result<(), String> {
-    let tel = Telemetry::recording(8192);
-    if let Err(violation) = check_churn_scenario(base, seed, &tel, show_telemetry) {
-        let tail = tel
-            .tail_json(POSTMORTEM_ROUNDS)
-            .unwrap_or_else(|e| format!("(tail dump failed: {e})"));
-        return Err(format!(
-            "{violation}\nflight recorder, last {POSTMORTEM_ROUNDS} rounds:\n{tail}"
-        ));
-    }
-    Ok(())
-}
-
-fn check_churn_scenario(
+/// Runs one (row, seed) cell, recording its first pass into `tel`, and
+/// returns the report or every violation found.
+fn check(
+    row: Row,
     base: &Simulation,
     seed: u64,
     tel: &Telemetry,
-    show_telemetry: bool,
-) -> Result<(), String> {
-    let sim = base
-        .with_fleet(vec![
-            DeviceProfile::flagship(),
-            DeviceProfile::midrange(),
-            DeviceProfile::midrange(),
-            DeviceProfile::lowend(),
-        ])
-        .map_err(|e| format!("seed {seed} [churn]: fleet rejected: {e}"))?
-        .with_faults(
-            FaultPlan::seeded(seed).with_default_faults(LinkFaults::lossy(0.2)),
-            SensorFaultPlan::ideal(),
-            ControllerFaultPlan::none().with_crash(CRASH_ROUND, CRASH_ROUND + 1),
-        )
-        .with_churn(ChurnPlan::seeded(seed).with_leave(CHURN_CAMERA, 1, 3));
-    let report = sim
-        .with_telemetry(tel.clone())
-        .run()
-        .map_err(|e| format!("seed {seed} [churn]: churn run failed: {e}"))?;
-    let replay_tel = Telemetry::recording(8192);
-    let replay = sim
-        .with_telemetry(replay_tel.clone())
-        .run()
-        .map_err(|e| format!("seed {seed} [churn]: churn replay failed: {e}"))?;
-    ensure(report == replay, || {
-        format!("seed {seed} [churn]: run is not deterministic")
-    })?;
-    ensure(
-        tel.trace_json().ok() == replay_tel.trace_json().ok()
-            && tel.metrics_json().ok() == replay_tel.metrics_json().ok(),
-        || format!("seed {seed} [churn]: telemetry stream is not deterministic"),
-    )?;
-    check_churn_report(seed, &report)?;
-
-    let f = &report.failovers[0];
-    println!(
-        "seed {seed} [churn]: OK — found {}/{}, {:.2} J, leaves {} joins {}, \
-         failover → camera {} (checkpoint round {})",
-        report.correctly_detected,
-        report.gt_objects,
-        report.total_energy_j,
-        report.camera_leaves,
-        report.camera_joins,
-        f.elected,
-        f.checkpoint_round,
-    );
-    if show_telemetry {
-        println!("{}", render_summary(&report, tel));
-        println!(
-            "metrics: {}",
-            tel.metrics_json()
-                .map_err(|e| format!("seed {seed} [churn]: metrics dump failed: {e}"))?
-        );
+) -> Result<SimulationReport, Vec<String>> {
+    let (_, _, build, expect) = row;
+    let sim = build(base, seed);
+    let report = verify_replay(&sim, tel).map_err(|e| vec![e])?;
+    let mut v = Vec::new();
+    let evicted = tel.trace_evicted();
+    v.need(evicted == 0, format!("trace evicted {evicted} events"));
+    let events = tel.events();
+    let capacities: Vec<f64> = sim.fleet().iter().map(|p| p.battery_capacity_j).collect();
+    v.extend(InvariantChecker::with_defaults().check(&InvariantContext {
+        report: &report,
+        events: &events,
+        capacities: &capacities,
+    }));
+    v.extend(liveness(&report));
+    v.extend(expect(&report));
+    if v.is_empty() {
+        Ok(report)
+    } else {
+        Err(v)
     }
-    Ok(())
+}
+
+/// One line: detections, energy, audited events, the fault counters that
+/// fired and any failover.
+fn summary(r: &SimulationReport, events: usize) -> String {
+    let (found, gt, joules) = (r.correctly_detected, r.gt_objects, r.total_energy_j);
+    let mut line = format!("found {found}/{gt}, {joules:.2} J, {events} events audited");
+    let counters = [
+        ("degraded", r.degraded_frames as u64),
+        ("dropped", r.dropped_frames as u64),
+        ("corrupted frames rejected", r.corrupted_frames),
+        ("rollbacks", r.checkpoint_rollbacks),
+        ("partitions", r.partitions as u64),
+        ("elections", r.elections as u64),
+        ("reconciliations", r.reconciliations as u64),
+        ("split-brain rounds", r.split_brain_rounds as u64),
+        ("leaves", r.camera_leaves as u64),
+        ("joins", r.camera_joins as u64),
+    ];
+    for (name, n) in counters.into_iter().filter(|&(_, n)| n > 0) {
+        line += &format!(", {name} {n}");
+    }
+    for f in &r.failovers {
+        let (cam, ckpt, acks) = (f.elected, f.checkpoint_round, f.announced);
+        line += &format!(", failover → camera {cam} (checkpoint round {ckpt}, {acks} acks)");
+    }
+    line
+}
+
+fn prepare(end_frame: usize) -> Simulation {
+    let bank = DetectorBank::train_quick(23).expect("bank");
+    let config = miniature_config(4, end_frame, 5.0, Parallelism::default());
+    Simulation::prepare(bank, config).expect("prepare")
 }
 
 fn main() {
     let mut show_telemetry = false;
-    let mut partition = false;
-    let mut corruption = false;
-    let mut churn = false;
     let mut seeds: Vec<u64> = Vec::new();
     for arg in std::env::args().skip(1) {
         if arg == "--telemetry" {
             show_telemetry = true;
-        } else if arg == "--partition" {
-            partition = true;
-        } else if arg == "--corruption" {
-            corruption = true;
-        } else if arg == "--churn" {
-            churn = true;
         } else {
             seeds.push(arg.parse().unwrap_or_else(|_| panic!("bad seed {arg:?}")));
         }
@@ -585,98 +296,43 @@ fn main() {
     if seeds.is_empty() {
         seeds = vec![1, 2, 3];
     }
+    eprintln!("{} fault rows over seeds {seeds:?}", ROWS.len());
 
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let eecs = EecsConfig {
-        assessment_period: 10,
-        recalibration_interval: 30,
-        key_frames: 8,
-        ..EecsConfig::default()
-    };
-    let base = Simulation::prepare(
-        DetectorBank::train_quick(23).expect("bank"),
-        SimulationConfig {
-            profile,
-            cameras: 4,
-            start_frame: 40,
-            // The partition matrix needs four rounds: split, two rounds
-            // of darkness, heal. The churn matrix likewise: present,
-            // two rounds absent, rejoin. The crash matrix keeps its two.
-            end_frame: if partition || churn { 160 } else { 100 },
-            budget_j_per_frame: 5.0,
-            mode: OperatingMode::FullEecs,
-            eecs,
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
-            fault_plan: FaultPlan::ideal(),
-            sensor_plan: SensorFaultPlan::ideal(),
-            controller_plan: ControllerFaultPlan::none(),
-            parallel: Parallelism::default(),
-        },
-    )
-    .expect("prepare");
-    let matrix = if partition {
-        "partition"
-    } else if corruption {
-        "integrity"
-    } else if churn {
-        "churn"
-    } else {
-        "fault"
-    };
-    eprintln!("prepared miniature mission; {matrix} matrix over seeds {seeds:?}");
-
-    if partition {
+    // One prepared base per mission length, shared by its rows.
+    let mut bases = BTreeMap::new();
+    let mut failures = 0;
+    for row in ROWS {
+        let (name, end_frame, ..) = row;
+        let base = bases.entry(end_frame).or_insert_with(|| prepare(end_frame));
         for &seed in &seeds {
-            if let Err(violation) = check_partition_seed(&base, seed, show_telemetry) {
-                eprintln!("FAIL: {violation}");
-                std::process::exit(1);
+            // Always record: on a failed check the flight recorder is the
+            // post-mortem, and the miniature mission is cheap to trace.
+            let tel = Telemetry::recording(TRACE_CAPACITY);
+            match check(row, base, seed, &tel) {
+                Ok(report) => {
+                    let line = summary(&report, tel.events().len());
+                    println!("{name} seed {seed}: OK — {line}");
+                    if show_telemetry {
+                        println!("{}", render_summary(&report, &tel));
+                        let metrics = tel.metrics_json().unwrap_or_else(|e| format!("({e})"));
+                        println!("metrics: {metrics}");
+                    }
+                }
+                Err(violations) => {
+                    failures += 1;
+                    let violations = violations.join("\n  ");
+                    eprintln!("FAIL {name} seed {seed}:\n  {violations}");
+                    let tail = tel.tail_json(POSTMORTEM_ROUNDS);
+                    let tail = tail.unwrap_or_else(|e| format!("(tail dump failed: {e})"));
+                    eprintln!("flight recorder, last {POSTMORTEM_ROUNDS} rounds:\n{tail}");
+                }
             }
         }
-        println!("partition smoke OK ({} seeds x 2 scenarios)", seeds.len());
-        return;
     }
-
-    if corruption {
-        for &seed in &seeds {
-            if let Err(violation) = check_corruption_seed(&base, seed, show_telemetry) {
-                eprintln!("FAIL: {violation}");
-                std::process::exit(1);
-            }
-        }
-        println!("integrity smoke OK ({} seeds)", seeds.len());
-        return;
+    let cells = ROWS.len() * seeds.len();
+    if failures > 0 {
+        eprintln!("chaos smoke FAILED: {failures} of {cells} cells");
+        std::process::exit(1);
     }
-
-    if churn {
-        for &seed in &seeds {
-            if let Err(violation) = check_churn_seed(&base, seed, show_telemetry) {
-                eprintln!("FAIL: {violation}");
-                std::process::exit(1);
-            }
-        }
-        println!("churn smoke OK ({} seeds)", seeds.len());
-        return;
-    }
-
-    for &seed in &seeds {
-        // Always record: on a failed check the flight recorder is the
-        // post-mortem, and the miniature mission is cheap to trace.
-        let tel = Telemetry::recording(8192);
-        if let Err(violation) = check_seed(&base, seed, &tel, show_telemetry) {
-            eprintln!("FAIL: {violation}");
-            eprintln!(
-                "flight recorder, last {POSTMORTEM_ROUNDS} rounds (includes the \
-                 failover round):"
-            );
-            match tel.tail_json(POSTMORTEM_ROUNDS) {
-                Ok(tail) => eprintln!("{tail}"),
-                Err(e) => eprintln!("(tail dump failed: {e})"),
-            }
-            std::process::exit(1);
-        }
-    }
-    println!("chaos smoke OK ({} seeds)", seeds.len());
+    println!("chaos smoke OK ({cells} cells, each replayed and audited)");
 }

@@ -10,13 +10,12 @@
 //! counters accumulated across kill + resume — that no completed cell
 //! ever re-executed. Exits non-zero on any violation.
 
+use eecs_bench::miniature_config;
 use eecs_bench::sweep::{run_sweep, JobOrder, Shard, SweepOptions, SweepSpec};
-use eecs_core::config::EecsConfig;
 use eecs_core::jsonio::Json;
-use eecs_core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
+use eecs_core::simulation::{Parallelism, Simulation};
 use eecs_core::telemetry::Telemetry;
 use eecs_detect::bank::DetectorBank;
-use eecs_scene::dataset::{DatasetId, DatasetProfile};
 use std::collections::BTreeMap;
 
 fn ensure(cond: bool, what: &str) -> Result<(), String> {
@@ -30,33 +29,8 @@ fn ensure(cond: bool, what: &str) -> Result<(), String> {
 fn smoke() -> Result<(), String> {
     eprintln!("[sweep_smoke] preparing miniature simulation…");
     let bank = DetectorBank::train_quick(5).map_err(|e| e.to_string())?;
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    let base = Simulation::prepare(
-        bank,
-        SimulationConfig {
-            profile,
-            cameras: 2,
-            start_frame: 40,
-            end_frame: 70,
-            budget_j_per_frame: 10.0,
-            mode: OperatingMode::FullEecs,
-            eecs: EecsConfig {
-                assessment_period: 10,
-                recalibration_interval: 30,
-                key_frames: 8,
-                ..EecsConfig::default()
-            },
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
-            fault_plan: eecs_net::fault::FaultPlan::ideal(),
-            sensor_plan: eecs_scene::sensor_fault::SensorFaultPlan::ideal(),
-            controller_plan: eecs_net::fault::ControllerFaultPlan::none(),
-            parallel: Parallelism::serial(),
-        },
-    )
-    .map_err(|e| e.to_string())?;
+    let base = Simulation::prepare(bank, miniature_config(2, 70, 10.0, Parallelism::serial()))
+        .map_err(|e| e.to_string())?;
 
     let spec = || {
         SweepSpec::new("smoke")

@@ -27,12 +27,15 @@ pub mod sweep;
 use eecs_core::config::EecsConfig;
 use eecs_core::features::FeatureExtractor;
 use eecs_core::profile::TrainingRecord;
+use eecs_core::simulation::{OperatingMode, Parallelism, SimulationConfig};
 use eecs_core::training::train_record;
 use eecs_detect::bank::DetectorBank;
 use eecs_detect::Detector;
 use eecs_energy::comm::LinkModel;
 use eecs_energy::model::DeviceEnergyModel;
+use eecs_net::fault::{ControllerFaultPlan, FaultPlan};
 use eecs_scene::dataset::{DatasetId, DatasetProfile};
+use eecs_scene::sensor_fault::SensorFaultPlan;
 use eecs_scene::sequence::{FrameData, VideoFeed};
 
 /// How much data an experiment run consumes.
@@ -106,6 +109,42 @@ pub fn experiment_config(bank: &DetectorBank) -> EecsConfig {
         device: calibrated_device(bank),
         link: LinkModel::default(),
         ..Default::default()
+    }
+}
+
+/// The miniature mission the smokes, the service base and the pipeline
+/// benches share: the miniature Lab profile with four people, frames
+/// 40..`end_frame`, full EECS with 10-frame assessments, 30-frame
+/// recalibration and 8 key frames, a 12-word vocabulary, 8 training
+/// frames, no boosting and no faults.
+pub fn miniature_config(
+    cameras: usize,
+    end_frame: usize,
+    budget_j_per_frame: f64,
+    parallel: Parallelism,
+) -> SimulationConfig {
+    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
+    profile.num_people = 4;
+    SimulationConfig {
+        profile,
+        cameras,
+        start_frame: 40,
+        end_frame,
+        budget_j_per_frame,
+        mode: OperatingMode::FullEecs,
+        eecs: EecsConfig {
+            assessment_period: 10,
+            recalibration_interval: 30,
+            key_frames: 8,
+            ..EecsConfig::default()
+        },
+        feature_words: 12,
+        max_training_frames: 8,
+        boost_every: 0,
+        fault_plan: FaultPlan::ideal(),
+        sensor_plan: SensorFaultPlan::ideal(),
+        controller_plan: ControllerFaultPlan::none(),
+        parallel,
     }
 }
 

@@ -8,11 +8,10 @@
 //! training pass every mission then reuses.
 
 use crate::artifacts::Artifacts;
-use eecs_core::config::EecsConfig;
-use eecs_core::simulation::{OperatingMode, Parallelism, Simulation, SimulationConfig};
+use crate::miniature_config;
+use eecs_core::simulation::{Parallelism, Simulation};
 use eecs_detect::bank::DetectorBank;
-use eecs_net::fault::{ChurnPlan, ControllerFaultPlan, CorruptionPlan, FaultPlan, LinkFaults};
-use eecs_scene::dataset::{DatasetId, DatasetProfile};
+use eecs_net::fault::{ChurnPlan, CorruptionPlan, FaultPlan, LinkFaults};
 use eecs_scene::sensor_fault::SensorFaultPlan;
 use eecs_serve::{MissionRequest, MissionSpec, Priority};
 
@@ -27,33 +26,8 @@ use eecs_serve::{MissionRequest, MissionSpec, Priority};
 /// miniature configuration).
 pub fn service_base(artifacts: &Artifacts) -> Simulation {
     let bank: DetectorBank = artifacts.bank().as_ref().clone();
-    let mut profile = DatasetProfile::miniature(DatasetId::Lab);
-    profile.num_people = 4;
-    Simulation::prepare(
-        bank,
-        SimulationConfig {
-            profile,
-            cameras: 2,
-            start_frame: 40,
-            end_frame: 70,
-            budget_j_per_frame: 10.0,
-            mode: OperatingMode::FullEecs,
-            eecs: EecsConfig {
-                assessment_period: 10,
-                recalibration_interval: 30,
-                key_frames: 8,
-                ..EecsConfig::default()
-            },
-            feature_words: 12,
-            max_training_frames: 8,
-            boost_every: 0,
-            fault_plan: FaultPlan::ideal(),
-            sensor_plan: SensorFaultPlan::ideal(),
-            controller_plan: ControllerFaultPlan::none(),
-            parallel: Parallelism::serial(),
-        },
-    )
-    .expect("miniature service base prepares")
+    Simulation::prepare(bank, miniature_config(2, 70, 10.0, Parallelism::serial()))
+        .expect("miniature service base prepares")
 }
 
 /// A deterministic mixed batch for smokes, benches and soaks: `n`

@@ -374,7 +374,9 @@ pub struct SweepOptions {
     /// Execution order of the pending jobs.
     pub order: JobOrder,
     /// Abort (cleanly) after this many *newly executed* cells — the
-    /// kill half of the kill/resume tests and the CI smoke step.
+    /// kill half of the kill/resume tests and the CI smoke step. A
+    /// budget that covers every pending cell is no abort: the sweep
+    /// completes and merges.
     pub stop_after: Option<usize>,
     /// Telemetry handle: per-cell `sweep.runs.<cell>` counters plus
     /// aggregate executed/skipped counters and timing gauges.
@@ -558,7 +560,7 @@ pub fn run_shards(
                 eprintln!("[sweep {name}] {}/{total} {}", skipped + executed, rec.cell);
             }
             completed.insert(rec.index, rec);
-            if executed >= budget {
+            if executed >= budget && executed < pending.len() {
                 aborted = true;
                 return false;
             }

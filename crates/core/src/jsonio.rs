@@ -161,9 +161,18 @@ fn write_num(n: f64, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth lets a few kilobytes of `[`
+/// overflow a worker thread's 2 MiB stack and abort the process. The
+/// deepest document the workspace writes (a sweep merge or a journal
+/// record wrapping a report) nests under 10 levels; 128 leaves ample
+/// headroom while keeping the recursion far below any thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -193,8 +202,7 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -274,6 +282,21 @@ impl Parser<'_> {
         }
     }
 
+    /// An array or object one level deeper, refused past [`MAX_DEPTH`].
+    fn nested(&mut self) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        v
+    }
+
     fn array(&mut self) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
@@ -328,12 +351,13 @@ impl Parser<'_> {
 ///
 /// # Errors
 ///
-/// Returns a position-annotated message on malformed input or trailing
-/// content.
+/// Returns a position-annotated message on malformed input, trailing
+/// content, or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -366,6 +390,23 @@ mod tests {
         assert!(parse("[1 2]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"open").is_err());
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let arrays = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        let objects = |d: usize| "{\"a\":".repeat(d - 1) + "{}" + &"}".repeat(d - 1);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        // The error points at the first bracket past the limit.
+        for (bomb, open_len) in [(arrays(MAX_DEPTH + 1), 1), (objects(MAX_DEPTH + 1), 5)] {
+            let err = parse(&bomb).unwrap_err();
+            let at = format!("at byte {}", MAX_DEPTH * open_len);
+            assert!(
+                err.contains("nesting deeper") && err.ends_with(&at),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! unaudited one.
 
 use crate::simulation::{Simulation, SimulationReport};
-use crate::telemetry::TraceEvent;
+use crate::telemetry::{Telemetry, TraceEvent};
 
 /// Everything a rule may inspect about one finished run.
 pub struct InvariantContext<'a> {
@@ -132,15 +132,27 @@ pub fn membership_timeline(events: &[TraceEvent], cams: usize, rounds: usize) ->
     timeline
 }
 
-/// Runs the simulation twice and demands bit-identical reports — the
-/// replay half of the audit. Returns the report for further checking.
+/// Runs the simulation twice and demands a bit-identical replay — the
+/// replay half of the audit. The first pass records into `telemetry`,
+/// which is reset first, so the caller keeps that run's trace for the
+/// invariant audit and a post-mortem; the second records into a fresh
+/// handle of the same sink. The two reports must be equal, and so must
+/// the two trace and metrics JSON documents. Returns the first report.
 ///
 /// # Errors
 ///
 /// Returns a description of the first divergence (or the run error).
-pub fn verify_replay(sim: &Simulation) -> Result<SimulationReport, String> {
-    let first = sim.run().map_err(|e| format!("first run failed: {e}"))?;
-    let second = sim.run().map_err(|e| format!("second run failed: {e}"))?;
+pub fn verify_replay(sim: &Simulation, telemetry: &Telemetry) -> Result<SimulationReport, String> {
+    telemetry.reset();
+    let replay_tel = Telemetry::new(telemetry.sink());
+    let first = sim
+        .with_telemetry(telemetry.clone())
+        .run()
+        .map_err(|e| format!("first run failed: {e}"))?;
+    let second = sim
+        .with_telemetry(replay_tel.clone())
+        .run()
+        .map_err(|e| format!("second run failed: {e}"))?;
     if first != second {
         return Err(format!(
             "replay diverged: total {} J vs {} J, {} vs {} rounds",
@@ -149,6 +161,12 @@ pub fn verify_replay(sim: &Simulation) -> Result<SimulationReport, String> {
             first.rounds.len(),
             second.rounds.len()
         ));
+    }
+    if telemetry.trace_json() != replay_tel.trace_json() {
+        return Err("replay diverged: the trace streams differ".into());
+    }
+    if telemetry.metrics_json() != replay_tel.metrics_json() {
+        return Err("replay diverged: the metrics registries differ".into());
     }
     Ok(first)
 }

@@ -204,7 +204,11 @@ fn churn_scenarios_exercise_joins_and_leaves() {
 /// it twice and demands equality before handing the report back.
 #[test]
 fn churn_hetero_replays_bit_identically() {
-    let report = verify_replay(&scenario("churn_hetero")).expect("replay is bit-identical");
+    let report = verify_replay(
+        &scenario("churn_hetero"),
+        &Telemetry::recording(TRACE_CAPACITY),
+    )
+    .expect("replay is bit-identical");
     assert!(
         report.rounds.len() >= 2,
         "needs multiple rounds to mean anything"

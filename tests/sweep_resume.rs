@@ -178,3 +178,42 @@ fn foreign_manifest_is_rejected_not_resumed() {
     let _ = std::fs::remove_file(&manifest);
     assert!(err.contains("different sweep"), "{err}");
 }
+
+/// A `stop_after` budget that covers every pending cell is not a kill:
+/// the sweep completes and merges, both from scratch and on a resume
+/// whose budget equals the cells the manifest still lacks.
+#[test]
+fn stop_after_equal_to_pending_cells_still_merges() {
+    let shard = grid_shard();
+    let total = spec().cell_count();
+    let full = run_sweep(
+        &shard,
+        &SweepOptions {
+            workers: 2,
+            stop_after: Some(total),
+            ..Default::default()
+        },
+    )
+    .expect("sweep with an exact budget");
+    assert_eq!(full.executed, total);
+    let reference = full.merged.expect("an exact budget completes the sweep");
+
+    let manifest =
+        PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("sweep_exact_budget_manifest.jsonl");
+    let _ = std::fs::remove_file(&manifest);
+    let opts = |stop_after| SweepOptions {
+        workers: 2,
+        manifest_path: Some(manifest.clone()),
+        stop_after: Some(stop_after),
+        ..Default::default()
+    };
+    let killed = run_sweep(&shard, &opts(2)).expect("aborted sweep");
+    assert!(killed.merged.is_none(), "2 of {total} cells must not merge");
+    let resumed = run_sweep(&shard, &opts(total - 2)).expect("resumed sweep");
+    let _ = std::fs::remove_file(&manifest);
+    assert_eq!((resumed.executed, resumed.skipped), (total - 2, 2));
+    let merged = resumed
+        .merged
+        .expect("a resume budget equal to the pending cells completes the sweep");
+    assert_eq!(merged.as_bytes(), reference.as_bytes());
+}
