@@ -242,9 +242,9 @@ impl CellRecord {
     pub fn from_json(v: &Json) -> Result<CellRecord, String> {
         let index = v
             .get("index")
-            .and_then(Json::as_num)
-            .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-            .ok_or("cell record missing integral \"index\"")? as usize;
+            .and_then(Json::as_u64)
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or("cell record missing integral \"index\"")?;
         let cell = v
             .get("cell")
             .and_then(Json::as_str)

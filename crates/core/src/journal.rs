@@ -1,5 +1,7 @@
 //! The append-only, checksummed JSONL journal behind every resumable
-//! run: the sweep manifest and the mission service's batch journal.
+//! run: the sweep manifest and the mission service's batch journal. Its
+//! record codec also guards the header line of every checkpoint store
+//! record ([`crate::checkpoint::CheckpointStore`]).
 //!
 //! * Line 1 is an **identity header** binding the file to one run (a
 //!   sweep's axes, a batch's fingerprint); a file whose header differs
@@ -197,7 +199,7 @@ impl Journal {
 
 /// One journal line for `record`: its members plus the trailing CRC of
 /// its canonical encoding.
-fn record_line(record: &Json) -> Result<String, String> {
+pub(crate) fn record_line(record: &Json) -> Result<String, String> {
     let Json::Obj(members) = record else {
         return Err("a journal record must be a JSON object".into());
     };
@@ -215,7 +217,7 @@ fn parse_line(text: &[u8]) -> Result<Json, String> {
 
 /// Parses one committed record line, strips its CRC member and verifies
 /// it against the canonical bytes of what remains.
-fn read_record(text: &[u8], path: &str, line: usize) -> Result<Json, JournalError> {
+pub(crate) fn read_record(text: &[u8], path: &str, line: usize) -> Result<Json, JournalError> {
     let corrupt = |reason: String| JournalError::CorruptRecord {
         path: path.to_owned(),
         line,
@@ -224,16 +226,11 @@ fn read_record(text: &[u8], path: &str, line: usize) -> Result<Json, JournalErro
     let Json::Obj(mut members) = parse_line(text).map_err(corrupt)? else {
         return Err(corrupt("record is not a JSON object".into()));
     };
-    let expected = match members.pop() {
-        Some((key, Json::Num(n)))
-            if key == CRC_MEMBER
-                && n.fract() == 0.0
-                && (0.0..=f64::from(u32::MAX)).contains(&n) =>
-        {
-            n as u32
-        }
-        _ => return Err(corrupt("record missing trailing integral \"crc\"".into())),
-    };
+    let expected = members
+        .pop()
+        .filter(|(key, _)| key == CRC_MEMBER)
+        .and_then(|(_, crc)| u32::try_from(crc.as_u64()?).ok())
+        .ok_or_else(|| corrupt("record missing trailing integral \"crc\"".into()))?;
     let record = Json::Obj(members);
     let actual = crc32(record.write().map_err(corrupt)?.as_bytes());
     if expected != actual {

@@ -1,13 +1,18 @@
 //! Minimal hand-rolled JSON: a writer escape helper, a value tree, and a
 //! parser covering the subset of RFC 8259 this workspace emits.
 //!
-//! The build environment is offline (no serde), so both serializers in
-//! the workspace share this module: the benchmark report writer in
-//! `eecs_bench::report` (which re-exports these types for compatibility)
-//! and the controller checkpoint in [`crate::checkpoint`]. Numbers are
-//! written with `{:?}` — Rust's shortest round-trip formatting — so an
-//! `f64` survives serialize → parse bit-for-bit, which the checkpoint's
-//! replay guarantees depend on.
+//! The build environment is offline (no serde), so every document in the
+//! workspace goes through this one codec: the benchmark report in
+//! `eecs_bench::report` (which re-exports these types for compatibility),
+//! the controller checkpoint in [`crate::checkpoint`], and the records
+//! of [`crate::journal`] (sweep manifests, the serve journal and the
+//! checkpoint store's record headers). [`Json::write`] prints integral
+//! numbers as integers and everything else with `{:?}`, Rust's shortest
+//! round-trip formatting, so an `f64` survives serialize → parse
+//! bit-for-bit, which the checkpoint's replay guarantees depend on.
+//! Decoders read counts, indices and checksums through
+//! [`Json::as_u64`], the one exact integer accessor. Parsing is linear
+//! in the input and bounded in depth ([`MAX_DEPTH`]).
 
 use std::fmt::Write as _;
 
@@ -58,6 +63,19 @@ impl Json {
     pub fn as_num(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as an exact non-negative integer: `Some` only for a
+    /// finite integral number in `0..=2^53`, the range where every
+    /// integer has exactly one `f64`. Callers narrow further with
+    /// `try_from`, so `1e300`, `2^64` or `-1` never wrap or saturate.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(n) if n.fract() == 0.0 && (0.0..=EXACT_INT_LIMIT).contains(n) => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -271,12 +289,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next delimiter in one go. Both
+                    // delimiters are ASCII, so the run ends on a character
+                    // boundary, and each byte is looked at once.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let run = std::str::from_utf8(&self.bytes[self.pos..end])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -407,6 +430,39 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn as_u64_accepts_only_exact_non_negative_integers() {
+        let two_53 = 9_007_199_254_740_992.0;
+        for (n, want) in [
+            (0.0, Some(0)),
+            (-0.0, Some(0)),
+            (42.0, Some(42)),
+            (two_53, Some(1u64 << 53)),
+            (two_53 * 2.0, None),
+            (1e300, None),
+            (18_446_744_073_709_551_616.0, None),
+            (-1.0, None),
+            (1.5, None),
+            (f64::NAN, None),
+            (f64::INFINITY, None),
+        ] {
+            assert_eq!(Json::Num(n).as_u64(), want, "{n}");
+        }
+        assert_eq!(Json::Str("7".into()).as_u64(), None);
+    }
+
+    #[test]
+    fn long_string_members_parse_in_linear_time() {
+        let body = "x".repeat(1 << 20);
+        // A plain run, an escape, a multi-byte character and the end.
+        let doc = format!("{{\"s\": \"{body}\\u00e9é\\n\"}}");
+        let started = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let took = started.elapsed();
+        assert_eq!(v.get("s").and_then(Json::as_str), Some(&*(body + "éé\n")));
+        assert!(took.as_secs_f64() < 1.0, "1 MiB string took {took:?}");
     }
 
     #[test]

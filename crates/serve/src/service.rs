@@ -577,10 +577,10 @@ fn journal_identity(config: &ServiceConfig, requests: &[MissionRequest]) -> Json
 fn decode_completion(v: &Json, requests: usize) -> Result<(usize, (String, u64)), String> {
     let mission = v
         .get("mission")
-        .and_then(Json::as_num)
-        .filter(|n| n.fract() == 0.0 && (0.0..requests as f64).contains(n))
-        .ok_or_else(|| format!("record needs an integral \"mission\" below {requests}"))?
-        as usize;
+        .and_then(Json::as_u64)
+        .and_then(|n| usize::try_from(n).ok())
+        .filter(|&n| n < requests)
+        .ok_or_else(|| format!("record needs an integral \"mission\" below {requests}"))?;
     let report_json = v
         .get("report")
         .ok_or("record lacks a \"report\"")?
