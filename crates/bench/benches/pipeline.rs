@@ -1,7 +1,7 @@
 //! End-to-end pipeline benchmarks: cross-camera re-identification fusion,
-//! per-kernel detection, and a full assessment →
-//! selection → operation round on the miniature dataset, run both serial
-//! and parallel.
+//! per-kernel detection, offline training (`Simulation::prepare`), and a
+//! full assessment → selection → operation round on the miniature
+//! dataset, run both serial and parallel.
 //!
 //! Unlike the other bench targets this one has a custom `main`: after the
 //! benches run it computes the serial-vs-parallel speedup of the full
@@ -229,6 +229,22 @@ fn round_sim(parallel: Parallelism) -> Simulation {
     Simulation::prepare(bank, miniature_config(4, 70, 10.0, parallel)).expect("prepare")
 }
 
+/// Offline training: `Simulation::prepare` on the miniature round's
+/// configuration (4 cameras × 8 training frames × 4 algorithms, then
+/// feed matching), which fans out over every host core whatever the
+/// `Parallelism`. Recorded for the trajectory only; `check_bench` gates
+/// no metric on it.
+fn prepare_bench(c: &mut Criterion) {
+    let bank = DetectorBank::train_quick(5).expect("bank");
+    let config = miniature_config(4, 70, 10.0, Parallelism::serial());
+    let mut group = c.benchmark_group("simulation");
+    group.sample_size(10);
+    group.bench_function("prepare_miniature", |b| {
+        b.iter(|| black_box(Simulation::prepare(bank.clone(), config.clone()).expect("prepare")))
+    });
+    group.finish();
+}
+
 /// The full round, serial (1 worker, no cache) vs parallel (auto workers,
 /// shared frame-feature cache). Both must produce the identical report —
 /// the parallel pipeline only changes wall-clock.
@@ -439,6 +455,7 @@ fn main() {
     reid_bench(&mut c);
     let cascade_reject_ratio = kernel_bench(&mut c);
     round_bench(&mut c);
+    prepare_bench(&mut c);
     churn_bench(&mut c);
     sweep_bench(&mut c);
     serve_bench(&mut c);

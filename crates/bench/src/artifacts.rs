@@ -149,34 +149,7 @@ impl Artifacts {
 mod tests {
     use super::*;
     use eecs_core::par::par_map_indexed;
-
-    fn assert_records_bit_identical(a: &TrainingRecord, b: &TrainingRecord) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.video.name(), b.video.name());
-        let (fa, fb) = (a.video.features().as_slice(), b.video.features().as_slice());
-        assert_eq!(fa.len(), fb.len());
-        assert!(
-            fa.iter().zip(fb).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "key-frame features differ"
-        );
-        let algos: Vec<_> = a.profiles.keys().copied().collect();
-        assert_eq!(algos, b.profiles.keys().copied().collect::<Vec<_>>());
-        for algo in algos {
-            let (pa, pb) = (a.profile(algo).unwrap(), b.profile(algo).unwrap());
-            for (x, y) in [
-                (pa.threshold, pb.threshold),
-                (pa.recall, pb.recall),
-                (pa.precision, pb.precision),
-                (pa.f_score, pb.f_score),
-                (pa.energy_per_frame_j, pb.energy_per_frame_j),
-                (pa.processing_time_s, pb.processing_time_s),
-                (pa.calibration.parts().0, pb.calibration.parts().0),
-                (pa.calibration.parts().1, pb.calibration.parts().1),
-            ] {
-                assert_eq!(x.to_bits(), y.to_bits(), "{algo:?} profile field differs");
-            }
-        }
-    }
+    use eecs_core::testkit::assert_records_bit_identical;
 
     #[test]
     fn memoized_record_matches_fresh() {

@@ -195,7 +195,7 @@ pub fn record_for(
 ) -> TrainingRecord {
     let frames = training_frames(profile, camera, scale);
     let name = format!("T_{}.{}", profile.id.number(), camera + 1);
-    train_record(&name, &frames, &frames, extractor, bank, config)
+    train_record(&name, &frames, extractor, bank, config)
         .expect("record training on simulator feeds")
 }
 

@@ -90,9 +90,15 @@ impl FeatureExtractor {
             .iter()
             .map(|f| self.extract_frame(f))
             .collect::<Result<_>>()?;
-        VideoItem::from_frames(name, &features)
-            .map_err(|e| EecsError::Subsystem(format!("video item: {e}")))
+        video_item(name, &features)
     }
+}
+
+/// Wraps per-frame feature vectors (from [`FeatureExtractor::extract_frame`])
+/// into a [`VideoItem`]; requires at least 2 frames.
+pub(crate) fn video_item(name: impl Into<String>, features: &[Vec<f64>]) -> Result<VideoItem> {
+    VideoItem::from_frames(name, features)
+        .map_err(|e| EecsError::Subsystem(format!("video item: {e}")))
 }
 
 #[cfg(test)]

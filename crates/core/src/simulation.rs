@@ -30,7 +30,7 @@ use crate::reconcile::{reconcile, SeatSnapshot};
 use crate::reid::ReidConfig;
 use crate::selection::{AssessmentData, SelectionOutcome};
 use crate::telemetry::{Telemetry, TraceEvent};
-use crate::training::train_record;
+use crate::training::train_records;
 use crate::{EecsError, Result};
 use eecs_detect::bank::DetectorBank;
 use eecs_detect::detection::{AlgorithmId, DetectionOutput};
@@ -68,9 +68,10 @@ const ROUND_ENERGY_BOUNDS: &[f64] = &[5.0, 10.0, 25.0, 50.0, 100.0, 250.0];
 /// effects always replay serially in the original order).
 ///
 /// They govern [`Simulation::run`] only. Offline training in
-/// [`Simulation::prepare`] (`training::detect_all`) always fans out over
-/// the host's full available parallelism, even under
-/// [`Parallelism::serial`]; its records are identical either way.
+/// [`Simulation::prepare`] — one pool task per (camera, training frame)
+/// in `training::train_records`, then one per camera for feed matching —
+/// always fans out over the host's full available parallelism, even
+/// under [`Parallelism::serial`]; its records are identical either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
     /// Worker threads for the per-round detection fan-out. `0` means
@@ -359,22 +360,28 @@ impl Simulation {
         let rig = eecs_scene::rig::camera_rig(&config.profile);
         let calibrations = rig_calibrations(&config.profile, &rig);
 
-        // Training segments (the first `train_frames` of each feed).
-        let train_end = config.profile.train_frames.min(config.start_frame);
-        let train_frames: Vec<Vec<FrameData>> = feeds
-            .iter()
-            .map(|f| {
-                let mut frames =
-                    f.annotated_frames(0, train_end.max(config.profile.gt_interval + 1));
-                frames.truncate(config.max_training_frames.max(2));
-                frames
-            })
-            .collect();
-        if train_frames.iter().any(|f| f.len() < 2) {
+        // Training segments: the annotated frames among the first
+        // `train_frames` of each feed, of which only the first `keep` are
+        // trained on — so only those are rendered. Any positive cadence
+        // annotates frames 0 and `gt_interval`, so a segment only comes
+        // out too short without one.
+        let interval = config.profile.gt_interval;
+        if interval == 0 {
             return Err(EecsError::InvalidArgument(
                 "training segment too short for this ground-truth cadence".into(),
             ));
         }
+        let keep = config.max_training_frames.max(2);
+        let train_end = config
+            .profile
+            .train_frames
+            .min(config.start_frame)
+            .max(interval + 1)
+            .min((keep - 1).saturating_mul(interval).saturating_add(1));
+        let train_frames: Vec<Vec<FrameData>> = feeds
+            .iter()
+            .map(|f| f.annotated_frames(0, train_end))
+            .collect();
 
         // The feature extractor's vocabulary comes from training frames of
         // all cameras (the paper: 400 words from the 12 training feeds).
@@ -384,36 +391,33 @@ impl Simulation {
             .collect();
         let extractor = FeatureExtractor::build(&vocab_frames, config.feature_words, 17)?;
 
-        let mut records = Vec::new();
-        for (j, frames) in train_frames.iter().enumerate() {
-            let name = format!("T_{}.{}", config.profile.id.number(), j + 1);
-            records.push(train_record(
-                &name,
-                frames,
-                frames,
-                &extractor,
-                &bank,
-                &config.eecs,
-            )?);
-        }
+        let names: Vec<String> = (1..=feeds.len())
+            .map(|j| format!("T_{}.{j}", config.profile.id.number()))
+            .collect();
+        let items: Vec<(&str, &[FrameData])> = names
+            .iter()
+            .zip(&train_frames)
+            .map(|(name, frames)| (name.as_str(), frames.as_slice()))
+            .collect();
+        let records = train_records(&items, &extractor, &bank, &config.eecs)?;
+        // The training frames are not needed while the samples render.
+        drop(train_frames);
         let controller = Controller::new(records, calibrations, config.eecs.clone())?;
 
-        // Match each camera's (test-segment) feed to the library.
-        let mut matched = Vec::new();
-        for (j, feed) in feeds.iter().enumerate() {
-            let sample = feed.annotated_frames(
-                config.start_frame,
-                (config.start_frame + 5 * config.profile.gt_interval + 1).min(config.end_frame),
-            );
+        // Match each camera's (test-segment) feed to the library, one
+        // camera per pool task.
+        let sample_end = (config.start_frame + 5 * interval + 1).min(config.end_frame);
+        let matched = crate::par::par_map_indexed(feeds.len(), 0, |j| {
+            let sample = feeds[j].annotated_frames(config.start_frame, sample_end);
             let images: Vec<_> = sample.into_iter().map(|f| f.image).collect();
-            if images.len() >= 2 {
-                let item = extractor.extract_video(format!("V_cam{j}"), &images)?;
-                let (m, _) = controller.match_feed(&item)?;
-                matched.push(m.best_index);
-            } else {
-                matched.push(j);
+            if images.len() < 2 {
+                return Ok(j);
             }
-        }
+            let item = extractor.extract_video(format!("V_cam{j}"), &images)?;
+            Ok(controller.match_feed(&item)?.0.best_index)
+        })
+        .into_iter()
+        .collect::<Result<Vec<usize>>>()?;
 
         let budgets = vec![
             EnergyBudget::per_frame(config.budget_j_per_frame)

@@ -14,7 +14,11 @@
 //! [`SimulationReport`] plus the run's trace events, so it cannot
 //! perturb the run it audits — an audited run stays bit-identical to an
 //! unaudited one.
+//!
+//! [`assert_records_bit_identical`] is the one bit-for-bit comparison of
+//! offline-training records that tests of training paths share.
 
+use crate::profile::TrainingRecord;
 use crate::simulation::{Simulation, SimulationReport};
 use crate::telemetry::{Telemetry, TraceEvent};
 
@@ -169,6 +173,68 @@ pub fn verify_replay(sim: &Simulation, telemetry: &Telemetry) -> Result<Simulati
         return Err("replay diverged: the metrics registries differ".into());
     }
     Ok(first)
+}
+
+/// Asserts that two training records are identical to the bit: name,
+/// video item name, key-frame features, and every profile field compared
+/// with `f64::to_bits`.
+///
+/// # Panics
+///
+/// Panics at the first difference, naming the record and the field.
+pub fn assert_records_bit_identical(a: &TrainingRecord, b: &TrainingRecord) {
+    assert_eq!(a.name, b.name);
+    assert_eq!(a.video.name(), b.video.name(), "{}: video name", a.name);
+    let (fa, fb) = (a.video.features().as_slice(), b.video.features().as_slice());
+    assert_eq!(fa.len(), fb.len(), "{}: key-frame feature count", a.name);
+    assert!(
+        fa.iter().zip(fb).all(|(x, y)| x.to_bits() == y.to_bits()),
+        "{}: key-frame features differ",
+        a.name
+    );
+    let algos: Vec<_> = a.profiles.keys().copied().collect();
+    assert_eq!(
+        algos,
+        b.profiles.keys().copied().collect::<Vec<_>>(),
+        "{}: profiled algorithms",
+        a.name
+    );
+    for algo in algos {
+        let (pa, pb) = (&a.profiles[&algo], &b.profiles[&algo]);
+        for (field, x, y) in [
+            ("threshold", pa.threshold, pb.threshold),
+            ("recall", pa.recall, pb.recall),
+            ("precision", pa.precision, pb.precision),
+            ("f_score", pa.f_score, pb.f_score),
+            (
+                "energy_per_frame_j",
+                pa.energy_per_frame_j,
+                pb.energy_per_frame_j,
+            ),
+            (
+                "processing_time_s",
+                pa.processing_time_s,
+                pb.processing_time_s,
+            ),
+            (
+                "calibration slope",
+                pa.calibration.parts().0,
+                pb.calibration.parts().0,
+            ),
+            (
+                "calibration offset",
+                pa.calibration.parts().1,
+                pb.calibration.parts().1,
+            ),
+        ] {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{}: {algo:?} {field} differs",
+                a.name
+            );
+        }
+    }
 }
 
 /// Relative tolerance for energy sums re-added in a different grouping.

@@ -10,7 +10,8 @@
 //! calibration.
 
 use crate::config::EecsConfig;
-use crate::features::FeatureExtractor;
+use crate::features::{video_item, FeatureExtractor};
+use crate::par::par_map_indexed;
 use crate::profile::{AlgorithmProfile, TrainingRecord};
 use crate::Result;
 use eecs_detect::bank::DetectorBank;
@@ -26,51 +27,101 @@ use eecs_scene::sequence::FrameData;
 /// preserving frame order. Deterministic: each output depends only on its
 /// own frame.
 pub fn detect_all(detector: &dyn Detector, frames: &[FrameData]) -> Vec<DetectionOutput> {
-    crate::par::par_map_indexed(frames.len(), 0, |i| detector.detect(&frames[i].image))
+    par_map_indexed(frames.len(), 0, |i| detector.detect(&frames[i].image))
 }
 
-/// Trains one record from a training segment's annotated frames.
-///
-/// `frames` should be the ground-truth-annotated frames of the item's
-/// training segment (the paper trains thresholds on frames 0–1000 of each
-/// feed). `key_frames` (a subset of the same segment, or the same frames)
-/// feed the manifold video item.
+/// Trains one record from a training segment's annotated frames: the
+/// one-item case of [`train_records`].
 ///
 /// # Errors
 ///
-/// Propagates feature-extraction failures; individual algorithm profiles
-/// degrade gracefully (calibration falls back to a sigmoid anchored at the
-/// threshold when Platt fitting is degenerate).
+/// As [`train_records`].
 pub fn train_record(
     name: &str,
     frames: &[FrameData],
-    key_frames: &[FrameData],
     extractor: &FeatureExtractor,
     bank: &DetectorBank,
     config: &EecsConfig,
 ) -> Result<TrainingRecord> {
-    let key_images: Vec<_> = key_frames.iter().map(|f| f.image.clone()).collect();
-    let video = extractor.extract_video(name, &key_images)?;
-
-    let mut profiles = Vec::new();
-    for (algorithm, detector) in bank.all() {
-        profiles.push(profile_algorithm(algorithm, detector, frames, config));
-    }
-    TrainingRecord::new(name, video, profiles)
+    let mut records = train_records(&[(name, frames)], extractor, bank, config)?;
+    Ok(records.pop().expect("one record per item"))
 }
 
-/// Measures one algorithm on a set of annotated frames.
+/// Trains one record per `(name, frames)` item — the H × N grid.
 ///
-/// Frames are processed on scoped worker threads (each camera in the real
-/// testbed computes independently; here the independence buys wall-clock
-/// speed for the H × N offline-training sweep).
+/// `frames` should be the ground-truth-annotated frames of the item's
+/// training segment (the paper trains thresholds on frames 0–1000 of each
+/// feed); they also feed the item's manifold video item. Every (item,
+/// frame) pair is one task on a scoped pool over the host's full
+/// parallelism: it runs the bank's detectors and extracts the frame's
+/// video features. Each record is then aggregated in item order exactly
+/// as a serial loop would, so the records do not depend on the host.
+///
+/// # Errors
+///
+/// Propagates feature-extraction failures (the first in item, then frame
+/// order) and items with fewer than 2 frames; individual algorithm
+/// profiles degrade gracefully (calibration falls back to a sigmoid
+/// anchored at the threshold when Platt fitting is degenerate).
+pub fn train_records(
+    items: &[(&str, &[FrameData])],
+    extractor: &FeatureExtractor,
+    bank: &DetectorBank,
+    config: &EecsConfig,
+) -> Result<Vec<TrainingRecord>> {
+    let tasks: Vec<&FrameData> = items.iter().flat_map(|(_, frames)| *frames).collect();
+    let detectors = bank.all();
+    let mut results = par_map_indexed(tasks.len(), 0, |t| {
+        let image = &tasks[t].image;
+        let outputs: Vec<DetectionOutput> =
+            detectors.iter().map(|(_, d)| d.detect(image)).collect();
+        (outputs, extractor.extract_frame(image))
+    })
+    .into_iter();
+    let mut records = Vec::with_capacity(items.len());
+    for &(name, frames) in items {
+        let mut per_algorithm: Vec<Vec<DetectionOutput>> = detectors
+            .iter()
+            .map(|_| Vec::with_capacity(frames.len()))
+            .collect();
+        let mut features = Vec::with_capacity(frames.len());
+        for (outputs, frame_features) in results.by_ref().take(frames.len()) {
+            for (column, output) in per_algorithm.iter_mut().zip(outputs) {
+                column.push(output);
+            }
+            features.push(frame_features?);
+        }
+        let video = video_item(name, &features)?;
+        let profiles = detectors
+            .iter()
+            .zip(per_algorithm)
+            .map(|(&(algorithm, _), outputs)| profile_outputs(algorithm, frames, outputs, config))
+            .collect();
+        records.push(TrainingRecord::new(name, video, profiles)?);
+    }
+    Ok(records)
+}
+
+/// Measures one algorithm on a set of annotated frames, detecting on
+/// scoped worker threads (each camera in the real testbed computes
+/// independently; here the independence buys wall-clock speed).
 pub fn profile_algorithm(
     algorithm: AlgorithmId,
     detector: &dyn Detector,
     frames: &[FrameData],
     config: &EecsConfig,
 ) -> AlgorithmProfile {
-    let outputs = detect_all(detector, frames);
+    profile_outputs(algorithm, frames, detect_all(detector, frames), config)
+}
+
+/// Profiles one algorithm from its per-frame `outputs` on `frames`:
+/// threshold sweep, energy and score calibration.
+fn profile_outputs(
+    algorithm: AlgorithmId,
+    frames: &[FrameData],
+    outputs: Vec<DetectionOutput>,
+    config: &EecsConfig,
+) -> AlgorithmProfile {
     let mut per_frame: Vec<(Vec<Detection>, Vec<eecs_scene::ground_truth::GtBox>)> = Vec::new();
     let mut total_ops = 0u64;
     let mut frame_px = (0usize, 0usize);
@@ -133,15 +184,8 @@ mod tests {
     #[test]
     fn record_contains_all_four_algorithms() {
         let (frames, extractor, bank) = setup();
-        let record = train_record(
-            "T_1.1",
-            &frames,
-            &frames,
-            &extractor,
-            &bank,
-            &EecsConfig::default(),
-        )
-        .unwrap();
+        let record =
+            train_record("T_1.1", &frames, &extractor, &bank, &EecsConfig::default()).unwrap();
         assert_eq!(record.profiles.len(), 4);
         assert_eq!(record.name, "T_1.1");
         assert_eq!(record.video.num_frames(), frames.len());
@@ -156,15 +200,7 @@ mod tests {
     #[test]
     fn acf_is_cheapest_lsvm_not_cheapest() {
         let (frames, extractor, bank) = setup();
-        let record = train_record(
-            "T",
-            &frames,
-            &frames,
-            &extractor,
-            &bank,
-            &EecsConfig::default(),
-        )
-        .unwrap();
+        let record = train_record("T", &frames, &extractor, &bank, &EecsConfig::default()).unwrap();
         let energy = |a| record.profile(a).unwrap().energy_per_frame_j;
         assert!(energy(AlgorithmId::Acf) < energy(AlgorithmId::Hog));
         assert!(energy(AlgorithmId::Acf) < energy(AlgorithmId::Lsvm));
@@ -183,15 +219,7 @@ mod tests {
     #[test]
     fn probabilities_monotone_in_score() {
         let (frames, extractor, bank) = setup();
-        let record = train_record(
-            "T",
-            &frames,
-            &frames,
-            &extractor,
-            &bank,
-            &EecsConfig::default(),
-        )
-        .unwrap();
+        let record = train_record("T", &frames, &extractor, &bank, &EecsConfig::default()).unwrap();
         for alg in AlgorithmId::ALL {
             let cal = &record.profile(alg).unwrap().calibration;
             assert!(cal.probability(5.0) >= cal.probability(-5.0), "{alg}");

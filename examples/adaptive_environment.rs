@@ -47,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             train_record(
                 &format!("T_{} ({})", p.id.number(), p.id),
                 frames,
-                frames,
                 &extractor,
                 &bank,
                 &config,
