@@ -30,6 +30,7 @@ use eecs_scene::sequence::VideoFeed;
 use eecs_vision::gradient::GradientField;
 use eecs_vision::hog::{HogCellGrid, HogConfig};
 use eecs_vision::image::GrayImage;
+use eecs_vision::resize::resize_gray;
 
 fn reid_bench(c: &mut Criterion) {
     // 4 cameras × 8 people per frame.
@@ -191,6 +192,38 @@ fn kernel_bench(c: &mut Criterion) -> f64 {
     group.bench_function("hog_cells_reference", |b| {
         b.iter(|| black_box(hog_cells_two_pass(black_box(&gray), hog_cfg)))
     });
+    // Bilinear resize alone: the hoisted-tap kernel against the per-pixel
+    // definition, over the HOG detector's pyramid levels of the frame.
+    let levels: Vec<(usize, usize)> = bank
+        .hog()
+        .config()
+        .scales
+        .usable_scales(gray.width(), gray.height())
+        .into_iter()
+        .map(|scale| ScaleSchedule::level_dims(scale, gray.width(), gray.height()))
+        .collect();
+    let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for &(w, h) in &levels {
+        assert_eq!(
+            bits(resize_gray(&gray, w, h).expect("resize").as_slice()),
+            bits(&resize_per_pixel(&gray, w, h)),
+            "resize to {w}x{h} diverged from the per-pixel definition"
+        );
+    }
+    group.bench_function("resize_gray", |b| {
+        b.iter(|| {
+            for &(w, h) in &levels {
+                black_box(resize_gray(black_box(&gray), w, h).expect("resize"));
+            }
+        })
+    });
+    group.bench_function("resize_gray_reference", |b| {
+        b.iter(|| {
+            for &(w, h) in &levels {
+                black_box(resize_per_pixel(black_box(&gray), w, h));
+            }
+        })
+    });
     group.finish();
 
     let (windows, rejected) = bank.c4().cascade_stats(&frame);
@@ -222,6 +255,30 @@ fn hog_cells_two_pass(img: &GrayImage, config: HogConfig) -> Vec<f32> {
         }
     }
     hist
+}
+
+/// Bilinear resize the per-pixel way: each output pixel computes its own
+/// sample position, `floor`, clamped taps and three lerps.
+fn resize_per_pixel(src: &GrayImage, new_w: usize, new_h: usize) -> Vec<f32> {
+    let sx = src.width() as f32 / new_w as f32;
+    let sy = src.height() as f32 / new_h as f32;
+    let mut out = Vec::with_capacity(new_w * new_h);
+    for y in 0..new_h {
+        for x in 0..new_w {
+            let fx = (x as f32 + 0.5) * sx - 0.5;
+            let fy = (y as f32 + 0.5) * sy - 0.5;
+            let (x0, y0) = (fx.floor() as isize, fy.floor() as isize);
+            let (tx, ty) = (fx - x0 as f32, fy - y0 as f32);
+            let p00 = src.get_clamped(x0, y0);
+            let p10 = src.get_clamped(x0 + 1, y0);
+            let p01 = src.get_clamped(x0, y0 + 1);
+            let p11 = src.get_clamped(x0 + 1, y0 + 1);
+            let top = p00 + tx * (p10 - p00);
+            let bot = p01 + tx * (p11 - p01);
+            out.push(top + ty * (bot - top));
+        }
+    }
+    out
 }
 
 fn round_sim(parallel: Parallelism) -> Simulation {
@@ -518,6 +575,13 @@ fn main() {
     let cells_ratio = cells_ref as f64 / cells_opt as f64;
     println!("kernel speedup hog_cells (two-pass/fused): {cells_ratio:.2}x");
     metrics.push(("kernel_speedup_hog_cells".into(), cells_ratio));
+    let resize_opt = c.mean_ns("kernels/resize_gray").expect("resize ran").max(1);
+    let resize_ref = c
+        .mean_ns("kernels/resize_gray_reference")
+        .expect("resize reference ran");
+    let resize_ratio = resize_ref as f64 / resize_opt as f64;
+    println!("kernel speedup resize_gray (per-pixel/hoisted): {resize_ratio:.2}x");
+    metrics.push(("kernel_speedup_resize_gray".into(), resize_ratio));
     metrics.push(("c4_cascade_reject_ratio".into(), cascade_reject_ratio));
     metrics.push(("host_parallelism".into(), host as f64));
     // The controller-side cost of one departure + rejoin (quarantine

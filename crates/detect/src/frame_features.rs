@@ -418,7 +418,11 @@ mod tests {
         let grid = cache.hog_grid(64, 48, cfg).unwrap();
         assert_eq!(blocks.blocks_x(), grid.cells_x() - 1);
         let direct = HogBlockGrid::compute(&grid);
-        assert_eq!(blocks.block(2, 3), direct.block(2, 3));
+        let weights: Vec<f64> = (0..blocks.block_len()).map(|i| i as f64 - 17.5).collect();
+        assert_eq!(
+            blocks.window_score(2, 3, 2, 2, &weights),
+            direct.window_score(2, 3, 2, 2, &weights)
+        );
         assert!(Arc::ptr_eq(
             &blocks,
             &cache.hog_blocks(64, 48, cfg).unwrap()

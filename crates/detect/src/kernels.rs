@@ -10,11 +10,12 @@
 //!    [`CensusCodePlane`] materializes the cast once per level.
 //! 2. **Per-window allocations** — HOG descriptors, census histograms and
 //!    NMS buffers were freshly `Vec`-allocated in the innermost loops.
-//!    The HOG-family scans now score straight from the block grid and NMS
-//!    works in place, so only two buffers remain: a window row's scores
-//!    and the ACF lookup offsets. [`DetectScratch`] owns them; detectors
-//!    check one out of the [`FrameFeatures`](crate::FrameFeatures) pool
-//!    per `detect` call and reuse it across every row and scale.
+//!    The HOG-family scans now score straight from the block grid (stored
+//!    lane-major, so one pass adds a group of terms to a whole window row)
+//!    and NMS works in place, so only two buffers remain: a window row's
+//!    scores and the ACF lookup offsets. [`DetectScratch`] owns them;
+//!    detectors check one out of the [`FrameFeatures`](crate::FrameFeatures)
+//!    pool per `detect` call and reuse it across every row and scale.
 //!
 //! Everything here is **output-preserving by construction**: the same
 //! integer codes, the same `f64` values in the same order, so scores,
@@ -102,8 +103,9 @@ impl CensusCodePlane {
 /// before reading it.
 #[derive(Debug, Default)]
 pub struct DetectScratch {
-    /// One window row's HOG/LSVM root scores
-    /// (`HogBlockGrid::score_row_into`).
+    /// One window row's HOG/LSVM root scores: `HogBlockGrid::score_row_into`
+    /// sizes it to the row's window count and adds each group of
+    /// descriptor terms to every entry in place.
     pub row_scores: Vec<f64>,
     /// Per-level flattened lookup offsets (ACF stump positions).
     pub offsets: Vec<usize>,

@@ -225,15 +225,27 @@ impl HogCellGrid {
 /// `LinearSvm::score` on the assembled descriptor**, so scores are
 /// bit-identical to the assemble-then-dot path while skipping both the
 /// per-window allocation and the redundant normalizations.
+///
+/// Blocks are stored lane-major: element `e` of every block in block row
+/// `by` forms one contiguous plane of `blocks_x` values, so the windows of
+/// one row read each descriptor term from consecutive addresses.
 #[derive(Debug, Clone)]
 pub struct HogBlockGrid {
     blocks_x: usize,
     blocks_y: usize,
     block_len: usize,
     config: HogConfig,
-    /// `blocks_x * blocks_y * block_len` values, row-major by block.
+    /// `blocks_y * block_len` planes of `blocks_x` values: element `e` of
+    /// block `(bx, by)` is `data[(by * block_len + e) * blocks_x + bx]`.
     data: Vec<f64>,
 }
+
+/// Descriptor terms one [`fused_pass`] adds to every window of a row: one
+/// cell's bins under the default layout, so a 36-value block takes four
+/// passes. Nine weights and nine plane pointers still fit the x86-64
+/// register files; of groups of 4, 6, 9, 12 and 18 terms timed on a Chap
+/// root scan, nine was the fastest.
+const TERMS_PER_PASS: usize = 9;
 
 impl HogBlockGrid {
     /// Precomputes every block of `grid`. A grid smaller than one block
@@ -245,23 +257,29 @@ impl HogBlockGrid {
         let blocks_x = (grid.cells_x + 1).saturating_sub(b);
         let blocks_y = (grid.cells_y + 1).saturating_sub(b);
         let block_len = b * b * bins;
-        let mut data = Vec::with_capacity(blocks_x * blocks_y * block_len);
+        let plane_row = block_len * blocks_x;
+        let mut data = vec![0.0f64; blocks_y * plane_row];
+        let mut block = Vec::with_capacity(block_len);
         for by in 0..blocks_y {
+            let planes = &mut data[by * plane_row..][..plane_row];
             for bx in 0..blocks_x {
-                let start = data.len();
+                block.clear();
                 for cy in 0..b {
                     for cx in 0..b {
                         let cell = grid.cell(bx + cx, by + cy);
-                        data.extend(cell.iter().map(|&v| v as f64));
+                        block.extend(cell.iter().map(|&v| v as f64));
                     }
                 }
                 // Identical L2 normalization to `window_descriptor`: the
                 // norm is over this block's values only.
-                let norm: f64 = data[start..].iter().map(|v| v * v).sum::<f64>().sqrt();
+                let norm: f64 = block.iter().map(|v| v * v).sum::<f64>().sqrt();
                 if norm > 1e-12 {
-                    for v in &mut data[start..] {
+                    for v in &mut block {
                         *v /= norm;
                     }
+                }
+                for (plane, &v) in planes.chunks_exact_mut(blocks_x).zip(&block) {
+                    plane[bx] = v;
                 }
             }
         }
@@ -294,21 +312,6 @@ impl HogBlockGrid {
         self.config
     }
 
-    /// The normalized vector of the block whose top-left cell is
-    /// `(bx, by)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block coordinates are out of range.
-    pub fn block(&self, bx: usize, by: usize) -> &[f64] {
-        assert!(
-            bx < self.blocks_x && by < self.blocks_y,
-            "block out of range"
-        );
-        let start = (by * self.blocks_x + bx) * self.block_len;
-        &self.data[start..start + self.block_len]
-    }
-
     /// Descriptor length of a `cells_w × cells_h` window, or `None` when
     /// `window_descriptor` would reject the window geometry (smaller than
     /// one block).
@@ -318,6 +321,12 @@ impl HogBlockGrid {
             return None;
         }
         Some((cells_w - b + 1) * (cells_h - b + 1) * self.block_len)
+    }
+
+    /// The `block_len` planes of block row `by`, each `blocks_x` long.
+    fn planes(&self, by: usize) -> &[f64] {
+        let len = self.block_len * self.blocks_x;
+        &self.data[by * len..][..len]
     }
 
     /// `weights · descriptor` of the window whose top-left cell is
@@ -360,8 +369,9 @@ impl HogBlockGrid {
         let mut acc = 0.0f64;
         let mut w = weights.iter();
         for by in 0..wy {
-            for bx in 0..wx {
-                for &v in self.block(cx0 + bx, cy0 + by) {
+            let planes = self.planes(cy0 + by);
+            for bx in cx0..cx0 + wx {
+                for &v in planes[bx..].iter().step_by(self.blocks_x) {
                     // Same fold as `dot`: ((0 + w0·x0) + w1·x1) + …
                     acc += *w.next().expect("length checked above") * v;
                 }
@@ -376,11 +386,12 @@ impl HogBlockGrid {
     /// window fits (too small for a block, past the grid, or narrower
     /// than one window) leaves `out` empty.
     ///
-    /// Windows are scored four at a time with four independent
-    /// accumulators. Each lane folds its window in `window_score`'s exact
-    /// element order and no sum is ever re-associated, so every score is
-    /// bit-identical; the four dependency chains only let the adds
-    /// overlap.
+    /// The row is scored term-major: each pass adds the next few
+    /// descriptor terms to every window of the row, reading each term's
+    /// plane at `k * stride`. Window `k` still folds
+    /// `((0 + w0·x0) + w1·x1) + …` in `window_score`'s exact term order
+    /// and no sum is re-associated, so every score is bit-identical; only
+    /// independent windows share a vector register.
     ///
     /// # Panics
     ///
@@ -405,50 +416,58 @@ impl HogBlockGrid {
         if wx > self.blocks_x || cy0 + wy > self.blocks_y {
             return;
         }
-        let row_len = wx * self.block_len;
+        let len = self.block_len;
         assert!(
-            weights.len() >= wy * row_len,
+            weights.len() >= wy * wx * len,
             "weight vector shorter than the window descriptor"
         );
-        // A window's blocks in one block row are adjacent in `data`, and
-        // so are their weights: each lane walks `wy` contiguous runs.
-        let start = |cx0: usize| (cy0 * self.blocks_x + cx0) * self.block_len;
-        let windows = (self.blocks_x - wx) / stride + 1;
-        let mut cx0 = 0;
-        for _ in 0..windows / 4 {
-            let lanes = [cx0, cx0 + stride, cx0 + 2 * stride, cx0 + 3 * stride].map(start);
-            out.extend(self.score_lanes(lanes, wy, row_len, weights));
-            cx0 += 4 * stride;
-        }
-        for _ in 0..windows % 4 {
-            out.extend(self.score_lanes([start(cx0)], wy, row_len, weights));
-            cx0 += stride;
-        }
-    }
-
-    /// `N` window scores, lane `j` starting at `data[starts[j]]`; each
-    /// lane accumulates `((0 + w0·x0) + w1·x1) + …` as `window_score`
-    /// does.
-    #[inline(always)]
-    fn score_lanes<const N: usize>(
-        &self,
-        starts: [usize; N],
-        wy: usize,
-        row_len: usize,
-        weights: &[f64],
-    ) -> [f64; N] {
-        let mut acc = [0.0f64; N];
-        let row_stride = self.blocks_x * self.block_len;
-        for (by, w) in weights.chunks_exact(row_len).take(wy).enumerate() {
-            let x = starts.map(|s| &self.data[s + by * row_stride..][..row_len]);
-            for i in 0..row_len {
-                let w = w[i];
-                for j in 0..N {
-                    acc[j] += w * x[j][i];
+        out.resize((self.blocks_x - wx) / stride + 1, 0.0);
+        // Term (by, bx, e) of window k reads plane (cy0 + by, e) at column
+        // bx + k * stride; the terms run in descriptor order.
+        let mut blocks = weights.chunks_exact(len);
+        for by in 0..wy {
+            let planes = self.planes(cy0 + by);
+            for bx in 0..wx {
+                let w = blocks.next().expect("length checked above");
+                let plane = |e: usize| &planes[e * self.blocks_x + bx..];
+                let mut e = 0;
+                while e + TERMS_PER_PASS <= len {
+                    let x = std::array::from_fn(|i| plane(e + i));
+                    fused_pass::<TERMS_PER_PASS>(out, &w[e..], x, stride);
+                    e += TERMS_PER_PASS;
+                }
+                for e in e..len {
+                    fused_pass::<1>(out, &w[e..], [plane(e)], stride);
                 }
             }
         }
-        acc
+    }
+}
+
+/// Adds `K` consecutive descriptor terms to every window of a row:
+/// `out[k] = ((out[k] + w[0]·x[0][k·stride]) + w[1]·x[1][k·stride]) + …`.
+/// Each `out[k]` keeps its own left-to-right fold; at stride 1 the loop
+/// over `k` carries no dependency, so it vectorizes across windows.
+#[inline(always)]
+fn fused_pass<const K: usize>(out: &mut [f64], w: &[f64], x: [&[f64]; K], stride: usize) {
+    let w: [f64; K] = std::array::from_fn(|i| w[i]);
+    if stride == 1 {
+        let x = x.map(|plane| &plane[..out.len()]);
+        for (k, o) in out.iter_mut().enumerate() {
+            let mut acc = *o;
+            for (w, x) in w.iter().zip(&x) {
+                acc += w * x[k];
+            }
+            *o = acc;
+        }
+    } else {
+        for (k, o) in out.iter_mut().enumerate() {
+            let mut acc = *o;
+            for (w, x) in w.iter().zip(&x) {
+                acc += w * x[k * stride];
+            }
+            *o = acc;
+        }
     }
 }
 
@@ -700,13 +719,18 @@ mod tests {
         let blocks = HogBlockGrid::compute(&grid);
         assert_eq!(blocks.blocks_x(), grid.cells_x() - 1);
         assert_eq!(blocks.blocks_y(), grid.cells_y() - 1);
+        // A one-hot filter reads one stored value exactly: every other
+        // term is `+0.0` (the values are finite and non-negative).
+        let mut unit = vec![0.0; blocks.block_len()];
         for by in 0..blocks.blocks_y() {
             for bx in 0..blocks.blocks_x() {
                 let d = grid.window_descriptor(bx, by, 2, 2).unwrap();
-                let b = blocks.block(bx, by);
-                assert_eq!(d.len(), b.len());
-                for (x, y) in d.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits());
+                assert_eq!(d.len(), blocks.block_len());
+                for (e, want) in d.iter().enumerate() {
+                    unit[e] = 1.0;
+                    let got = blocks.window_score(bx, by, 2, 2, &unit).unwrap();
+                    unit[e] = 0.0;
+                    assert_eq!(got.to_bits(), want.to_bits(), "block ({bx},{by}) [{e}]");
                 }
             }
         }
@@ -743,20 +767,27 @@ mod tests {
 
     #[test]
     fn row_scores_bit_identical_to_window_score() {
-        // Grids 5–13 blocks wide: with the window widths below, row
-        // lengths run through every remainder mod four, down to rows
-        // that hold no window at all.
-        for width in [24, 36, 44, 56] {
+        // Every bins × block_cells layout (block lengths 1–117) with
+        // windows from the 2×2-cell LSVM part to 14 cells wide: every
+        // remainder of the term-fused pass's group shows up, at strides
+        // 1–3 and on grids 6 and 11 cells wide, down to rows that hold no
+        // window at all.
+        let layouts = [24, 44].into_iter().flat_map(|width| {
+            [1, 4, 7, 9, 13]
+                .into_iter()
+                .flat_map(move |bins| (1..=3).map(move |b| (width, bins, b)))
+        });
+        for (width, bins, b) in layouts {
             let img = GrayImage::from_fn(width, 56, |x, y| ((x * 7 + y * y) % 19) as f32 / 19.0);
             let cfg = HogConfig {
                 cell_size: 4,
-                block_cells: 2,
-                bins: 9,
+                block_cells: b,
+                bins,
             };
             let grid = HogCellGrid::compute(&img, cfg).unwrap();
             let blocks = HogBlockGrid::compute(&grid);
             let mut row = vec![f64::NAN; 3];
-            for (cw, ch) in [(2, 2), (3, 5), (4, 12), (6, 3), (14, 2), (1, 1)] {
+            for (cw, ch) in [(2, 2), (3, 3), (3, 5), (4, 12), (6, 3), (14, 2), (1, 1)] {
                 let weights: Vec<f64> = (0..blocks.window_len(cw, ch).unwrap_or(0))
                     .map(|i| ((i * 53 % 97) as f64 - 48.0) / 7.0)
                     .collect();
@@ -766,13 +797,11 @@ mod tests {
                         let want: Vec<f64> = (0..)
                             .map_while(|k| blocks.window_score(k * stride, cy0, cw, ch, &weights))
                             .collect();
-                        assert_eq!(
-                            row.len(),
-                            want.len(),
-                            "{width}px {cw}x{ch} s{stride} row {cy0}"
-                        );
+                        let at =
+                            format!("{width}px b{b} {bins} bins {cw}x{ch} s{stride} row {cy0}");
+                        assert_eq!(row.len(), want.len(), "{at}");
                         for (got, want) in row.iter().zip(&want) {
-                            assert_eq!(got.to_bits(), want.to_bits());
+                            assert_eq!(got.to_bits(), want.to_bits(), "{at}");
                         }
                     }
                 }

@@ -27,19 +27,51 @@ pub fn resize_gray(src: &GrayImage, new_w: usize, new_h: usize) -> Result<GrayIm
     }
     let sx = src.width() as f32 / new_w as f32;
     let sy = src.height() as f32 / new_h as f32;
-    // Sample positions depend on one axis each; computing them once per
-    // row/column instead of per pixel keeps the inner loop to the four
-    // taps. Same arithmetic as the per-pixel form, so outputs are
-    // bit-identical.
-    let xs: Vec<f32> = (0..new_w).map(|x| (x as f32 + 0.5) * sx - 0.5).collect();
+    // Each tap depends on one axis only, so every column's and every
+    // row's are computed once, with the per-pixel form's `floor`, clamp
+    // and `f − floor` arithmetic: outputs are bit-identical to sampling
+    // each pixel on its own.
+    let (w, h) = (src.width(), src.height());
+    let cols: Vec<Tap> = (0..new_w).map(|x| Tap::new(x, sx, w)).collect();
+    let px = src.as_slice();
     let mut data = Vec::with_capacity(new_w * new_h);
     for y in 0..new_h {
-        let fy = (y as f32 + 0.5) * sy - 0.5;
-        for &fx in &xs {
-            data.push(bilinear(src, fx, fy));
-        }
+        let Tap { lo, hi, t: ty } = Tap::new(y, sy, h);
+        let (row0, row1) = (&px[lo * w..][..w], &px[hi * w..][..w]);
+        data.extend(cols.iter().map(|&Tap { lo, hi, t: tx }| {
+            let top = row0[lo] + tx * (row0[hi] - row0[lo]);
+            let bot = row1[lo] + tx * (row1[hi] - row1[lo]);
+            top + ty * (bot - top)
+        }));
     }
     Ok(GrayImage::from_vec(new_w, new_h, data))
+}
+
+/// The two source indices and the weight of one output coordinate under
+/// center-aligned bilinear sampling.
+#[derive(Clone, Copy)]
+struct Tap {
+    /// `floor(f)`, clamped to the source.
+    lo: usize,
+    /// `floor(f) + 1`, clamped to the source.
+    hi: usize,
+    /// `f − floor(f)`, the weight of `hi`.
+    t: f32,
+}
+
+impl Tap {
+    /// The tap of output coordinate `i` at source/target ratio `scale`
+    /// over a source `len` pixels long: `f = (i + 0.5)·scale − 0.5`.
+    fn new(i: usize, scale: f32, len: usize) -> Tap {
+        let f = (i as f32 + 0.5) * scale - 0.5;
+        let lo = f.floor() as isize;
+        let clamp = |v: isize| v.clamp(0, len as isize - 1) as usize;
+        Tap {
+            lo: clamp(lo),
+            hi: clamp(lo + 1),
+            t: f - lo as f32,
+        }
+    }
 }
 
 /// Resizes an RGB image channel-wise.
@@ -91,20 +123,6 @@ pub fn box_downsample(src: &GrayImage, shrink: usize) -> Result<GrayImage> {
         }
         sum * norm
     }))
-}
-
-fn bilinear(src: &GrayImage, fx: f32, fy: f32) -> f32 {
-    let x0 = fx.floor() as isize;
-    let y0 = fy.floor() as isize;
-    let tx = fx - x0 as f32;
-    let ty = fy - y0 as f32;
-    let p00 = src.get_clamped(x0, y0);
-    let p10 = src.get_clamped(x0 + 1, y0);
-    let p01 = src.get_clamped(x0, y0 + 1);
-    let p11 = src.get_clamped(x0 + 1, y0 + 1);
-    let top = p00 + tx * (p10 - p00);
-    let bot = p01 + tx * (p11 - p01);
-    top + ty * (bot - top)
 }
 
 #[cfg(test)]
