@@ -19,9 +19,10 @@ use eecs_core::metadata::{CameraReport, ObjectMetadata};
 use eecs_core::reid::{fuse_reports, ReidConfig};
 use eecs_core::simulation::{Parallelism, Simulation};
 use eecs_detect::bank::DetectorBank;
+use eecs_detect::c4_detector::census_transform;
 use eecs_detect::detection::BBox;
 use eecs_detect::pyramid::ScaleSchedule;
-use eecs_detect::{Detector, FrameFeatures};
+use eecs_detect::{CensusCodePlane, Detector, FrameFeatures};
 use eecs_geometry::calibration::{landmark_grid, GroundCalibration};
 use eecs_geometry::camera::Camera;
 use eecs_geometry::point::{Point2, Point3};
@@ -81,10 +82,11 @@ fn reid_bench(c: &mut Criterion) {
 }
 
 /// Per-kernel microbenches: the optimized detect path against the kept
-/// pre-optimization reference of each algorithm, plus precompute-only and
-/// cached-scan slices of the C4 pipeline. Before any timing, each pair is
-/// asserted bit-identical on the bench frame, so a speedup can never be
-/// reported for a path that drifted. Returns the C4 cascade reject ratio
+/// pre-optimization reference of each algorithm, precompute-only and
+/// cached-scan slices of the C4 pipeline, and the HOG cell, resize and
+/// census-code stage kernels against their definitions. Before any
+/// timing, each pair is asserted bit-identical on the bench frame, so a
+/// speedup can never be reported for a path that drifted. Returns the C4 cascade reject ratio
 /// (computed outside the timing loops).
 fn kernel_bench(c: &mut Criterion) -> f64 {
     let bank = DetectorBank::train_quick(5).expect("bank");
@@ -191,6 +193,44 @@ fn kernel_bench(c: &mut Criterion) -> f64 {
     });
     group.bench_function("hog_cells_reference", |b| {
         b.iter(|| black_box(hog_cells_two_pass(black_box(&gray), hog_cfg)))
+    });
+    // Census codes alone: the one-pass kernel against the cast of the
+    // `f32` transform, over the C4 detector's levels of the frame.
+    let (iw, ih) = (c4_cfg.internal_w, c4_cfg.internal_h);
+    let internal = resize_gray(&gray, iw, ih).expect("internal resize");
+    let census_levels: Vec<GrayImage> = c4_cfg
+        .scales
+        .usable_scales(iw, ih)
+        .into_iter()
+        .map(|scale| {
+            let (w, h) = ScaleSchedule::level_dims(scale, iw, ih);
+            resize_gray(&internal, w, h).expect("level resize")
+        })
+        .collect();
+    for level in &census_levels {
+        assert_eq!(
+            CensusCodePlane::compute(level),
+            CensusCodePlane::from_census(&census_transform(level)),
+            "census codes of a {}x{} level diverged from the f32 transform",
+            level.width(),
+            level.height()
+        );
+    }
+    group.bench_function("census_codes", |b| {
+        b.iter(|| {
+            for level in &census_levels {
+                black_box(CensusCodePlane::compute(black_box(level)));
+            }
+        })
+    });
+    group.bench_function("census_codes_reference", |b| {
+        b.iter(|| {
+            for level in &census_levels {
+                black_box(CensusCodePlane::from_census(&census_transform(black_box(
+                    level,
+                ))));
+            }
+        })
     });
     // Bilinear resize alone: the hoisted-tap kernel against the per-pixel
     // definition, over the HOG detector's pyramid levels of the frame.
@@ -565,23 +605,23 @@ fn main() {
         println!("kernel speedup {alg} (reference/optimized): {ratio:.2}x");
         metrics.push((format!("kernel_speedup_{alg}"), ratio));
     }
-    let cells_opt = c
-        .mean_ns("kernels/hog_cells")
-        .expect("hog cells ran")
-        .max(1);
-    let cells_ref = c
-        .mean_ns("kernels/hog_cells_reference")
-        .expect("hog cells reference ran");
-    let cells_ratio = cells_ref as f64 / cells_opt as f64;
-    println!("kernel speedup hog_cells (two-pass/fused): {cells_ratio:.2}x");
-    metrics.push(("kernel_speedup_hog_cells".into(), cells_ratio));
-    let resize_opt = c.mean_ns("kernels/resize_gray").expect("resize ran").max(1);
-    let resize_ref = c
-        .mean_ns("kernels/resize_gray_reference")
-        .expect("resize reference ran");
-    let resize_ratio = resize_ref as f64 / resize_opt as f64;
-    println!("kernel speedup resize_gray (per-pixel/hoisted): {resize_ratio:.2}x");
-    metrics.push(("kernel_speedup_resize_gray".into(), resize_ratio));
+    // Stage kernels: `kernels/<bench>` against `kernels/<bench>_reference`.
+    for (bench, kernel, sides) in [
+        ("hog_cells", "hog_cells", "two-pass/fused"),
+        ("resize_gray", "resize_gray", "per-pixel/hoisted"),
+        ("census_codes", "census", "f32 transform/one-pass"),
+    ] {
+        let opt = c
+            .mean_ns(&format!("kernels/{bench}"))
+            .expect("stage kernel ran")
+            .max(1);
+        let reference = c
+            .mean_ns(&format!("kernels/{bench}_reference"))
+            .expect("stage kernel reference ran");
+        let ratio = reference as f64 / opt as f64;
+        println!("kernel speedup {kernel} ({sides}): {ratio:.2}x");
+        metrics.push((format!("kernel_speedup_{kernel}"), ratio));
+    }
     metrics.push(("c4_cascade_reject_ratio".into(), cascade_reject_ratio));
     metrics.push(("host_parallelism".into(), host as f64));
     // The controller-side cost of one departure + rejoin (quarantine

@@ -36,6 +36,16 @@ const TILE_PIXELS: f64 = ((WINDOW_W / TILES_X) * (WINDOW_H / TILES_Y)) as f64;
 /// branch overhead.
 const CASCADE_WARMUP_ROWS: usize = 4;
 
+/// Window stride of the scan, in internal pixels, on both axes.
+pub const C4_STRIDE: usize = 2;
+/// Pixels per tile row (each tile is `TILE_W` codes wide).
+const TILE_W: usize = WINDOW_W / TILES_X;
+/// Adjacent windows of a row the scan scores together in one pass.
+const GROUP: usize = 4;
+/// Codes one window row of a group spans: the group's windows start
+/// `C4_STRIDE` apart, so every lookup sits at a compile-time offset.
+const GROUP_SPAN: usize = WINDOW_W + (GROUP - 1) * C4_STRIDE;
+
 /// C4 detector configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct C4DetectorConfig {
@@ -43,10 +53,9 @@ pub struct C4DetectorConfig {
     pub internal_w: usize,
     /// Fixed internal processing height.
     pub internal_h: usize,
-    /// Scales applied to the internal image.
+    /// Scales applied to the internal image (windows step
+    /// [`C4_STRIDE`] internal pixels on every level).
     pub scales: ScaleSchedule,
-    /// Window stride in internal pixels.
-    pub stride: usize,
     /// Candidates below this raw score are dropped before NMS.
     pub keep_floor: f64,
     /// NMS IoU threshold.
@@ -74,7 +83,6 @@ impl Default for C4DetectorConfig {
                 max_scale: 1.35,
                 ratio: 1.25,
             },
-            stride: 2,
             keep_floor: -0.3,
             nms_iou: 0.35,
             svm: SvmConfig {
@@ -185,9 +193,8 @@ impl C4Detector {
         let mut examples = Vec::new();
         for (imgs, label) in [(&windows.positives, 1.0), (&windows.negatives, -1.0)] {
             for img in imgs.iter() {
-                let gray = img.to_gray();
-                let census = census_transform(&gray);
-                let feat = window_census_histogram(&census, 0, 0, WINDOW_W, WINDOW_H);
+                let codes = CensusCodePlane::compute(&img.to_gray());
+                let feat = window_census_histogram(&codes, 0, 0, WINDOW_W, WINDOW_H);
                 examples.push(Example {
                     features: feat,
                     label,
@@ -209,11 +216,11 @@ impl C4Detector {
                 let clutter =
                     config.training.regime == NegativeRegime::WithClutter && rng.random_bool(0.33);
                 let img = crate::training::negative_window(&mut rng, clutter);
-                let census = census_transform(&img.to_gray());
+                let codes = CensusCodePlane::compute(&img.to_gray());
                 // Most candidates are confident negatives that get thrown
                 // away, so build the histogram in a reused buffer and only
                 // clone the margin violators into the training set.
-                window_census_histogram_into(&census, 0, 0, WINDOW_W, WINDOW_H, &mut feat_buf);
+                window_census_histogram_into(&codes, 0, 0, WINDOW_W, WINDOW_H, &mut feat_buf);
                 if svm.score(&feat_buf) > -0.5 {
                     examples.push(Example {
                         features: feat_buf.clone(),
@@ -311,7 +318,7 @@ impl C4Detector {
             // `code < CENSUS_BINS` range of `u8` elide the bounds check on
             // the 256-entry tile slice. Accumulation order is unchanged
             // (columns left to right).
-            for (tx, chunk) in row.chunks_exact(WINDOW_W / TILES_X).enumerate() {
+            for (tx, chunk) in row.chunks_exact(TILE_W).enumerate() {
                 let wtile = &wrow[tx * CENSUS_BINS..(tx + 1) * CENSUS_BINS];
                 for &code in chunk {
                     acc += wtile[code as usize];
@@ -325,6 +332,82 @@ impl C4Detector {
             }
         }
         Some(acc / TILE_PIXELS + self.svm.bias())
+    }
+
+    /// [`C4Detector::scan_window`] for the `GROUP` windows starting at
+    /// `x0, x0 + C4_STRIDE, …` of one row, scored together.
+    ///
+    /// Each window keeps its own accumulator and adds its weights in
+    /// exactly `scan_window`'s order; the windows only share the pass over
+    /// the rows, so their independent sums overlap in the pipeline instead
+    /// of waiting on one another. A window is rejected by the same bound
+    /// at the same row as `scan_window` would reject it, and the group
+    /// stops once every window is rejected. Element `k` equals
+    /// `scan_window(codes, x0 + k · C4_STRIDE, y0)`.
+    #[inline]
+    fn scan_group(&self, codes: &CensusCodePlane, x0: usize, y0: usize) -> [Option<f64>; GROUP] {
+        let w = self.svm.weights();
+        let t = &self.scan;
+        let mut acc = [0.0f64; GROUP];
+        let mut live = [true; GROUP];
+        for y in 0..WINDOW_H {
+            let base = t.row_off[y];
+            let wrow = &w[base..base + TILES_X * CENSUS_BINS];
+            let span: &[u8; GROUP_SPAN] = codes
+                .row(x0, y0 + y, GROUP_SPAN)
+                .try_into()
+                .expect("span is GROUP_SPAN long");
+            for (tx, wtile) in wrow.chunks_exact(CENSUS_BINS).enumerate() {
+                let wtile: &[f64; CENSUS_BINS] =
+                    wtile.try_into().expect("tile is CENSUS_BINS long");
+                for x in tx * TILE_W..(tx + 1) * TILE_W {
+                    for (k, a) in acc.iter_mut().enumerate() {
+                        *a += wtile[span[x + k * C4_STRIDE] as usize];
+                    }
+                }
+            }
+            let next = y + 1;
+            if (CASCADE_WARMUP_ROWS..WINDOW_H).contains(&next) {
+                for (l, &a) in live.iter_mut().zip(&acc) {
+                    if a + t.remaining[next] < t.acc_floor {
+                        *l = false;
+                    }
+                }
+                if live == [false; GROUP] {
+                    return [None; GROUP];
+                }
+            }
+        }
+        std::array::from_fn(|k| live[k].then(|| acc[k] / TILE_PIXELS + self.svm.bias()))
+    }
+
+    /// Walks every window of a code level at [`C4_STRIDE`], row-major and
+    /// left to right, calling `visit(x0, y0, scan_window(codes, x0, y0))`.
+    /// Each row is scored `GROUP` windows per pass; the fewer than `GROUP`
+    /// windows left at its end go through `scan_window` one by one.
+    fn scan_level(
+        &self,
+        codes: &CensusCodePlane,
+        mut visit: impl FnMut(usize, usize, Option<f64>),
+    ) {
+        let (sw, sh) = (codes.width(), codes.height());
+        if sw < WINDOW_W || sh < WINDOW_H {
+            return;
+        }
+        let per_row = (sw - WINDOW_W) / C4_STRIDE + 1;
+        let grouped = per_row - per_row % GROUP;
+        for y0 in (0..=sh - WINDOW_H).step_by(C4_STRIDE) {
+            for first in (0..grouped).step_by(GROUP) {
+                let x0 = first * C4_STRIDE;
+                for (k, score) in self.scan_group(codes, x0, y0).into_iter().enumerate() {
+                    visit(x0 + k * C4_STRIDE, y0, score);
+                }
+            }
+            for i in grouped..per_row {
+                let x0 = i * C4_STRIDE;
+                visit(x0, y0, self.scan_window(codes, x0, y0));
+            }
+        }
     }
 
     /// The pre-optimization detection loop, kept verbatim (fresh cache,
@@ -350,7 +433,6 @@ impl C4Detector {
                 continue;
             };
             ops += (sw * sh) as u64 * 9;
-            let stride = self.config.stride.max(1);
             let mut y0 = 0;
             while y0 + WINDOW_H <= sh {
                 let mut x0 = 0;
@@ -370,9 +452,9 @@ impl C4Detector {
                             score,
                         });
                     }
-                    x0 += stride;
+                    x0 += C4_STRIDE;
                 }
-                y0 += stride;
+                y0 += C4_STRIDE;
             }
         }
         DetectionOutput {
@@ -381,10 +463,11 @@ impl C4Detector {
         }
     }
 
-    /// Scans `frame` exactly like `detect` and reports
-    /// `(windows, rejected)`: windows visited and how many the cascade
-    /// bound abandoned early. Diagnostic only (the bench layer records the
-    /// reject ratio); detection output is unaffected by rejection.
+    /// Scans `frame` exactly like `detect` (the same level walk) and
+    /// reports `(windows, rejected)`: windows visited and how many the
+    /// cascade bound abandoned early. Diagnostic only (the bench layer
+    /// records the reject ratio); detection output is unaffected by
+    /// rejection.
     pub fn cascade_stats(&self, frame: &RgbImage) -> (u64, u64) {
         let cache = FrameFeatures::new(frame);
         let (iw, ih) = (self.config.internal_w, self.config.internal_h);
@@ -397,19 +480,10 @@ impl C4Detector {
             let Ok(codes) = cache.census_codes(iw, ih, sw, sh) else {
                 continue;
             };
-            let stride = self.config.stride.max(1);
-            let mut y0 = 0;
-            while y0 + WINDOW_H <= sh {
-                let mut x0 = 0;
-                while x0 + WINDOW_W <= sw {
-                    windows += 1;
-                    if self.scan_window(&codes, x0, y0).is_none() {
-                        rejected += 1;
-                    }
-                    x0 += stride;
-                }
-                y0 += stride;
-            }
+            self.scan_level(&codes, |_, _, score| {
+                windows += 1;
+                rejected += u64::from(score.is_none());
+            });
         }
         (windows, rejected)
     }
@@ -445,17 +519,17 @@ pub fn census_transform(img: &GrayImage) -> GrayImage {
     })
 }
 
-/// The tiled census histogram of a window: `TILES_X × TILES_Y` tiles, each
-/// a 256-bin code histogram, L1-normalized per tile.
+/// The tiled census histogram of a window of a code plane: `TILES_X ×
+/// TILES_Y` tiles, each a 256-bin code histogram, L1-normalized per tile.
 pub fn window_census_histogram(
-    census: &GrayImage,
+    codes: &CensusCodePlane,
     x0: usize,
     y0: usize,
     w: usize,
     h: usize,
 ) -> Vec<f64> {
     let mut hist = Vec::new();
-    window_census_histogram_into(census, x0, y0, w, h, &mut hist);
+    window_census_histogram_into(codes, x0, y0, w, h, &mut hist);
     hist
 }
 
@@ -463,7 +537,7 @@ pub fn window_census_histogram(
 /// cleared and refilled, keeping its capacity, so training/mining loops
 /// that score thousands of windows reuse one allocation.
 pub fn window_census_histogram_into(
-    census: &GrayImage,
+    codes: &CensusCodePlane,
     x0: usize,
     y0: usize,
     w: usize,
@@ -476,8 +550,7 @@ pub fn window_census_histogram_into(
         let ty = (y * TILES_Y / h).min(TILES_Y - 1);
         for x in 0..w {
             let tx = (x * TILES_X / w).min(TILES_X - 1);
-            let code = (census.get(x0 + x, y0 + y) as usize).min(CENSUS_BINS - 1);
-            hist[(ty * TILES_X + tx) * CENSUS_BINS + code] += 1.0;
+            hist[(ty * TILES_X + tx) * CENSUS_BINS + codes.code(x0 + x, y0 + y)] += 1.0;
         }
     }
     // Per-tile L1 normalization.
@@ -526,37 +599,29 @@ impl Detector for C4Detector {
                 continue;
             };
             ops += (sw * sh) as u64 * 9; // resize + 8-comparison census
-            let stride = self.config.stride.max(1);
-            let mut y0 = 0;
-            while y0 + WINDOW_H <= sh {
-                let mut x0 = 0;
-                while x0 + WINDOW_W <= sw {
-                    // Direct scoring: because the census histogram is a
-                    // (normalized) count vector, w·h(x) folds into one
-                    // weight lookup per window pixel. The modeled cost is
-                    // the full window regardless of early rejection — the
-                    // cascade is a host-simulation speedup, not a change to
-                    // the camera's energy model.
-                    ops += (WINDOW_W * WINDOW_H) as u64;
-                    if let Some(score) = self.scan_window(&codes, x0, y0) {
-                        if score >= self.config.keep_floor {
-                            let ox0 = x0 as f64 / scale * fx;
-                            let oy0 = y0 as f64 / scale * fy;
-                            candidates.push(Detection {
-                                bbox: BBox::new(
-                                    ox0,
-                                    oy0,
-                                    ox0 + WINDOW_W as f64 / scale * fx,
-                                    oy0 + WINDOW_H as f64 / scale * fy,
-                                ),
-                                score,
-                            });
-                        }
-                    }
-                    x0 += stride;
-                }
-                y0 += stride;
-            }
+            self.scan_level(&codes, |x0, y0, score| {
+                // Direct scoring: because the census histogram is a
+                // (normalized) count vector, w·h(x) folds into one weight
+                // lookup per window pixel. The modeled cost is the full
+                // window regardless of early rejection — the cascade is a
+                // host-simulation speedup, not a change to the camera's
+                // energy model.
+                ops += (WINDOW_W * WINDOW_H) as u64;
+                let Some(score) = score.filter(|&s| s >= self.config.keep_floor) else {
+                    return;
+                };
+                let ox0 = x0 as f64 / scale * fx;
+                let oy0 = y0 as f64 / scale * fy;
+                candidates.push(Detection {
+                    bbox: BBox::new(
+                        ox0,
+                        oy0,
+                        ox0 + WINDOW_W as f64 / scale * fx,
+                        oy0 + WINDOW_H as f64 / scale * fy,
+                    ),
+                    score,
+                });
+            });
         }
         nms_in_place(&mut candidates, self.config.nms_iou);
         DetectionOutput {
@@ -577,7 +642,6 @@ mod tests {
         C4DetectorConfig {
             internal_w: 160,
             internal_h: 120,
-            stride: 3,
             training: TrainingConfig {
                 positives: 80,
                 negatives: 120,
@@ -637,8 +701,8 @@ mod tests {
     #[test]
     fn histogram_tiles_normalized() {
         let img = GrayImage::from_fn(32, 64, |x, y| ((x + y) % 9) as f32 / 9.0);
-        let census = census_transform(&img);
-        let h = window_census_histogram(&census, 0, 0, 32, 64);
+        let codes = CensusCodePlane::compute(&img);
+        let h = window_census_histogram(&codes, 0, 0, 32, 64);
         assert_eq!(h.len(), TILES_X * TILES_Y * CENSUS_BINS);
         for tile in h.chunks(CENSUS_BINS) {
             let sum: f64 = tile.iter().sum();
@@ -686,10 +750,10 @@ mod tests {
     #[test]
     fn histogram_into_matches_owned() {
         let img = GrayImage::from_fn(24, 56, |x, y| ((x * 3 + y) % 11) as f32 / 11.0);
-        let census = census_transform(&img);
-        let want = window_census_histogram(&census, 4, 2, WINDOW_W, WINDOW_H);
+        let codes = CensusCodePlane::compute(&img);
+        let want = window_census_histogram(&codes, 4, 2, WINDOW_W, WINDOW_H);
         let mut buf = vec![9.0; 3]; // stale contents must be ignored
-        window_census_histogram_into(&census, 4, 2, WINDOW_W, WINDOW_H, &mut buf);
+        window_census_histogram_into(&codes, 4, 2, WINDOW_W, WINDOW_H, &mut buf);
         assert_eq!(want.len(), buf.len());
         for (a, b) in want.iter().zip(&buf) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -732,6 +796,39 @@ mod tests {
             }
         }
         assert!(accepted + rejected > 0);
+    }
+
+    /// Each lane of a group equals its window scored alone, accepted or
+    /// rejected, under floors that keep every window, some, or none.
+    #[test]
+    fn scan_group_lanes_equal_scan_window() {
+        let mut rng = StdRng::seed_from_u64(78);
+        use rand::RngExt;
+        let weights: Vec<f64> = (0..C4_FEATURE_DIM)
+            .map(|_| rng.random_range(-1.0..1.0))
+            .collect();
+        let img = GrayImage::from_fn(60, 70, |_, _| rng.random_range(0.0..1.0f32));
+        let codes = CensusCodePlane::compute(&img);
+        for keep_floor in [-50.0, 0.0, 0.3, 50.0] {
+            let config = C4DetectorConfig {
+                keep_floor,
+                ..quick_config()
+            };
+            let svm = LinearSvm::from_parts(weights.clone(), 0.05);
+            let det = C4Detector::from_svm(config, svm).unwrap();
+            for y0 in (0..=70 - WINDOW_H).step_by(5) {
+                for x0 in 0..=60 - GROUP_SPAN {
+                    for (k, got) in det.scan_group(&codes, x0, y0).into_iter().enumerate() {
+                        let want = det.scan_window(&codes, x0 + k * C4_STRIDE, y0);
+                        assert_eq!(
+                            got.map(f64::to_bits),
+                            want.map(f64::to_bits),
+                            "lane {k} of ({x0},{y0}) at floor {keep_floor}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -785,8 +882,8 @@ mod tests {
             let mut total = 0.0;
             for _ in 0..40 {
                 let img = crate::training::negative_window(rng, false);
-                let census = census_transform(&img.to_gray());
-                let feat = window_census_histogram(&census, 0, 0, WINDOW_W, WINDOW_H);
+                let codes = CensusCodePlane::compute(&img.to_gray());
+                let feat = window_census_histogram(&codes, 0, 0, WINDOW_W, WINDOW_H);
                 total += det.svm.score(&feat);
             }
             total / 40.0

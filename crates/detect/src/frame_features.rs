@@ -252,6 +252,8 @@ impl<'a> FrameFeatures<'a> {
     ///
     /// The internal resolution is part of the key because a second-order
     /// resize is **not** the same image as a direct resize to `w × h`.
+    /// Only the reference path reads this `f32` image; the scan reads
+    /// [`FrameFeatures::census_codes`].
     ///
     /// # Errors
     ///
@@ -281,9 +283,11 @@ impl<'a> FrameFeatures<'a> {
     }
 
     /// The `u8` code plane of the census level keyed exactly like
-    /// [`FrameFeatures::census_level`]: each code is
-    /// `(pixel as usize).min(255)`, the cast the reference scorer applies
-    /// per window pixel, materialized once per level.
+    /// [`FrameFeatures::census_level`], built in one pass straight from
+    /// the resized level by [`CensusCodePlane::compute`]: each code equals
+    /// `(pixel as usize).min(255)` of the census level, the cast the
+    /// reference scorer applies per window pixel, without building or
+    /// caching the `f32` census image.
     ///
     /// # Errors
     ///
@@ -300,8 +304,8 @@ impl<'a> FrameFeatures<'a> {
         if let Some(hit) = self.census_codes.lock().unwrap().get(&key) {
             return Ok(hit.clone());
         }
-        let census = self.census_level(internal_w, internal_h, w, h)?;
-        let plane = Arc::new(CensusCodePlane::from_census(&census));
+        let internal = self.resized_gray(internal_w, internal_h)?;
+        let plane = Arc::new(CensusCodePlane::compute(&resize_gray(&internal, w, h)?));
         Ok(self
             .census_codes
             .lock()

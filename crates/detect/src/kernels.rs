@@ -1,13 +1,13 @@
 //! Shared kernel-optimization primitives for the detector hot paths.
 //!
-//! The sliding-window scans dominate the whole simulator (BENCH_pipeline:
-//! C4 alone was ~90 ms/frame before this layer). Two constant-factor sinks
-//! recur across all four detectors:
+//! The sliding-window scans dominate the whole simulator. Two
+//! constant-factor sinks recur across all four detectors:
 //!
 //! 1. **Redundant per-window recomputation** — every pixel of a census
 //!    level was re-fetched as `f32` and re-cast/clamped to a code by each
 //!    of the ~(W/stride)·(H/stride) overlapping windows covering it.
-//!    [`CensusCodePlane`] materializes the cast once per level.
+//!    [`CensusCodePlane::compute`] census-transforms a level straight to
+//!    `u8` codes in one pass, so the C4 scan reads bytes.
 //! 2. **Per-window allocations** — HOG descriptors, census histograms and
 //!    NMS buffers were freshly `Vec`-allocated in the innermost loops.
 //!    The HOG-family scans now score straight from the block grid (stored
@@ -24,14 +24,15 @@
 
 use eecs_vision::image::GrayImage;
 
-use crate::c4_detector::CENSUS_BINS as CODE_BINS;
+use crate::c4_detector::{CENSUS_BINS as CODE_BINS, CENSUS_MARGIN};
 
 /// A census level as a dense `u8` code plane.
 ///
 /// `census_transform` stores codes as `f32` pixels in a [`GrayImage`]
-/// (exact integers in `[0, 255]`). Scoring reads them as
-/// `(pixel as usize).min(255)`; this plane applies that cast/clamp once
-/// per pixel instead of once per covering window.
+/// (exact integers in `[0, 255]`) that the reference scorer reads as
+/// `(pixel as usize).min(255)`. [`CensusCodePlane::compute`] produces
+/// those codes directly from the level; [`CensusCodePlane::from_census`]
+/// casts an already-transformed image and serves as its oracle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CensusCodePlane {
     width: usize,
@@ -52,6 +53,51 @@ impl CensusCodePlane {
         CensusCodePlane {
             width: census.width(),
             height: census.height(),
+            codes,
+        }
+    }
+
+    /// The 8-neighbour census transform of `level` as codes, in one pass:
+    /// equal to `from_census(&census_transform(level))` code for code.
+    ///
+    /// Each code sets bit `b` when neighbour `b` (row-major over the 3×3
+    /// neighbourhood, centre skipped) satisfies `n < c - CENSUS_MARGIN`,
+    /// the same `f32` test in the same bit order. Border pixels clamp
+    /// their neighbours to the edge; interior pixels read them directly.
+    pub fn compute(level: &GrayImage) -> CensusCodePlane {
+        let (w, h) = (level.width(), level.height());
+        let mut codes = vec![0u8; w * h];
+        if w > 0 {
+            let px = level.as_slice();
+            let row = |y: usize| &px[y * w..(y + 1) * w];
+            for (y, out) in codes.chunks_exact_mut(w).enumerate() {
+                let (up, mid, down) = (row(y.saturating_sub(1)), row(y), row((y + 1).min(h - 1)));
+                for x in [0, w - 1] {
+                    let (l, r) = (x.saturating_sub(1), (x + 1).min(w - 1));
+                    out[x] = census_code(
+                        mid[x],
+                        [
+                            up[l], up[x], up[r], mid[l], mid[r], down[l], down[x], down[r],
+                        ],
+                    );
+                }
+                if w > 2 {
+                    let n = w - 2;
+                    let (ul, uc, ur) = (&up[..n], &up[1..=n], &up[2..]);
+                    let (ml, mc, mr) = (&mid[..n], &mid[1..=n], &mid[2..]);
+                    let (dl, dc, dr) = (&down[..n], &down[1..=n], &down[2..]);
+                    for (i, o) in out[1..=n].iter_mut().enumerate() {
+                        *o = census_code(
+                            mc[i],
+                            [ul[i], uc[i], ur[i], ml[i], mr[i], dl[i], dc[i], dr[i]],
+                        );
+                    }
+                }
+            }
+        }
+        CensusCodePlane {
+            width: w,
+            height: h,
             codes,
         }
     }
@@ -91,6 +137,17 @@ impl CensusCodePlane {
     pub fn as_slice(&self) -> &[u8] {
         &self.codes
     }
+}
+
+/// One census code: bit `b` is set when `neighbours[b] < c - CENSUS_MARGIN`.
+#[inline(always)]
+fn census_code(c: f32, neighbours: [f32; 8]) -> u8 {
+    let t = c - CENSUS_MARGIN;
+    let mut code = 0u8;
+    for (bit, n) in neighbours.into_iter().enumerate() {
+        code |= u8::from(n < t) << bit;
+    }
+    code
 }
 
 /// Reusable scratch buffers for one detector scan.

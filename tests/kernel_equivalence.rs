@@ -8,18 +8,21 @@
 //! `ops` counter (the energy model's input). The pre-optimization loops
 //! are kept verbatim as `detect_reference` on each detector; these
 //! properties drive both paths over randomized models, frames, strides,
-//! floors and scale schedules.
+//! floors and scale schedules. The one-pass census code plane must equal
+//! the cast of the `f32` census transform code for code.
 //!
 //! The C4 cascade additionally carries a soundness obligation: its
 //! conservative remaining-contribution bound may only reject windows whose
 //! true score is below `keep_floor` — a rejected window must never be one
 //! the reference path would have kept.
 
-use eecs::detect::c4_detector::{C4Detector, C4DetectorConfig, C4_FEATURE_DIM};
+use eecs::detect::c4_detector::{
+    census_transform, C4Detector, C4DetectorConfig, C4_FEATURE_DIM, C4_STRIDE, CENSUS_MARGIN,
+};
 use eecs::detect::hog_detector::{HogDetectorConfig, HogSvmDetector};
 use eecs::detect::lsvm_detector::{LsvmDetector, LsvmDetectorConfig};
 use eecs::detect::pyramid::ScaleSchedule;
-use eecs::detect::{CensusCodePlane, DetectionOutput, Detector, DetectorBank};
+use eecs::detect::{CensusCodePlane, DetectionOutput, Detector, DetectorBank, FrameFeatures};
 use eecs::learn::svm::LinearSvm;
 use eecs::vision::draw;
 use eecs::vision::image::{GrayImage, RgbImage};
@@ -121,20 +124,20 @@ fn bank() -> &'static DetectorBank {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// C4: random SVM, stride, floor, schedule and frame — the cascade +
-    /// code-plane path equals the pre-PR loop bit for bit.
+    /// C4: random SVM, floor, schedule, internal resolution and frame —
+    /// the grouped cascade scan over the code plane equals the reference
+    /// loop bit for bit. Internal widths from 60 to 200 put every count
+    /// of leftover windows after a row's groups on some level.
     #[test]
     fn c4_detect_matches_reference(
         seed in 0..10_000u64,
-        stride in 1..5usize,
         keep_floor in -1.0..0.5f64,
     ) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xc4);
         let config = C4DetectorConfig {
-            internal_w: rng.random_range(100..160),
+            internal_w: rng.random_range(60..200),
             internal_h: rng.random_range(90..140),
             scales: random_schedule(&mut rng),
-            stride,
             keep_floor,
             ..C4DetectorConfig::default()
         };
@@ -143,7 +146,7 @@ proptest! {
             rng.random_range(-0.4..0.4),
         );
         let det = C4Detector::from_svm(config, svm).expect("from_svm");
-        let frame = random_frame(seed, rng.random_range(90..170), rng.random_range(90..150));
+        let frame = random_frame(seed, rng.random_range(60..240), rng.random_range(90..150));
         assert_bit_identical(&det.detect(&frame), &det.detect_reference(&frame));
     }
 
@@ -263,6 +266,119 @@ proptest! {
         let frame = random_frame(seed, 120, 100);
         assert_bit_identical(&det.detect(&frame), &det.detect_reference(&frame));
     }
+}
+
+/// A grey level whose pixels sit on plateaus and on steps of exactly
+/// `CENSUS_MARGIN`: each palette entry is the previous one minus the
+/// margin in `f32`, so `n == c - CENSUS_MARGIN` holds bit for bit between
+/// neighbouring entries, and a quarter of the pixels are free noise.
+fn census_level(seed: u64, w: usize, h: usize) -> GrayImage {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut palette = [rng.random_range(0.1..0.9f32); 4];
+    for k in 1..palette.len() {
+        palette[k] = palette[k - 1] - CENSUS_MARGIN;
+    }
+    GrayImage::from_fn(w, h, |_, _| match rng.random_range(0..8usize) {
+        0 | 1 => rng.random_range(0.0..1.0f32),
+        k => palette[k % palette.len()],
+    })
+}
+
+/// The one-pass plane equals the cast of the `f32` transform, code for
+/// code, on plane shapes whose borders leave no interior (1×1, 1×N, N×1,
+/// 2×2) and on larger ones.
+fn assert_census_codes_exact(seed: u64, w: usize, h: usize) {
+    let level = census_level(seed, w, h);
+    let want = CensusCodePlane::from_census(&census_transform(&level));
+    assert_eq!(
+        CensusCodePlane::compute(&level),
+        want,
+        "{w}x{h} level of seed {seed}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random sizes, plateaus and exact-margin steps: the one-pass census
+    /// codes equal `from_census(census_transform(level))`.
+    #[test]
+    fn census_codes_match_transform(
+        seed in 0..100_000u64,
+        w in 1..40usize,
+        h in 1..12usize,
+    ) {
+        assert_census_codes_exact(seed, w, h);
+    }
+}
+
+/// The shapes a random draw may miss, each over several levels.
+#[test]
+fn census_codes_match_transform_on_degenerate_shapes() {
+    for (w, h) in [(1, 1), (1, 9), (9, 1), (2, 2), (2, 7), (7, 2), (3, 3)] {
+        for seed in 0..16 {
+            assert_census_codes_exact(seed, w, h);
+        }
+    }
+}
+
+/// The grouped C4 scan at every row length from one window to 17, on one
+/// level the size of the internal image: every count of leftover windows
+/// after a row's groups occurs. Each floor keeps every window, some, or
+/// none (the last rejects every lane of every group at the first bound
+/// check). Detection equals the reference bit for bit, and
+/// `cascade_stats` counts the windows `scan_window` rejects one by one.
+#[test]
+fn c4_scan_matches_reference_at_every_row_length() {
+    let mut rng = StdRng::seed_from_u64(0x6c4);
+    let svm = LinearSvm::from_parts(
+        random_weights(&mut rng, C4_FEATURE_DIM, 0.6),
+        rng.random_range(-0.4..0.4),
+    );
+    let (mut partly_rejected, mut all_rejected) = (0, 0);
+    for internal_w in 16..=48 {
+        let frame = random_frame(internal_w as u64, 90, 80);
+        for keep_floor in [-1e9, 0.0, 1e9] {
+            let config = C4DetectorConfig {
+                internal_w,
+                internal_h: 60,
+                scales: ScaleSchedule {
+                    min_scale: 1.0,
+                    max_scale: 1.0,
+                    ratio: 2.0,
+                },
+                keep_floor,
+                ..C4DetectorConfig::default()
+            };
+            let det = C4Detector::from_svm(config, svm.clone()).expect("from_svm");
+            assert_bit_identical(&det.detect(&frame), &det.detect_reference(&frame));
+
+            let cache = FrameFeatures::new(&frame);
+            let codes = cache
+                .census_codes(internal_w, 60, internal_w, 60)
+                .expect("level");
+            let (mut windows, mut rejected) = (0u64, 0u64);
+            for y0 in (0..=60 - 48).step_by(C4_STRIDE) {
+                let row: Vec<bool> = (0..=internal_w - 16)
+                    .step_by(C4_STRIDE)
+                    .map(|x0| det.scan_window(&codes, x0, y0).is_none())
+                    .collect();
+                windows += row.len() as u64;
+                rejected += row.iter().filter(|&&r| r).count() as u64;
+                if row.iter().all(|&r| r) {
+                    all_rejected += 1;
+                } else if row.iter().any(|&r| r) {
+                    partly_rejected += 1;
+                }
+            }
+            assert_eq!(det.cascade_stats(&frame), (windows, rejected));
+        }
+    }
+    assert!(
+        partly_rejected > 0,
+        "no row mixed kept and rejected windows"
+    );
+    assert!(all_rejected > 0, "no row rejected every window");
 }
 
 /// The trained bank end to end on one deterministic frame: all four
