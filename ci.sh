@@ -73,6 +73,20 @@ echo "==> serve smoke (mission service: kill mid-queue, resume, replay)"
 # only the torn mission re-executing.
 cargo run -q --release -p eecs-bench --bin serve_smoke -- 1 2 3
 
+echo "==> paper harness (run_all --quick, 2 workers, scratch directory)"
+# Every table and figure of the paper, as one in-process sweep over one
+# trained detector bank, at the reduced frame range. The run must finish
+# and its report must carry all six sections.
+harness_dir="$(mktemp -d)"
+repo_dir="$PWD"
+(cd "$harness_dir" && cargo run -q --release --manifest-path "$repo_dir/Cargo.toml" \
+  -p eecs-bench --bin run_all -- --quick --workers 2 > run_all.out)
+for section in table2_3_4 table5 fig3 fig4 fig5 fig6; do
+  grep -qx "########## $section ##########" "$harness_dir/EXPERIMENTS-report.txt" \
+    || { echo "run_all report lacks the $section section"; exit 1; }
+done
+rm -rf "$harness_dir"
+
 echo "==> chaos smoke (crash, integrity, partition and churn fault rows)"
 # Per seed, five fault rows on a miniature mission: a controller crash
 # under lossy links and harsh sensors, a corruption storm with a torn

@@ -1,23 +1,33 @@
 //! Memoized training artifacts shared across sweep cells.
 //!
-//! `run_all` used to rebuild the detector bank, the feature vocabulary and
-//! the per-(dataset, camera) training records once per figure bin that
-//! needed them — identical deterministic work, repeated. [`Artifacts`]
-//! hoists each of those into a build-once cache keyed by its inputs, so
-//! concurrent sweep cells block only on the *same* key (a slot-level
-//! `OnceLock`), never on each other. The memoized values are bit-identical
-//! to freshly built ones (training is pure), which
-//! `memoized_record_matches_fresh` pins down field by field.
+//! `run_all` used to rebuild the detector bank, the feature vocabulary,
+//! the per-(dataset, camera) training records and the test-segment
+//! evaluations once per figure bin that needed them — identical
+//! deterministic work, repeated. [`Artifacts`] hoists each of those into a
+//! build-once cache keyed by its inputs, so concurrent sweep cells block
+//! only on the *same* key (a slot-level `OnceLock`), never on each other.
+//! The memoized values are bit-identical to freshly built ones (training
+//! and detection are pure), which the tests below pin down field by field.
 
-use crate::{calibrated_device, experiment_extractor, record_for, Scale};
+use crate::{calibrated_device, training_frames, Scale};
 use eecs_core::config::EecsConfig;
 use eecs_core::features::FeatureExtractor;
+use eecs_core::par::par_map_indexed;
 use eecs_core::profile::TrainingRecord;
+use eecs_core::training::{per_frame_cost, train_record};
 use eecs_detect::bank::DetectorBank;
+use eecs_detect::detection::AlgorithmId;
+use eecs_detect::eval::{evaluate_frame, EvalCounts};
 use eecs_energy::comm::LinkModel;
-use eecs_scene::dataset::DatasetProfile;
+use eecs_scene::dataset::{DatasetId, DatasetProfile};
+use eecs_scene::sequence::VideoFeed;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// Vocabulary size of every paper experiment: Table V's features, the
+/// records Fig. 4 fuses and the records whose profiles and thresholds
+/// Tables II–IV and Fig. 3 read.
+pub const WORDS: usize = 24;
 
 /// A build-once-per-key cache: the outer mutex only guards the slot map,
 /// so building one key never blocks lookups (or builds) of another.
@@ -41,45 +51,74 @@ impl<K: Ord + Clone, V> Memo<K, V> {
     }
 }
 
-/// How the detector bank is trained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BankKind {
-    /// The paper's full protocol ([`DetectorBank::train_default`]).
-    Default,
-    /// The reduced-sample variant tests use ([`DetectorBank::train_quick`]).
-    Quick(u64),
+/// One algorithm on one feed's test segment, at the threshold its
+/// training record chose: what Table IV and Fig. 3 read. It holds counts,
+/// ops and frame size, never frames.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SegmentEval {
+    /// The training record's f-score-optimal threshold.
+    pub threshold: f64,
+    /// Detection counts over the segment's annotated frames.
+    pub counts: EvalCounts,
+    /// Total detector ops over the segment.
+    pub ops: u64,
+    /// Annotated frames evaluated.
+    pub frames: usize,
+    /// Frame width and height in pixels.
+    pub frame_px: (usize, usize),
+}
+
+impl SegmentEval {
+    /// Adds another stretch of the same segment.
+    fn add(&mut self, other: SegmentEval) {
+        self.counts.accumulate(other.counts);
+        self.ops += other.ops;
+        self.frames += other.frames;
+        self.frame_px = other.frame_px;
+    }
+
+    /// Mean energy (J) and modeled processing time (s) per frame, charged
+    /// as the training profiles charge them.
+    pub fn cost(&self, config: &EecsConfig) -> (f64, f64) {
+        per_frame_cost(config, self.ops, self.frames, self.frame_px)
+    }
 }
 
 /// The shared, memoized training artifacts of one experiment run.
 pub struct Artifacts {
     scale: Scale,
-    bank_kind: BankKind,
+    /// `None` trains the paper's full bank ([`DetectorBank::train_default`]);
+    /// `Some(seed)` the reduced-sample one tests use
+    /// ([`DetectorBank::train_quick`]).
+    quick_seed: Option<u64>,
     bank: OnceLock<Arc<DetectorBank>>,
     config: OnceLock<Arc<EecsConfig>>,
     extractors: Memo<usize, FeatureExtractor>,
     records: Memo<(usize, usize, usize), TrainingRecord>,
+    test_evals: Memo<(usize, usize), BTreeMap<AlgorithmId, SegmentEval>>,
 }
 
 impl Artifacts {
     /// Paper-protocol artifacts (full bank training) at the given scale.
     pub fn new(scale: Scale) -> Artifacts {
-        Artifacts::with_kind(scale, BankKind::Default)
+        Artifacts::with_bank(scale, None)
     }
 
     /// Quick-trained artifacts for tests and smoke runs: same caching, a
     /// much cheaper (seeded) bank.
     pub fn quick_trained(scale: Scale, seed: u64) -> Artifacts {
-        Artifacts::with_kind(scale, BankKind::Quick(seed))
+        Artifacts::with_bank(scale, Some(seed))
     }
 
-    fn with_kind(scale: Scale, bank_kind: BankKind) -> Artifacts {
+    fn with_bank(scale: Scale, quick_seed: Option<u64>) -> Artifacts {
         Artifacts {
             scale,
-            bank_kind,
+            quick_seed,
             bank: OnceLock::new(),
             config: OnceLock::new(),
             extractors: Memo::new(),
             records: Memo::new(),
+            test_evals: Memo::new(),
         }
     }
 
@@ -96,9 +135,9 @@ impl Artifacts {
     /// built-in configurations).
     pub fn bank(&self) -> Arc<DetectorBank> {
         Arc::clone(self.bank.get_or_init(|| {
-            let bank = match self.bank_kind {
-                BankKind::Default => DetectorBank::train_default(),
-                BankKind::Quick(seed) => DetectorBank::train_quick(seed),
+            let bank = match self.quick_seed {
+                None => DetectorBank::train_default(),
+                Some(seed) => DetectorBank::train_quick(seed),
             };
             Arc::new(bank.expect("detector bank training is deterministic"))
         }))
@@ -116,15 +155,39 @@ impl Artifacts {
         }))
     }
 
-    /// The shared feature extractor for a vocabulary size.
+    /// The shared feature extractor for a vocabulary size: a vocabulary
+    /// spanning all 12 training feeds (Section V-A: "a vocabulary of 400
+    /// words is built from images of 12 training video feeds"), sampled
+    /// from the first two annotated frames of each.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the sampled frames hold no keypoints (cannot happen
+    /// for the standard datasets).
     pub fn extractor(&self, words: usize) -> Arc<FeatureExtractor> {
-        self.extractors
-            .get_or_build(words, || experiment_extractor(self.scale, words))
+        self.extractors.get_or_build(words, || {
+            let mut frames = Vec::new();
+            for id in DatasetId::ALL {
+                let profile = DatasetProfile::for_id(id);
+                let (train_end, _) = self.scale.bounds(&profile);
+                for cam in 0..4 {
+                    let feed = VideoFeed::open(profile.clone(), cam);
+                    let sample = feed.annotated_frames(0, train_end.min(2 * profile.gt_interval));
+                    frames.extend(sample.into_iter().map(|f| f.image));
+                }
+            }
+            FeatureExtractor::build(&frames, words, 400).expect("training frames contain keypoints")
+        })
     }
 
-    /// The training record of one (dataset, camera) feed, keyed by
-    /// `(dataset number, camera, vocabulary words)` — built at most once
-    /// per key for the lifetime of the artifacts.
+    /// The training record of one (dataset, camera) feed's annotated
+    /// training segment, keyed by `(dataset number, camera, vocabulary
+    /// words)` — built at most once per key for the lifetime of the
+    /// artifacts.
+    ///
+    /// # Panics
+    ///
+    /// Panics on training failure (deterministic inputs).
     pub fn record(
         &self,
         profile: &DatasetProfile,
@@ -133,14 +196,56 @@ impl Artifacts {
     ) -> Arc<TrainingRecord> {
         let key = (profile.id.number(), camera, words);
         self.records.get_or_build(key, || {
-            record_for(
-                profile,
-                camera,
-                &self.bank(),
-                &self.extractor(words),
-                &self.config(),
-                self.scale,
-            )
+            let frames = training_frames(profile, camera, self.scale);
+            let name = format!("T_{}.{}", profile.id.number(), camera + 1);
+            let extractor = self.extractor(words);
+            train_record(&name, &frames, &extractor, &self.bank(), &self.config())
+                .expect("record training on simulator feeds")
+        })
+    }
+
+    /// Every algorithm's evaluation on the test segment of one (dataset,
+    /// camera) feed, at the thresholds of its [`WORDS`]-word training
+    /// record — built at most once per feed. Each annotated frame is one
+    /// task on the scoped pool: it renders its frame and runs the bank's
+    /// four detectors on it, so at most one frame per worker is alive.
+    pub fn test_eval(
+        &self,
+        profile: &DatasetProfile,
+        camera: usize,
+    ) -> Arc<BTreeMap<AlgorithmId, SegmentEval>> {
+        let key = (profile.id.number(), camera);
+        self.test_evals.get_or_build(key, || {
+            let record = self.record(profile, camera, WORDS);
+            let (bank, config) = (self.bank(), self.config());
+            let (train_end, test_end) = self.scale.bounds(profile);
+            let interval = profile.gt_interval;
+            let first = train_end.div_ceil(interval) * interval;
+            let indices: Vec<usize> = (first..test_end).step_by(interval).collect();
+            let feed = VideoFeed::open(profile.clone(), camera);
+            let per_frame = par_map_indexed(indices.len(), 0, |i| {
+                let frame = feed.frame(indices[i]);
+                bank.all().map(|(alg, det)| {
+                    let threshold = record.profile(alg).expect("profiled").threshold;
+                    let out = det.detect(&frame.image);
+                    let eval = SegmentEval {
+                        threshold,
+                        counts: evaluate_frame(&out.above(threshold), &frame.gt, &config.eval),
+                        ops: out.ops,
+                        frames: 1,
+                        frame_px: (frame.image.width(), frame.image.height()),
+                    };
+                    (alg, eval)
+                })
+            });
+            let mut evals = BTreeMap::new();
+            for (alg, eval) in per_frame.into_iter().flatten() {
+                evals
+                    .entry(alg)
+                    .and_modify(|e: &mut SegmentEval| e.add(eval))
+                    .or_insert(eval);
+            }
+            evals
         })
     }
 }
@@ -148,8 +253,9 @@ impl Artifacts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eecs_core::par::par_map_indexed;
+    use crate::test_frames;
     use eecs_core::testkit::assert_records_bit_identical;
+    use eecs_core::training::profile_algorithm;
 
     #[test]
     fn memoized_record_matches_fresh() {
@@ -165,15 +271,84 @@ mod tests {
         ));
 
         // A from-scratch build of the same record is bit-identical.
-        let fresh = record_for(
-            &profile,
-            0,
-            &artifacts.bank(),
+        let fresh = train_record(
+            "T_1.1",
+            &training_frames(&profile, 0, artifacts.scale()),
             &artifacts.extractor(words),
+            &artifacts.bank(),
             &artifacts.config(),
-            artifacts.scale(),
-        );
+        )
+        .expect("fresh record");
         assert_records_bit_identical(&memoized, &fresh);
+    }
+
+    #[test]
+    fn record_profiles_match_profile_algorithm() {
+        let artifacts = Artifacts::quick_trained(Scale::Quick, 42);
+        let profile = DatasetProfile::miniature(eecs_scene::dataset::DatasetId::Lab);
+        let record = artifacts.record(&profile, 0, WORDS);
+        let frames = training_frames(&profile, 0, artifacts.scale());
+        let bank = artifacts.bank();
+        for (alg, det) in bank.all() {
+            let got = record.profile(alg).expect("every algorithm profiled");
+            let want = profile_algorithm(alg, det, &frames, &artifacts.config());
+            assert_eq!(got.algorithm, want.algorithm);
+            for (name, g, w) in [
+                ("threshold", got.threshold, want.threshold),
+                ("recall", got.recall, want.recall),
+                ("precision", got.precision, want.precision),
+                ("f_score", got.f_score, want.f_score),
+                ("energy", got.energy_per_frame_j, want.energy_per_frame_j),
+                ("time", got.processing_time_s, want.processing_time_s),
+                (
+                    "slope",
+                    got.calibration.parts().0,
+                    want.calibration.parts().0,
+                ),
+                (
+                    "offset",
+                    got.calibration.parts().1,
+                    want.calibration.parts().1,
+                ),
+            ] {
+                assert_eq!(g.to_bits(), w.to_bits(), "{alg} {name}: {g} vs {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_test_eval_matches_serial_loop() {
+        let artifacts = Artifacts::quick_trained(Scale::Quick, 42);
+        let profile = DatasetProfile::miniature(eecs_scene::dataset::DatasetId::Lab);
+        let evals = artifacts.test_eval(&profile, 1);
+        assert!(Arc::ptr_eq(&evals, &artifacts.test_eval(&profile, 1)));
+
+        let record = artifacts.record(&profile, 1, WORDS);
+        let config = artifacts.config();
+        let frames = test_frames(&profile, 1, artifacts.scale());
+        assert!(!frames.is_empty());
+        for (alg, det) in artifacts.bank().all() {
+            let threshold = record.profile(alg).expect("profiled").threshold;
+            let mut counts = EvalCounts::default();
+            let mut ops = 0u64;
+            for frame in &frames {
+                let out = det.detect(&frame.image);
+                ops += out.ops;
+                counts.accumulate(evaluate_frame(
+                    &out.above(threshold),
+                    &frame.gt,
+                    &config.eval,
+                ));
+            }
+            let want = SegmentEval {
+                threshold,
+                counts,
+                ops,
+                frames: frames.len(),
+                frame_px: (profile.width, profile.height),
+            };
+            assert_eq!(evals[&alg], want, "{alg}");
+        }
     }
 
     #[test]

@@ -6,33 +6,28 @@
 //! 2. the f-score/energy downgrade rule vs the any-cheaper rule,
 //! 3. Section VII boost rounds on vs off.
 
-use eecs_bench::{fmt3, print_row};
+use eecs_bench::scenarios::row;
+use eecs_bench::{fmt3, miniature_config};
 use eecs_core::config::EecsConfig;
 use eecs_core::profile::DowngradeRule;
-use eecs_core::simulation::{OperatingMode, Simulation, SimulationConfig};
+use eecs_core::simulation::{Parallelism, Simulation, SimulationConfig};
 use eecs_detect::bank::DetectorBank;
-use eecs_scene::dataset::{DatasetId, DatasetProfile};
+use eecs_scene::dataset::DatasetProfile;
 
 fn main() {
     let paper_scale = std::env::args().any(|a| a == "--paper");
-    let (profile, start, end, cameras, max_train) = if paper_scale {
-        (DatasetProfile::lab(), 1000, 3000, 4, 40)
-    } else {
-        let mut p = DatasetProfile::miniature(DatasetId::Lab);
-        p.num_people = 4;
-        (p, 40, 100, 2, 8)
-    };
-    let mut eecs = EecsConfig::default();
+    let mut base_cfg = miniature_config(2, 100, f64::MAX, Parallelism::default());
+    if paper_scale {
+        base_cfg.profile = DatasetProfile::lab();
+        (base_cfg.cameras, base_cfg.start_frame, base_cfg.end_frame) = (4, 1000, 3000);
+        base_cfg.max_training_frames = 40;
+        base_cfg.eecs = EecsConfig::default();
+    }
     // Looser accuracy floor than the paper's defaults so the subset and
     // downgrade machinery has room to act — ablations need the knobs to
     // actually engage.
-    eecs.gamma_n = 0.6;
-    eecs.gamma_p = 0.6;
-    if !paper_scale {
-        eecs.assessment_period = 10;
-        eecs.recalibration_interval = 30;
-        eecs.key_frames = 8;
-    }
+    base_cfg.eecs.gamma_n = 0.6;
+    base_cfg.eecs.gamma_p = 0.6;
 
     eprintln!("training bank + preparing simulation…");
     let bank = if paper_scale {
@@ -40,23 +35,7 @@ fn main() {
     } else {
         DetectorBank::train_quick(42).expect("bank")
     };
-    let base_cfg = SimulationConfig {
-        profile,
-        cameras,
-        start_frame: start,
-        end_frame: end,
-        budget_j_per_frame: f64::MAX,
-        mode: OperatingMode::FullEecs,
-        eecs,
-        feature_words: 12,
-        max_training_frames: max_train,
-        boost_every: 0,
-        fault_plan: eecs_net::fault::FaultPlan::ideal(),
-        sensor_plan: eecs_scene::sensor_fault::SensorFaultPlan::ideal(),
-        controller_plan: eecs_net::fault::ControllerFaultPlan::none(),
-        parallel: eecs_core::simulation::Parallelism::default(),
-    };
-    let base = Simulation::prepare(bank, base_cfg.clone()).expect("prepare");
+    let base = Simulation::prepare(bank.clone(), base_cfg.clone()).expect("prepare");
 
     // Budget: between the cheapest and second-cheapest algorithm so the
     // downgrade machinery is active but assessment stays affordable.
@@ -73,53 +52,31 @@ fn main() {
 
     println!("== Ablations (budget {} J/frame) ==", fmt3(budget));
     let widths = [34usize, 10, 10, 14];
-    print_row(
-        &[
-            "variant".into(),
-            "detected".into(),
-            "gt".into(),
-            "energy (J)".into(),
-        ],
-        &widths,
-    );
+    let header = ["variant", "detected", "gt", "energy (J)"];
+    print!("{}", row(&header.map(String::from), &widths));
 
     let run = |label: &str, mutate: &dyn Fn(&mut SimulationConfig)| {
         let mut cfg = base_cfg.clone();
         cfg.budget_j_per_frame = budget;
         mutate(&mut cfg);
-        let sim = base
-            .with_budget(budget)
-            .expect("budget")
-            .with_mode(cfg.mode);
-        // Config fields beyond mode/budget (boost, rules) require a tweak
-        // through a freshly-mutated clone; rebuild only when needed.
-        let report = if cfg.boost_every != base_cfg.boost_every
+        // Config fields beyond the budget (boost, rules) need a simulation
+        // prepared from the mutated config; rebuild only when needed.
+        let sim = if cfg.boost_every != base_cfg.boost_every
             || cfg.eecs.downgrade_rule != base_cfg.eecs.downgrade_rule
             || cfg.eecs.reid_color_gate != base_cfg.eecs.reid_color_gate
         {
-            Simulation::prepare(
-                if paper_scale {
-                    DetectorBank::train_default().expect("bank")
-                } else {
-                    DetectorBank::train_quick(42).expect("bank")
-                },
-                cfg,
-            )
-            .expect("prepare variant")
-            .run()
-            .expect("run variant")
+            Simulation::prepare(bank.clone(), cfg).expect("prepare variant")
         } else {
-            sim.run().expect("run")
+            base.with_budget(budget).expect("budget")
         };
-        print_row(
-            &[
-                label.into(),
-                report.correctly_detected.to_string(),
-                report.gt_objects.to_string(),
-                fmt3(report.total_energy_j),
-            ],
-            &widths,
-        );
+        let report = sim.run().expect("run");
+        let cells = [
+            label.into(),
+            report.correctly_detected.to_string(),
+            report.gt_objects.to_string(),
+            fmt3(report.total_energy_j),
+        ];
+        print!("{}", row(&cells, &widths));
     };
 
     run("full EECS (defaults)", &|_| {});

@@ -1,125 +1,18 @@
-//! Fig. 3: the benefit of adaptively choosing detection algorithms.
+//! Fig. 3: the benefit of adaptively choosing detection algorithms —
+//! camera #1's test segments of datasets #1 and #2, evaluated with
+//! thresholds learned on the corresponding training segments, under each
+//! fixed algorithm and under the per-dataset best choice.
 //!
-//! The paper's experiment: if the environment changes from dataset #1 to
-//! dataset #2 but the system keeps using one fixed algorithm, the best it
-//! can do (HOG everywhere) is f ≈ 0.70; adaptively choosing the best
-//! algorithm per dataset (HOG on #1, ACF on #2) reaches f ≈ 0.81 — and
-//! crucially improves precision and recall *simultaneously*.
-//!
-//! We evaluate camera #1's test segments of both datasets with thresholds
-//! learned on the corresponding training segments, and also show which
-//! algorithm the manifold matcher actually selects for each test feed.
+//! Runs on the sweep engine: `--workers N` fans the two datasets over a
+//! worker pool, a kill resumes from `SWEEP_fig3.manifest.jsonl`, and the
+//! merged grid lands in `SWEEP_fig3.json`.
 
-use eecs_bench::{experiment_bank, experiment_config, fmt3, print_row, Scale};
-use eecs_core::training::profile_algorithm;
-use eecs_detect::detection::{AlgorithmId, Detection};
-use eecs_detect::eval::{evaluate_frame, EvalCounts};
-use eecs_scene::dataset::DatasetProfile;
-use std::collections::BTreeMap;
+use eecs_bench::artifacts::Artifacts;
+use eecs_bench::scenarios::{self, fig3};
+use eecs_bench::Scale;
 
 fn main() {
-    let scale = Scale::from_args();
-    let bank = experiment_bank();
-    let config = experiment_config(&bank);
-    let datasets = [DatasetProfile::lab(), DatasetProfile::chap()];
-
-    // Learn thresholds per (dataset, algorithm) on the training segments,
-    // then measure counts on the test segments.
-    let mut per_dataset: Vec<BTreeMap<AlgorithmId, EvalCounts>> = Vec::new();
-    for profile in &datasets {
-        let train = eecs_bench::training_frames(profile, 0, scale);
-        let test = eecs_bench::test_frames(profile, 0, scale);
-        let mut counts_by_alg = BTreeMap::new();
-        for (alg, det) in bank.all() {
-            let p = profile_algorithm(alg, det, &train, &config);
-            let mut counts = EvalCounts::default();
-            for frame in &test {
-                let out = det.detect(&frame.image);
-                let kept: Vec<&Detection> = out.above(p.threshold);
-                counts.accumulate(evaluate_frame(&kept, &frame.gt, &config.eval));
-            }
-            counts_by_alg.insert(alg, counts);
-        }
-        per_dataset.push(counts_by_alg);
-        eprintln!("evaluated dataset #{}", profile.id.number());
-    }
-
-    println!("== Fig. 3: fixed algorithm vs adaptive choice (datasets #1 + #2, camera #1) ==");
-    let widths = [14usize, 9, 9, 9, 9, 9, 9];
-    print_row(
-        &[
-            "strategy".into(),
-            "f(D1)".into(),
-            "f(D2)".into(),
-            "mean f".into(),
-            "recall".into(),
-            "precision".into(),
-            "f(pooled)".into(),
-        ],
-        &widths,
-    );
-
-    let mut best_fixed: Option<(AlgorithmId, f64)> = None;
-    for alg in AlgorithmId::ALL {
-        let f1 = per_dataset[0][&alg].f_score();
-        let f2 = per_dataset[1][&alg].f_score();
-        let mean = (f1 + f2) / 2.0;
-        let pooled = pool(&[per_dataset[0][&alg], per_dataset[1][&alg]]);
-        print_row(
-            &[
-                format!("fixed {alg}"),
-                fmt3(f1),
-                fmt3(f2),
-                fmt3(mean),
-                fmt3(pooled.recall()),
-                fmt3(pooled.precision()),
-                fmt3(pooled.f_score()),
-            ],
-            &widths,
-        );
-        if best_fixed.map(|(_, b)| mean > b).unwrap_or(true) {
-            best_fixed = Some((alg, mean));
-        }
-    }
-
-    // Adaptive: per dataset, the algorithm with the best f-score.
-    let pick = |i: usize| -> (AlgorithmId, EvalCounts) {
-        per_dataset[i]
-            .iter()
-            .max_by(|a, b| a.1.f_score().partial_cmp(&b.1.f_score()).unwrap())
-            .map(|(&a, &c)| (a, c))
-            .expect("four algorithms evaluated")
-    };
-    let (a1, c1) = pick(0);
-    let (a2, c2) = pick(1);
-    let pooled = pool(&[c1, c2]);
-    print_row(
-        &[
-            format!("adaptive {a1}/{a2}"),
-            fmt3(c1.f_score()),
-            fmt3(c2.f_score()),
-            fmt3((c1.f_score() + c2.f_score()) / 2.0),
-            fmt3(pooled.recall()),
-            fmt3(pooled.precision()),
-            fmt3(pooled.f_score()),
-        ],
-        &widths,
-    );
-
-    let (bf_alg, bf) = best_fixed.expect("at least one algorithm");
-    let adaptive_mean = (c1.f_score() + c2.f_score()) / 2.0;
-    println!(
-        "\nbest fixed: {bf_alg} (mean f {}), adaptive: {} — gain {:+.3}",
-        fmt3(bf),
-        fmt3(adaptive_mean),
-        adaptive_mean - bf
-    );
-}
-
-fn pool(counts: &[EvalCounts]) -> EvalCounts {
-    let mut total = EvalCounts::default();
-    for &c in counts {
-        total.accumulate(c);
-    }
-    total
+    let artifacts = Artifacts::new(Scale::from_args());
+    let shards = [fig3::shard(&artifacts)];
+    scenarios::run_bin("fig3", &shards, fig3::format).expect("fig3 sweep");
 }

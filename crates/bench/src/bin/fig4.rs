@@ -18,6 +18,6 @@ use eecs_bench::Scale;
 
 fn main() {
     let artifacts = Artifacts::new(Scale::from_args());
-    let shard = fig4::shard(&artifacts);
-    scenarios::run_bin(&shard, "SWEEP_fig4", fig4::format).expect("fig4 sweep");
+    let shards = [fig4::shard(&artifacts)];
+    scenarios::run_bin("fig4", &shards, fig4::format).expect("fig4 sweep");
 }

@@ -21,6 +21,6 @@ use eecs_bench::Scale;
 
 fn main() {
     let artifacts = Artifacts::new(Scale::from_args());
-    let shard = fig5::shard(&artifacts);
-    scenarios::run_bin(&shard, "SWEEP_fig5", fig5::format).expect("fig5 sweep");
+    let shards = [fig5::shard(&artifacts)];
+    scenarios::run_bin("fig5", &shards, fig5::format).expect("fig5 sweep");
 }

@@ -1,114 +1,17 @@
-//! Fig. 6: detected humans vs energy on dataset #2.
+//! Fig. 6: detected humans vs energy on dataset #2 for the three
+//! strategies of Fig. 5, under a budget that leaves ACF the only feasible
+//! algorithm — so all of EECS's savings come from using fewer cameras.
 //!
-//! On the chap dataset ACF is both the most accurate *and* the most energy
-//! efficient algorithm, so EECS cannot save by downgrading — all savings
-//! come from using fewer cameras (the paper: 97% of the detections at 70%
-//! of the energy).
+//! Runs on the sweep engine: `--workers N` fans the three strategy cells
+//! over a worker pool, a kill resumes from `SWEEP_fig6.manifest.jsonl`,
+//! and the merged grid lands in `SWEEP_fig6.json`.
 
-use eecs_bench::{experiment_bank, experiment_config, fmt3, print_row, Scale};
-use eecs_core::simulation::{OperatingMode, Simulation, SimulationConfig};
-use eecs_detect::detection::AlgorithmId;
-use eecs_scene::dataset::DatasetProfile;
+use eecs_bench::artifacts::Artifacts;
+use eecs_bench::scenarios::{self, fig6};
+use eecs_bench::Scale;
 
 fn main() {
-    let scale = Scale::from_args();
-    let bank = experiment_bank();
-    let eecs = experiment_config(&bank);
-    let profile = DatasetProfile::chap();
-    let (start, end) = scale.bounds(&profile);
-
-    let base = Simulation::prepare(
-        bank,
-        SimulationConfig {
-            profile,
-            cameras: 4,
-            start_frame: start,
-            end_frame: end,
-            budget_j_per_frame: f64::MAX,
-            mode: OperatingMode::AllBest,
-            eecs,
-            feature_words: 24,
-            max_training_frames: if scale == Scale::Paper { 25 } else { 6 },
-            boost_every: 0,
-            fault_plan: eecs_net::fault::FaultPlan::ideal(),
-            sensor_plan: eecs_scene::sensor_fault::SensorFaultPlan::ideal(),
-            controller_plan: eecs_net::fault::ControllerFaultPlan::none(),
-            parallel: eecs_core::simulation::Parallelism::default(),
-        },
-    )
-    .expect("simulation preparation");
-    eprintln!("prepared simulation (records + matching)");
-
-    let record = base.record_for_camera(0);
-    let acf = record
-        .profile(AlgorithmId::Acf)
-        .expect("ACF profiled")
-        .energy_per_frame_j;
-    // Budget between ACF and the second-cheapest algorithm: only ACF is
-    // feasible (the regime in which the paper ran Fig. 6 — "the energy
-    // consumption values of ACF ... since the resolution in dataset #2 is
-    // significantly higher").
-    let second_cheapest = AlgorithmId::ALL
-        .iter()
-        .filter(|&&a| a != AlgorithmId::Acf)
-        .filter_map(|&a| record.profile(a).map(|p| p.energy_per_frame_j))
-        .fold(f64::INFINITY, f64::min);
-    let budget = acf + (second_cheapest - acf) * 0.3;
-    println!(
-        "measured per-frame cost: ACF {} J, next-cheapest {} J; budget {} J",
-        fmt3(acf),
-        fmt3(second_cheapest),
-        fmt3(budget)
-    );
-
-    println!("\n== Fig. 6: dataset #2 ==");
-    let widths = [24usize, 10, 12, 12, 12];
-    print_row(
-        &[
-            "strategy".into(),
-            "detected".into(),
-            "% of base".into(),
-            "energy (J)".into(),
-            "% of base".into(),
-        ],
-        &widths,
-    );
-    let mut baseline: Option<(usize, f64)> = None;
-    for (name, mode) in [
-        ("all cameras, best alg", OperatingMode::AllBest),
-        ("EECS camera subset", OperatingMode::CameraSubset),
-        ("EECS full", OperatingMode::FullEecs),
-    ] {
-        let sim = base
-            .with_budget(budget)
-            .expect("valid budget")
-            .with_mode(mode);
-        let report = sim.run().expect("simulation run");
-        let (base_detected, base_energy) =
-            *baseline.get_or_insert((report.correctly_detected, report.total_energy_j));
-        print_row(
-            &[
-                name.into(),
-                report.correctly_detected.to_string(),
-                format!(
-                    "{:.0}%",
-                    100.0 * report.correctly_detected as f64 / base_detected.max(1) as f64
-                ),
-                fmt3(report.total_energy_j),
-                format!(
-                    "{:.0}%",
-                    100.0 * report.total_energy_j / base_energy.max(1e-9)
-                ),
-            ],
-            &widths,
-        );
-        if mode == OperatingMode::FullEecs {
-            let cams: Vec<String> = report
-                .rounds
-                .iter()
-                .map(|r| r.active.len().to_string())
-                .collect();
-            println!("    active cameras per round: {}", cams.join(" "));
-        }
-    }
+    let artifacts = Artifacts::new(Scale::from_args());
+    let shards = [fig6::shard(&artifacts)];
+    scenarios::run_bin("fig6", &shards, fig6::format).expect("fig6 sweep");
 }

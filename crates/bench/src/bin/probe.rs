@@ -1,13 +1,14 @@
 //! Developer probe: wall-clock and op costs of each detector per dataset.
 
-use eecs_bench::experiment_bank;
+use eecs_bench::artifacts::Artifacts;
+use eecs_bench::Scale;
 use eecs_scene::dataset::{DatasetId, DatasetProfile};
 use eecs_scene::sequence::VideoFeed;
 use std::time::Instant;
 
 fn main() {
     let t0 = Instant::now();
-    let bank = experiment_bank();
+    let bank = Artifacts::new(Scale::Paper).bank();
     println!("bank training: {:.1?}", t0.elapsed());
 
     for id in [DatasetId::Lab, DatasetId::Chap] {

@@ -1,107 +1,58 @@
-//! Runs every table/figure harness as ONE sharded sweep and tees the
-//! combined output to `EXPERIMENTS-report.txt` in the current directory.
+//! Runs every table/figure harness as ONE sharded sweep in one process and
+//! tees the combined report to `EXPERIMENTS-report.txt` in the current
+//! directory.
 //!
-//! Table V, Fig. 4 and Fig. 5 run in-process over shared, memoized
-//! training artifacts (the detector bank, vocabulary and per-feed records
-//! are built once, not once per figure); the remaining harnesses run as
-//! single-cell child-process shards. `--workers N` sets the pool size,
-//! `--quick` (and other flags) are forwarded to the children, and a
-//! killed run resumes from `SWEEP_run_all.manifest.jsonl` without
-//! re-executing completed cells. The merged grid lands in
-//! `SWEEP_run_all.json`.
+//! All six scenarios (Tables II–IV, Table V, Figs. 3–6) are shards over
+//! one set of memoized training artifacts: the detector bank, the
+//! vocabulary, the per-feed records and the test-segment evaluations are
+//! each built once, not once per figure. `--workers N` sets the pool size,
+//! `--quick` shrinks the frame ranges, and a killed run resumes from
+//! `SWEEP_run_all.manifest.jsonl` without re-executing completed cells.
+//! The merged grid lands in `SWEEP_run_all.json`.
 
 use eecs_bench::artifacts::Artifacts;
-use eecs_bench::scenarios::{fig4, fig5, shard_cells, table5, workers_from_args};
-use eecs_bench::sweep::{run_shards, Shard, SweepOptions, SweepSpec};
+use eecs_bench::scenarios::{self, fig3, fig4, fig5, fig6, table2_3_4, table5};
+use eecs_bench::sweep::Shard;
 use eecs_bench::Scale;
 use eecs_core::jsonio::Json;
-use std::io::Write;
-use std::path::PathBuf;
-use std::process::Command;
 
-/// Report sections, in the original `run_all` order. The sweep executes
-/// them concurrently; the report renders them in this order regardless.
-const SECTIONS: [&str; 6] = ["table2_3_4", "table5", "fig3", "fig4", "fig5", "fig6"];
+/// A report section: its name, its shard and its formatter.
+type Section = (
+    &'static str,
+    fn(&Artifacts) -> Shard<'_>,
+    fn(&Json) -> Result<String, String>,
+);
 
-fn child_shard(bin: &'static str, exe_dir: PathBuf, args: Vec<String>) -> Shard<'static> {
-    let spec = SweepSpec::new(bin).axis("run", ["all"]);
-    Shard::new(spec, move |_job| {
-        let output = Command::new(exe_dir.join(bin))
-            .args(&args)
-            .output()
-            .map_err(|e| format!("failed to launch {bin}: {e}"))?;
-        if !output.status.success() {
-            return Err(format!(
-                "{bin} FAILED:\n{}",
-                String::from_utf8_lossy(&output.stderr)
-            ));
-        }
-        Ok(Json::Str(
-            String::from_utf8_lossy(&output.stdout).into_owned(),
-        ))
-    })
-}
+/// The report's sections, in order. The sweep executes their cells
+/// concurrently; the report renders them in this order regardless.
+const SECTIONS: [Section; 6] = [
+    ("table2_3_4", table2_3_4::shard, table2_3_4::format),
+    (
+        "table5",
+        |a| table5::shard(a, false),
+        |d| table5::format(d, false),
+    ),
+    ("fig3", fig3::shard, fig3::format),
+    ("fig4", fig4::shard, fig4::format),
+    ("fig5", fig5::shard, fig5::format),
+    ("fig6", fig6::shard, fig6::format),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let exe_dir = std::env::current_exe()
-        .expect("current_exe")
-        .parent()
-        .expect("binary directory")
-        .to_path_buf();
-
     let artifacts = Artifacts::new(Scale::from_args());
-    let shards = vec![
-        child_shard("table2_3_4", exe_dir.clone(), args.clone()),
-        table5::shard(&artifacts, false),
-        child_shard("fig3", exe_dir.clone(), args.clone()),
-        fig4::shard(&artifacts),
-        fig5::shard(&artifacts),
-        child_shard("fig6", exe_dir, args),
-    ];
-
-    let manifest = PathBuf::from("SWEEP_run_all.manifest.jsonl");
-    let opts = SweepOptions {
-        workers: workers_from_args(),
-        manifest_path: Some(manifest.clone()),
-        progress: true,
-        ..Default::default()
-    };
-    let outcome = run_shards("run_all", &shards, &opts).expect("run_all sweep");
-    if outcome.skipped > 0 {
-        eprintln!(
-            "resumed from {}: skipped {} completed cell(s)",
-            manifest.display(),
-            outcome.skipped
-        );
-    }
-    let merged = outcome.merged.expect("sweep completed");
-    std::fs::write("SWEEP_run_all.json", &merged).expect("writable cwd");
-    let doc = eecs_core::jsonio::parse(&merged).expect("merged sweep parses");
-
-    let mut report = String::new();
-    for section in SECTIONS {
-        report.push_str(&format!("\n########## {section} ##########\n"));
-        let text = match section {
-            "table5" => table5::format(&doc, false),
-            "fig4" => fig4::format(&doc),
-            "fig5" => fig5::format(&doc),
-            child => shard_cells(&doc, child).and_then(|cells| {
-                cells[0]
-                    .1
-                    .as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| format!("{child} cell is not captured output"))
-            }),
+    let shards: Vec<_> = SECTIONS
+        .iter()
+        .map(|(_, shard, _)| shard(&artifacts))
+        .collect();
+    let report = scenarios::run_bin("run_all", &shards, |doc| {
+        let mut report = String::new();
+        for (section, _, format) in SECTIONS {
+            report.push_str(&format!("\n########## {section} ##########\n"));
+            report.push_str(&format(doc).map_err(|e| format!("rendering {section}: {e}"))?);
         }
-        .unwrap_or_else(|e| panic!("rendering {section}: {e}"));
-        report.push_str(&text);
-    }
-
-    print!("{report}");
-    let mut file = std::fs::File::create("EXPERIMENTS-report.txt").expect("writable cwd");
-    file.write_all(report.as_bytes()).expect("report written");
-    let _ = std::fs::remove_file(&manifest);
-    println!("\nmerged sweep written to SWEEP_run_all.json");
-    println!("report written to EXPERIMENTS-report.txt");
+        Ok(report)
+    })
+    .expect("run_all sweep");
+    std::fs::write("EXPERIMENTS-report.txt", report).expect("writable cwd");
+    eprintln!("report written to EXPERIMENTS-report.txt");
 }

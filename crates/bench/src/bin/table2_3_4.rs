@@ -5,120 +5,17 @@
 //! * Table III — dataset #2, camera #1, training segment,
 //! * Table IV  — dataset #1, camera #1, test segment (thresholds reused
 //!   from training, as in the paper).
+//!
+//! Runs on the sweep engine: `--workers N` fans the three tables over a
+//! worker pool, a kill resumes from `SWEEP_table2_3_4.manifest.jsonl`,
+//! and the merged grid lands in `SWEEP_table2_3_4.json`.
 
-use eecs_bench::{experiment_bank, experiment_config, fmt3, print_row, Scale};
-use eecs_core::config::EecsConfig;
-use eecs_core::training::profile_algorithm;
-use eecs_detect::bank::DetectorBank;
-use eecs_detect::detection::{AlgorithmId, Detection};
-use eecs_detect::eval::{evaluate_frame, EvalCounts};
-use eecs_scene::dataset::DatasetProfile;
-use eecs_scene::sequence::FrameData;
+use eecs_bench::artifacts::Artifacts;
+use eecs_bench::scenarios::{self, table2_3_4};
+use eecs_bench::Scale;
 
 fn main() {
-    let scale = Scale::from_args();
-    let bank = experiment_bank();
-    let config = experiment_config(&bank);
-
-    let lab = DatasetProfile::lab();
-    let chap = DatasetProfile::chap();
-
-    println!("== Table II: dataset #1 (lab), camera #1, training segment ==");
-    let lab_train = eecs_bench::training_frames(&lab, 0, scale);
-    let lab_profiles = run_table(&bank, &lab_train, &config);
-
-    println!("\n== Table III: dataset #2 (chap), camera #1, training segment ==");
-    let chap_train = eecs_bench::training_frames(&chap, 0, scale);
-    run_table(&bank, &chap_train, &config);
-
-    println!("\n== Table IV: dataset #1 (lab), camera #1, test segment (training thresholds) ==");
-    let lab_test = eecs_bench::test_frames(&lab, 0, scale);
-    run_test_table(&bank, &lab_test, &lab_profiles, &config);
-}
-
-/// Trains thresholds on the segment and prints the table; returns the
-/// chosen `(algorithm, threshold)` pairs for Table IV reuse.
-fn run_table(
-    bank: &DetectorBank,
-    frames: &[FrameData],
-    config: &EecsConfig,
-) -> Vec<(AlgorithmId, f64)> {
-    header();
-    let mut thresholds = Vec::new();
-    for (alg, det) in bank.all() {
-        let p = profile_algorithm(alg, det, frames, config);
-        print_row(
-            &[
-                alg.to_string(),
-                fmt3(p.threshold),
-                fmt3(p.recall),
-                fmt3(p.precision),
-                fmt3(p.f_score),
-                fmt3(p.energy_per_frame_j),
-                fmt3(p.processing_time_s),
-            ],
-            &WIDTHS,
-        );
-        thresholds.push((alg, p.threshold));
-    }
-    thresholds
-}
-
-/// Applies the *training* thresholds to the test segment (Table IV).
-fn run_test_table(
-    bank: &DetectorBank,
-    frames: &[FrameData],
-    thresholds: &[(AlgorithmId, f64)],
-    config: &EecsConfig,
-) {
-    header();
-    for &(alg, threshold) in thresholds {
-        let det = bank.detector(alg);
-        let mut counts = EvalCounts::default();
-        let mut ops = 0u64;
-        let mut px = (0usize, 0usize);
-        for frame in frames {
-            let out = det.detect(&frame.image);
-            ops += out.ops;
-            px = (frame.image.width(), frame.image.height());
-            let kept: Vec<&Detection> = out.above(threshold);
-            counts.accumulate(evaluate_frame(&kept, &frame.gt, &config.eval));
-        }
-        let n = frames.len().max(1) as f64;
-        let energy = config.device.processing_energy(ops) / n
-            + config.link.transmit_energy(
-                eecs_energy::comm::jpeg_frame_bytes(px.0, px.1),
-                &config.device,
-            );
-        let time = config.device.processing_time(ops) / n;
-        print_row(
-            &[
-                alg.to_string(),
-                fmt3(threshold),
-                fmt3(counts.recall()),
-                fmt3(counts.precision()),
-                fmt3(counts.f_score()),
-                fmt3(energy),
-                fmt3(time),
-            ],
-            &WIDTHS,
-        );
-    }
-}
-
-const WIDTHS: [usize; 7] = [5, 10, 8, 10, 8, 14, 12];
-
-fn header() {
-    print_row(
-        &[
-            "Alg".into(),
-            "Threshold".into(),
-            "Recall".into(),
-            "Precision".into(),
-            "F-score".into(),
-            "Energy(J/fr)".into(),
-            "Time(s/fr)".into(),
-        ],
-        &WIDTHS,
-    );
+    let artifacts = Artifacts::new(Scale::from_args());
+    let shards = [table2_3_4::shard(&artifacts)];
+    scenarios::run_bin("table2_3_4", &shards, table2_3_4::format).expect("table2_3_4 sweep");
 }

@@ -22,11 +22,7 @@ use eecs_bench::Scale;
 fn main() {
     let naive = std::env::args().any(|a| a == "--naive");
     let artifacts = Artifacts::new(Scale::from_args());
-    let shard = table5::shard(&artifacts, naive);
-    let stem = if naive {
-        "SWEEP_table5_naive"
-    } else {
-        "SWEEP_table5"
-    };
-    scenarios::run_bin(&shard, stem, |doc| table5::format(doc, naive)).expect("table5 sweep");
+    let shards = [table5::shard(&artifacts, naive)];
+    let name = if naive { "table5_naive" } else { "table5" };
+    scenarios::run_bin(name, &shards, |doc| table5::format(doc, naive)).expect("table5 sweep");
 }

@@ -10,9 +10,11 @@
 //! | `fig4`       | Fig. 4 — accuracy/energy trade-off of camera+algorithm mixes |
 //! | `fig5`       | Fig. 5a/5b — EECS vs baselines on dataset #1 |
 //! | `fig6`       | Fig. 6 — EECS vs baselines on dataset #2 |
-//! | `run_all`    | everything, wrote to `EXPERIMENTS-report.txt` |
+//! | `run_all`    | everything, written to `EXPERIMENTS-report.txt` |
 //!
-//! Pass `--quick` to any binary for a reduced frame range (same pipeline,
+//! Each one is a [`scenarios`] shard over the memoized
+//! [`artifacts::Artifacts`]; `run_all` runs all six in one process. Pass
+//! `--quick` to any binary for a reduced frame range (same pipeline,
 //! smaller samples) when iterating.
 //!
 //! This crate also hosts the Criterion benches (`benches/`) that back the
@@ -25,13 +27,9 @@ pub mod serving;
 pub mod sweep;
 
 use eecs_core::config::EecsConfig;
-use eecs_core::features::FeatureExtractor;
-use eecs_core::profile::TrainingRecord;
 use eecs_core::simulation::{OperatingMode, Parallelism, SimulationConfig};
-use eecs_core::training::train_record;
 use eecs_detect::bank::DetectorBank;
 use eecs_detect::Detector;
-use eecs_energy::comm::LinkModel;
 use eecs_energy::model::DeviceEnergyModel;
 use eecs_net::fault::{ControllerFaultPlan, FaultPlan};
 use eecs_scene::dataset::{DatasetId, DatasetProfile};
@@ -62,22 +60,12 @@ impl Scale {
     pub fn bounds(&self, profile: &DatasetProfile) -> (usize, usize) {
         match self {
             Scale::Paper => (profile.train_frames, profile.total_frames),
-            Scale::Quick => (
-                profile.train_frames.min(10 * profile.gt_interval),
-                profile.train_frames.min(10 * profile.gt_interval) + 14 * profile.gt_interval,
-            ),
+            Scale::Quick => {
+                let train_end = profile.train_frames.min(10 * profile.gt_interval);
+                (train_end, train_end + 14 * profile.gt_interval)
+            }
         }
     }
-}
-
-/// Trains the four-detector bank used by all experiments.
-///
-/// # Panics
-///
-/// Panics if training fails (deterministic; cannot fail once the configs
-/// are valid).
-pub fn experiment_bank() -> DetectorBank {
-    DetectorBank::train_default().expect("detector bank training is deterministic")
 }
 
 /// The experiment energy configuration: radio constants for "WiFi in good
@@ -88,10 +76,7 @@ pub fn experiment_bank() -> DetectorBank {
 pub fn calibrated_device(bank: &DetectorBank) -> DeviceEnergyModel {
     let feed = VideoFeed::open(DatasetProfile::lab(), 0);
     let frames = feed.frames(0, 3 * 25, 25);
-    let mut total_ops = 0u64;
-    for f in &frames {
-        total_ops += bank.hog().detect(&f.image).ops;
-    }
+    let total_ops: u64 = frames.iter().map(|f| bank.hog().detect(&f.image).ops).sum();
     let mean_ops = (total_ops / frames.len() as u64).max(1);
     DeviceEnergyModel {
         joules_per_byte_tx: 1.5e-6,
@@ -100,16 +85,6 @@ pub fn calibrated_device(bank: &DetectorBank) -> DeviceEnergyModel {
     }
     .calibrated_to(mean_ops, 1.049)
     .expect("positive calibration anchors")
-}
-
-/// The standard experiment EECS configuration (γ and periods from
-/// Section VI-E, calibrated device).
-pub fn experiment_config(bank: &DetectorBank) -> EecsConfig {
-    EecsConfig {
-        device: calibrated_device(bank),
-        link: LinkModel::default(),
-        ..Default::default()
-    }
 }
 
 /// The miniature mission the smokes, the service base and the pipeline
@@ -158,54 +133,6 @@ pub fn training_frames(profile: &DatasetProfile, camera: usize, scale: Scale) ->
 pub fn test_frames(profile: &DatasetProfile, camera: usize, scale: Scale) -> Vec<FrameData> {
     let (train_end, test_end) = scale.bounds(profile);
     VideoFeed::open(profile.clone(), camera).annotated_frames(train_end, test_end)
-}
-
-/// Builds a feature extractor whose vocabulary spans all 12 training feeds
-/// (Section V-A: "a vocabulary of 400 words is built from images of 12
-/// training video feeds"; we subsample frames for speed).
-///
-/// # Panics
-///
-/// Panics when no keypoints exist in the sampled frames (cannot happen for
-/// the standard datasets).
-pub fn experiment_extractor(scale: Scale, words: usize) -> FeatureExtractor {
-    let mut frames = Vec::new();
-    for id in DatasetId::ALL {
-        let profile = DatasetProfile::for_id(id);
-        for cam in 0..4 {
-            let fs = training_frames(&profile, cam, scale);
-            frames.extend(fs.iter().take(2).map(|f| f.image.clone()));
-        }
-    }
-    FeatureExtractor::build(&frames, words, 400).expect("training frames contain keypoints")
-}
-
-/// Trains the record of one (dataset, camera) training segment.
-///
-/// # Panics
-///
-/// Panics on training failure (deterministic inputs).
-pub fn record_for(
-    profile: &DatasetProfile,
-    camera: usize,
-    bank: &DetectorBank,
-    extractor: &FeatureExtractor,
-    config: &EecsConfig,
-    scale: Scale,
-) -> TrainingRecord {
-    let frames = training_frames(profile, camera, scale);
-    let name = format!("T_{}.{}", profile.id.number(), camera + 1);
-    train_record(&name, &frames, extractor, bank, config)
-        .expect("record training on simulator feeds")
-}
-
-/// Fixed-width table printing helper.
-pub fn print_row(cells: &[String], widths: &[usize]) {
-    let mut line = String::new();
-    for (cell, width) in cells.iter().zip(widths) {
-        line.push_str(&format!("{cell:>width$}  "));
-    }
-    println!("{}", line.trim_end());
 }
 
 /// Formats a float to 3 decimals, or "-" for non-finite values.

@@ -2,32 +2,29 @@
 //! on dataset #1 — one cell per mix, shared frames/records/calibrations
 //! built lazily from the memoized [`Artifacts`].
 
-use crate::artifacts::Artifacts;
-use crate::scenarios::{cell_num, row, shard_cells};
+use crate::artifacts::{Artifacts, WORDS};
+use crate::scenarios::{cell_num, row, shard_cells, CellContext};
 use crate::sweep::{Shard, SweepSpec};
 use crate::{fmt3, test_frames};
 use eecs_core::accuracy::count_correct;
+use eecs_core::camera_node::region_color;
+use eecs_core::config::EecsConfig;
 use eecs_core::jsonio::Json;
 use eecs_core::metadata::{CameraReport, ObjectMetadata};
 use eecs_core::profile::TrainingRecord;
 use eecs_core::reid::{fuse_reports, ReidConfig};
 use eecs_detect::bank::DetectorBank;
 use eecs_detect::detection::AlgorithmId;
-use eecs_energy::comm::{metadata_bytes, LinkModel};
-use eecs_energy::model::DeviceEnergyModel;
+use eecs_energy::comm::metadata_bytes;
 use eecs_geometry::calibration::GroundCalibration;
 use eecs_geometry::point::Point2;
 use eecs_scene::dataset::DatasetProfile;
 use eecs_scene::rig::{camera_rig, rig_calibrations};
 use eecs_scene::sequence::FrameData;
-use eecs_vision::color::mean_color_feature;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 const GT_GATE_M: f64 = 1.2;
-
-/// Vocabulary size shared with Table V.
-pub const WORDS: usize = 24;
 
 /// The paper's six camera/algorithm mixes, in figure order.
 pub fn mixes() -> Vec<(&'static str, Vec<(usize, AlgorithmId)>)> {
@@ -52,10 +49,8 @@ struct Ctx {
     records: Vec<Arc<TrainingRecord>>,
     calibrations: Vec<GroundCalibration>,
     frames: Vec<Vec<FrameData>>,
-    device: DeviceEnergyModel,
-    link: LinkModel,
+    config: Arc<EecsConfig>,
     reid: ReidConfig,
-    min_visibility: f64,
 }
 
 fn build_ctx(artifacts: &Artifacts) -> Ctx {
@@ -69,33 +64,35 @@ fn build_ctx(artifacts: &Artifacts) -> Ctx {
     let frames = (0..4)
         .map(|cam| test_frames(&profile, cam, artifacts.scale()))
         .collect();
+    let reid = ReidConfig {
+        ground_gate_m: config.reid_ground_gate_m,
+        color_gate: config.reid_color_gate,
+        color_metric: None,
+    };
     Ctx {
         records,
         calibrations,
         frames,
-        device: config.device,
-        link: config.link,
-        reid: ReidConfig {
-            ground_gate_m: config.reid_ground_gate_m,
-            color_gate: config.reid_color_gate,
-            color_metric: None,
-        },
-        min_visibility: config.eval.min_visibility,
+        config,
+        reid,
     }
 }
 
 /// The Fig. 4 shard over shared artifacts.
 pub fn shard(artifacts: &Artifacts) -> Shard<'_> {
-    let ctx: OnceLock<Ctx> = OnceLock::new();
-    Shard::new(spec(), move |job| {
+    let spec = spec();
+    let ctx = CellContext::new(spec.cell_count());
+    Shard::new(spec, move |job| {
         let name = job.value("config").ok_or("cell without a config axis")?;
         let mixes = mixes();
         let (_, assignment) = mixes
             .iter()
             .find(|(n, _)| *n == name)
             .ok_or_else(|| format!("unknown Fig. 4 config {name:?}"))?;
-        let ctx = ctx.get_or_init(|| build_ctx(artifacts));
-        let (correct, gt, energy) = run_config(assignment, &artifacts.bank(), ctx);
+        let (correct, gt, energy) = ctx.with(
+            || build_ctx(artifacts),
+            |ctx| run_config(assignment, &artifacts.bank(), ctx),
+        );
         Ok(Json::Obj(vec![
             ("detected".into(), Json::Num(correct as f64)),
             ("gt".into(), Json::Num(gt as f64)),
@@ -112,16 +109,8 @@ pub fn shard(artifacts: &Artifacts) -> Shard<'_> {
 pub fn format(doc: &Json) -> Result<String, String> {
     let widths = [11usize, 10, 10, 10, 12];
     let mut out = String::from("== Fig. 4: accuracy vs energy, dataset #1 ==\n");
-    out.push_str(&row(
-        &[
-            "config".into(),
-            "detected".into(),
-            "gt".into(),
-            "recall".into(),
-            "energy (J)".into(),
-        ],
-        &widths,
-    ));
+    let header = ["config", "detected", "gt", "recall", "energy (J)"];
+    out.push_str(&row(&header.map(String::from), &widths));
     for ((name, _), (_, data)) in mixes().iter().zip(shard_cells(doc, "fig4")?) {
         let detected = cell_num(data, "detected")?;
         let gt = cell_num(data, "gt")?;
@@ -146,7 +135,7 @@ fn run_config(
     bank: &DetectorBank,
     ctx: &Ctx,
 ) -> (usize, usize, f64) {
-    let (device, link) = (&ctx.device, &ctx.link);
+    let (device, link) = (&ctx.config.device, &ctx.config.link);
     let n = ctx.frames[0].len();
     let mut correct = 0usize;
     let mut gt_total = 0usize;
@@ -160,12 +149,11 @@ fn run_config(
             energy += device.processing_energy(out.ops);
             let mut objects = Vec::new();
             for det in out.detections.iter().filter(|d| d.score >= p.threshold) {
-                let color = clip_color(&frame.image, det.bbox);
                 objects.push(ObjectMetadata {
                     camera: cam,
                     bbox: det.bbox,
                     probability: p.calibration.probability(det.score),
-                    color,
+                    color: region_color(&frame.image, det.bbox),
                 });
             }
             energy += link.transmit_energy(metadata_bytes(objects.len()) + 16, device);
@@ -176,7 +164,7 @@ fn run_config(
         let mut gt: BTreeMap<usize, Point2> = BTreeMap::new();
         for &(cam, _) in assignment {
             for g in &ctx.frames[cam][f].gt {
-                if g.visibility >= ctx.min_visibility {
+                if g.visibility >= ctx.config.eval.min_visibility {
                     gt.entry(g.human_id).or_insert(g.ground);
                 }
             }
@@ -186,16 +174,4 @@ fn run_config(
         gt_total += positions.len();
     }
     (correct, gt_total, energy)
-}
-
-fn clip_color(img: &eecs_vision::image::RgbImage, bbox: eecs_detect::detection::BBox) -> Vec<f64> {
-    let x0 = bbox.x0.max(0.0) as usize;
-    let y0 = bbox.y0.max(0.0) as usize;
-    let x1 = (bbox.x1.min(img.width() as f64) as usize).min(img.width());
-    let y1 = (bbox.y1.min(img.height() as f64) as usize).min(img.height());
-    if x1 <= x0 + 1 || y1 <= y0 + 1 {
-        return vec![0.0; eecs_vision::color::MEAN_COLOR_DIM];
-    }
-    mean_color_feature(img, x0, y0, x1 - x0, y1 - y0)
-        .unwrap_or_else(|_| vec![0.0; eecs_vision::color::MEAN_COLOR_DIM])
 }

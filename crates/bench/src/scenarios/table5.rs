@@ -6,21 +6,17 @@
 //! spec — `table5_naive` — so its manifest and merged document can never
 //! be confused with the manifold run.
 
-use crate::artifacts::Artifacts;
-use crate::scenarios::shard_cells;
+use crate::artifacts::{Artifacts, WORDS};
+use crate::scenarios::{shard_cells, CellContext};
 use crate::sweep::{Shard, SweepSpec};
 use crate::Scale;
-use eecs_core::features::FeatureExtractor;
 use eecs_core::jsonio::Json;
+use eecs_core::par::par_map_indexed;
 use eecs_learn::split::sample_windows;
 use eecs_manifold::similarity::{video_similarity, SimilarityConfig};
 use eecs_manifold::video::VideoItem;
 use eecs_scene::dataset::{DatasetId, DatasetProfile};
 use eecs_scene::sequence::VideoFeed;
-use std::sync::OnceLock;
-
-/// Vocabulary size shared with Fig. 4.
-pub const WORDS: usize = 24;
 
 /// The 12 item names, `1.1` … `3.4`, in dataset-then-camera order.
 pub fn item_names() -> Vec<String> {
@@ -42,80 +38,89 @@ struct Ctx {
     tests: Vec<Vec<VideoItem>>,
 }
 
+/// Featurizes every sample window — `repeats` random windows of `window`
+/// stride-subsampled frames from each feed's training and test segment —
+/// with one pool task per window.
 fn build_ctx(artifacts: &Artifacts) -> Ctx {
     let scale = artifacts.scale();
-    let (window, repeats, stride) = sampling(scale);
+    // The paper samples 100 frames × 5 repeats; we default to 60 × 3 (see
+    // EXPERIMENTS.md).
+    let (window, repeats, stride) = match scale {
+        Scale::Paper => (60, 3, 2),
+        Scale::Quick => (16, 1, 2),
+    };
+    let span = window * stride;
     let extractor = artifacts.extractor(WORDS);
-    let mut trains = Vec::new();
-    let mut tests = Vec::new();
+    // (feed, repeat, first frame), train then test windows of each feed.
+    let mut windows = Vec::new();
     for id in DatasetId::ALL {
         let profile = DatasetProfile::for_id(id);
         let (train_end, test_end) = scale.bounds(&profile);
         for cam in 0..4 {
             let feed = VideoFeed::open(profile.clone(), cam);
-            trains.push(sample_items(
-                &feed,
-                &extractor,
-                0,
-                train_end,
-                window,
-                repeats,
-                stride,
-                7 + cam as u64,
-            ));
-            tests.push(sample_items(
-                &feed,
-                &extractor,
-                train_end,
-                test_end,
-                window,
-                repeats,
-                stride,
-                1000 + cam as u64,
-            ));
+            let c = cam as u64;
+            for (range, seed) in [(0..train_end, 7 + c), (train_end..test_end, 1000 + c)] {
+                let starts = sample_windows(range, span, repeats, seed).expect("range fits window");
+                for (r, s) in starts.into_iter().enumerate() {
+                    windows.push((feed.clone(), r, s));
+                }
+            }
         }
+    }
+    let items = par_map_indexed(windows.len(), 0, |w| {
+        let (feed, r, s) = &windows[w];
+        let frames = feed.frames(*s, s + span, stride);
+        let images: Vec<_> = frames.into_iter().map(|f| f.image).collect();
+        extractor
+            .extract_video(format!("{}-r{r}", feed.camera_index()), &images)
+            .expect("feature extraction on simulator frames")
+    });
+    let mut items = items.into_iter();
+    let mut next_set = || items.by_ref().take(repeats).collect::<Vec<_>>();
+    let (mut trains, mut tests) = (Vec::new(), Vec::new());
+    for _ in 0..windows.len() / (2 * repeats) {
+        trains.push(next_set());
+        tests.push(next_set());
     }
     Ctx { trains, tests }
 }
 
-/// The paper samples 100 frames × 5 repeats; we default to 60 × 3 (see
-/// EXPERIMENTS.md).
-fn sampling(scale: Scale) -> (usize, usize, usize) {
-    match scale {
-        Scale::Paper => (60, 3, 2),
-        Scale::Quick => (16, 1, 2),
-    }
-}
-
 /// The Table V shard over shared artifacts.
 pub fn shard(artifacts: &Artifacts, naive: bool) -> Shard<'_> {
-    let ctx: OnceLock<Ctx> = OnceLock::new();
+    let spec = spec(naive);
+    let ctx = CellContext::new(spec.cell_count());
     let names = item_names();
-    Shard::new(spec(naive), move |job| {
+    Shard::new(spec, move |job| {
         let train = job.value("train").ok_or("cell without a train axis")?;
         let ti = names
             .iter()
             .position(|n| n == train)
             .ok_or_else(|| format!("unknown Table V row {train:?}"))?;
-        let ctx = ctx.get_or_init(|| build_ctx(artifacts));
         let sim_cfg = SimilarityConfig {
             beta: 8,
             scale: 1.0,
         };
-        let mut row = Vec::with_capacity(ctx.tests.len());
-        for test_set in &ctx.tests {
-            let mut total = 0.0;
-            let mut count = 0usize;
-            for (t, v) in ctx.trains[ti].iter().zip(test_set) {
-                total += if naive {
-                    naive_similarity(t, v)
-                } else {
-                    video_similarity(t, v, &sim_cfg).unwrap_or(0.0)
-                };
-                count += 1;
-            }
-            row.push(Json::Num(total / count.max(1) as f64));
-        }
+        let row = ctx.with(
+            || build_ctx(artifacts),
+            |ctx| {
+                ctx.tests
+                    .iter()
+                    .map(|test_set| {
+                        let mut total = 0.0;
+                        let mut count = 0usize;
+                        for (t, v) in ctx.trains[ti].iter().zip(test_set) {
+                            total += if naive {
+                                naive_similarity(t, v)
+                            } else {
+                                video_similarity(t, v, &sim_cfg).unwrap_or(0.0)
+                            };
+                            count += 1;
+                        }
+                        Json::Num(total / count.max(1) as f64)
+                    })
+                    .collect()
+            },
+        );
         Ok(Json::Obj(vec![("row".into(), Json::Arr(row))]))
     })
 }
@@ -186,34 +191,6 @@ pub fn format(doc: &Json, naive: bool) -> Result<String, String> {
     }
     out.push_str(&format!("\ndiagonal matches: {correct}/{n}\n"));
     Ok(out)
-}
-
-/// Extracts `repeats` video items of `window` frames (stride-subsampled)
-/// from random positions in `[start, end)`.
-#[allow(clippy::too_many_arguments)]
-fn sample_items(
-    feed: &VideoFeed,
-    extractor: &FeatureExtractor,
-    start: usize,
-    end: usize,
-    window: usize,
-    repeats: usize,
-    stride: usize,
-    seed: u64,
-) -> Vec<VideoItem> {
-    let span = window * stride;
-    let starts = sample_windows(start..end, span, repeats, seed).expect("range fits window");
-    starts
-        .into_iter()
-        .enumerate()
-        .map(|(r, s)| {
-            let frames = feed.frames(s, s + span, stride);
-            let images: Vec<_> = frames.into_iter().map(|f| f.image).collect();
-            extractor
-                .extract_video(format!("{}-r{}", feed.camera_index(), r), &images)
-                .expect("feature extraction on simulator frames")
-        })
-        .collect()
 }
 
 /// The ablation comparator: similarity from the Euclidean distance between

@@ -10,7 +10,7 @@ use crate::metadata::{CameraReport, ObjectMetadata};
 use crate::profile::AlgorithmProfile;
 use crate::{EecsError, Result};
 use eecs_detect::bank::DetectorBank;
-use eecs_detect::detection::{AlgorithmId, DetectionOutput};
+use eecs_detect::detection::{AlgorithmId, BBox, DetectionOutput};
 use eecs_energy::budget::{BatteryState, EnergyBudget};
 use eecs_energy::meter::{EnergyCategory, PowerMeter};
 use eecs_energy::model::DeviceEnergyModel;
@@ -138,7 +138,7 @@ impl CameraNode {
             .iter()
             .filter(|d| d.score >= profile.threshold)
         {
-            let color = region_color(frame, det.bbox.x0, det.bbox.y0, det.bbox.x1, det.bbox.y1);
+            let color = region_color(frame, det.bbox);
             objects.push(ObjectMetadata {
                 camera: self.index,
                 bbox: det.bbox,
@@ -171,11 +171,11 @@ impl CameraNode {
 
 /// The mean-color feature of a bounding box clipped to the frame; a zeroed
 /// feature when the clipped region is degenerate.
-fn region_color(frame: &RgbImage, x0: f64, y0: f64, x1: f64, y1: f64) -> Vec<f64> {
-    let cx0 = x0.max(0.0) as usize;
-    let cy0 = y0.max(0.0) as usize;
-    let cx1 = (x1.min(frame.width() as f64) as usize).min(frame.width());
-    let cy1 = (y1.min(frame.height() as f64) as usize).min(frame.height());
+pub fn region_color(frame: &RgbImage, bbox: BBox) -> Vec<f64> {
+    let cx0 = bbox.x0.max(0.0) as usize;
+    let cy0 = bbox.y0.max(0.0) as usize;
+    let cx1 = (bbox.x1.min(frame.width() as f64) as usize).min(frame.width());
+    let cy1 = (bbox.y1.min(frame.height() as f64) as usize).min(frame.height());
     if cx1 <= cx0 + 1 || cy1 <= cy0 + 1 {
         return vec![0.0; eecs_vision::color::MEAN_COLOR_DIM];
     }

@@ -114,6 +114,29 @@ pub fn profile_algorithm(
     profile_outputs(algorithm, frames, detect_all(detector, frames), config)
 }
 
+/// Mean energy (J) and modeled processing time (s) per frame of an
+/// algorithm that spent `total_ops` on `frames` frames of `frame_px`
+/// pixels. Energy is processing plus the algorithm-independent
+/// communication cost, estimated (as in Section VI) by assuming the whole
+/// JPEG frame is transferred — an upper bound on the cropped-object
+/// transfer.
+pub fn per_frame_cost(
+    config: &EecsConfig,
+    total_ops: u64,
+    frames: usize,
+    frame_px: (usize, usize),
+) -> (f64, f64) {
+    let n = frames.max(1) as f64;
+    let processing = config.device.processing_energy(total_ops) / n;
+    let comm = config
+        .link
+        .transmit_energy(jpeg_frame_bytes(frame_px.0, frame_px.1), &config.device);
+    (
+        processing + comm,
+        config.device.processing_time(total_ops) / n,
+    )
+}
+
 /// Profiles one algorithm from its per-frame `outputs` on `frames`:
 /// threshold sweep, energy and score calibration.
 fn profile_outputs(
@@ -130,20 +153,13 @@ fn profile_outputs(
         frame_px = (frame.image.width(), frame.image.height());
         per_frame.push((out.detections, frame.gt.clone()));
     }
-    let n = frames.len().max(1) as f64;
 
     // Threshold selection: d_t maximizing f-score (Section VI-A).
     let sweep = ThresholdSweep::run(&per_frame, &config.eval, 64);
     let (threshold, counts) = sweep.best();
 
-    // Energy: mean processing + the algorithm-independent communication
-    // cost, estimated (as in Section VI) by assuming the whole JPEG frame
-    // is transferred — an upper bound on the cropped-object transfer.
-    let processing = config.device.processing_energy(total_ops) / n;
-    let comm = config
-        .link
-        .transmit_energy(jpeg_frame_bytes(frame_px.0, frame_px.1), &config.device);
-    let processing_time = config.device.processing_time(total_ops) / n;
+    let (energy_per_frame_j, processing_time_s) =
+        per_frame_cost(config, total_ops, frames.len(), frame_px);
 
     // Score calibration on the same frames; degenerate label sets — or a
     // fit whose slope came out non-positive (higher score must never mean
@@ -160,8 +176,8 @@ fn profile_outputs(
         recall: counts.recall(),
         precision: counts.precision(),
         f_score: counts.f_score(),
-        energy_per_frame_j: processing + comm,
-        processing_time_s: processing_time,
+        energy_per_frame_j,
+        processing_time_s,
         calibration,
     }
 }
