@@ -28,10 +28,13 @@ use eecs_geometry::camera::Camera;
 use eecs_geometry::point::{Point2, Point3};
 use eecs_scene::dataset::{DatasetId, DatasetProfile};
 use eecs_scene::sequence::VideoFeed;
+use eecs_vision::draw::add_noise;
 use eecs_vision::gradient::GradientField;
 use eecs_vision::hog::{HogCellGrid, HogConfig};
-use eecs_vision::image::GrayImage;
+use eecs_vision::image::{GrayImage, RgbImage};
 use eecs_vision::resize::resize_gray;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 fn reid_bench(c: &mut Criterion) {
     // 4 cameras × 8 people per frame.
@@ -83,11 +86,12 @@ fn reid_bench(c: &mut Criterion) {
 
 /// Per-kernel microbenches: the optimized detect path against the kept
 /// pre-optimization reference of each algorithm, precompute-only and
-/// cached-scan slices of the C4 pipeline, and the HOG cell, resize and
-/// census-code stage kernels against their definitions. Before any
-/// timing, each pair is asserted bit-identical on the bench frame, so a
-/// speedup can never be reported for a path that drifted. Returns the C4 cascade reject ratio
-/// (computed outside the timing loops).
+/// cached-scan slices of the C4 pipeline, and the HOG cell, resize,
+/// census-code and sensor-noise stage kernels against their definitions.
+/// Before any timing, each pair is asserted bit-identical on the bench
+/// frame, so a speedup can never be reported for a path that drifted.
+/// Returns the C4 cascade reject ratio (computed outside the timing
+/// loops).
 fn kernel_bench(c: &mut Criterion) -> f64 {
     let bank = DetectorBank::train_quick(5).expect("bank");
     let profile = DatasetProfile::miniature(DatasetId::Lab);
@@ -264,6 +268,24 @@ fn kernel_bench(c: &mut Criterion) -> f64 {
             }
         })
     });
+    // Sensor noise alone: the zipped three-plane pass against the
+    // per-pixel `get`/`set` loop, with the same RNG stream.
+    let (mut noisy, mut want) = (frame.clone(), frame.clone());
+    add_noise(&mut noisy, 0.25, &mut StdRng::seed_from_u64(3));
+    add_noise_per_pixel(&mut want, 0.25, &mut StdRng::seed_from_u64(3));
+    let planes = |img: &RgbImage| [&img.r, &img.g, &img.b].map(|c| bits(c.as_slice()));
+    assert_eq!(
+        planes(&noisy),
+        planes(&want),
+        "add_noise diverged from the per-pixel definition"
+    );
+    let mut rng = StdRng::seed_from_u64(4);
+    group.bench_function("add_noise", |b| {
+        b.iter(|| add_noise(black_box(&mut noisy), 0.05, &mut rng))
+    });
+    group.bench_function("add_noise_reference", |b| {
+        b.iter(|| add_noise_per_pixel(black_box(&mut want), 0.05, &mut rng))
+    });
     group.finish();
 
     let (windows, rejected) = bank.c4().cascade_stats(&frame);
@@ -319,6 +341,26 @@ fn resize_per_pixel(src: &GrayImage, new_w: usize, new_h: usize) -> Vec<f32> {
         }
     }
     out
+}
+
+/// Sensor noise the per-pixel way: read a pixel, draw its sample, write
+/// the three clamped channels back.
+fn add_noise_per_pixel(img: &mut RgbImage, amp: f32, rng: &mut StdRng) {
+    for y in 0..img.height() {
+        for x in 0..img.width() {
+            let [r, g, b] = img.get(x, y);
+            let n = rng.random_range(-amp..=amp);
+            img.set(
+                x,
+                y,
+                [
+                    (r + n).clamp(0.0, 1.0),
+                    (g + n).clamp(0.0, 1.0),
+                    (b + n).clamp(0.0, 1.0),
+                ],
+            );
+        }
+    }
 }
 
 fn round_sim(parallel: Parallelism) -> Simulation {
@@ -610,6 +652,7 @@ fn main() {
         ("hog_cells", "hog_cells", "two-pass/fused"),
         ("resize_gray", "resize_gray", "per-pixel/hoisted"),
         ("census_codes", "census", "f32 transform/one-pass"),
+        ("add_noise", "add_noise", "per-pixel/zipped"),
     ] {
         let opt = c
             .mean_ns(&format!("kernels/{bench}"))

@@ -219,10 +219,8 @@ impl Artifacts {
             let record = self.record(profile, camera, WORDS);
             let (bank, config) = (self.bank(), self.config());
             let (train_end, test_end) = self.scale.bounds(profile);
-            let interval = profile.gt_interval;
-            let first = train_end.div_ceil(interval) * interval;
-            let indices: Vec<usize> = (first..test_end).step_by(interval).collect();
             let feed = VideoFeed::open(profile.clone(), camera);
+            let indices: Vec<usize> = feed.annotated_indices(train_end, test_end).collect();
             let per_frame = par_map_indexed(indices.len(), 0, |i| {
                 let frame = feed.frame(indices[i]);
                 bank.all().map(|(alg, det)| {

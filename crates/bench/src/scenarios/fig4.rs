@@ -1,27 +1,27 @@
 //! Fig. 4 as a sweep: accuracy vs energy for fixed camera/algorithm mixes
-//! on dataset #1 — one cell per mix, shared frames/records/calibrations
-//! built lazily from the memoized [`Artifacts`].
+//! on dataset #1 — one cell per mix, fusing per-(camera, algorithm)
+//! detections computed once, lazily, from the memoized [`Artifacts`].
 
 use crate::artifacts::{Artifacts, WORDS};
+use crate::fmt3;
 use crate::scenarios::{cell_num, row, shard_cells, CellContext};
 use crate::sweep::{Shard, SweepSpec};
-use crate::{fmt3, test_frames};
 use eecs_core::accuracy::count_correct;
 use eecs_core::camera_node::region_color;
 use eecs_core::config::EecsConfig;
 use eecs_core::jsonio::Json;
 use eecs_core::metadata::{CameraReport, ObjectMetadata};
-use eecs_core::profile::TrainingRecord;
+use eecs_core::par::par_map_indexed;
 use eecs_core::reid::{fuse_reports, ReidConfig};
-use eecs_detect::bank::DetectorBank;
 use eecs_detect::detection::AlgorithmId;
 use eecs_energy::comm::metadata_bytes;
 use eecs_geometry::calibration::GroundCalibration;
 use eecs_geometry::point::Point2;
 use eecs_scene::dataset::DatasetProfile;
+use eecs_scene::ground_truth::GtBox;
 use eecs_scene::rig::{camera_rig, rig_calibrations};
-use eecs_scene::sequence::FrameData;
-use std::collections::BTreeMap;
+use eecs_scene::sequence::VideoFeed;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const GT_GATE_M: f64 = 1.2;
@@ -46,35 +46,75 @@ pub fn spec() -> SweepSpec {
 
 /// Everything a cell needs beyond its mix, built once on first use.
 struct Ctx {
-    records: Vec<Arc<TrainingRecord>>,
     calibrations: Vec<GroundCalibration>,
-    frames: Vec<Vec<FrameData>>,
+    /// Ground truth per camera and test frame.
+    gt: Vec<Vec<Vec<GtBox>>>,
+    /// The report and detector ops of every (camera, algorithm) pair some
+    /// mix runs, per test frame: each is detected once, and the mixes
+    /// that share a pair read the same outputs.
+    outputs: BTreeMap<(usize, AlgorithmId), Vec<(CameraReport, u64)>>,
     config: Arc<EecsConfig>,
     reid: ReidConfig,
 }
 
+/// Renders the test frames and runs every mixed (camera, algorithm) pair
+/// on them: one pool task per (camera, frame), so at most one frame per
+/// worker is alive.
 fn build_ctx(artifacts: &Artifacts) -> Ctx {
     let profile = DatasetProfile::lab();
-    let config = artifacts.config();
-    let records = (0..4)
+    let (bank, config) = (artifacts.bank(), artifacts.config());
+    let pairs: BTreeSet<(usize, AlgorithmId)> = mixes().into_iter().flat_map(|(_, m)| m).collect();
+    let records: Vec<_> = (0..4)
         .map(|cam| artifacts.record(&profile, cam, WORDS))
         .collect();
-    let rig = camera_rig(&profile);
-    let calibrations = rig_calibrations(&profile, &rig);
-    let frames = (0..4)
-        .map(|cam| test_frames(&profile, cam, artifacts.scale()))
+    let feeds: Vec<_> = (0..4)
+        .map(|cam| VideoFeed::open(profile.clone(), cam))
         .collect();
-    let reid = ReidConfig {
-        ground_gate_m: config.reid_ground_gate_m,
-        color_gate: config.reid_color_gate,
-        color_metric: None,
-    };
+    let (train_end, test_end) = artifacts.scale().bounds(&profile);
+    let indices: Vec<usize> = feeds[0].annotated_indices(train_end, test_end).collect();
+    let n = indices.len();
+    let per_frame = par_map_indexed(feeds.len() * n, 0, |t| {
+        let (cam, frame) = (t / n, feeds[t / n].frame(indices[t % n]));
+        let outputs: Vec<_> = pairs
+            .iter()
+            .filter(|(c, _)| *c == cam)
+            .map(|&(_, alg)| {
+                let p = records[cam].profile(alg).expect("algorithm profiled");
+                let out = bank.detector(alg).detect(&frame.image);
+                let objects = out
+                    .detections
+                    .iter()
+                    .filter(|d| d.score >= p.threshold)
+                    .map(|det| ObjectMetadata {
+                        camera: cam,
+                        bbox: det.bbox,
+                        probability: p.calibration.probability(det.score),
+                        color: region_color(&frame.image, det.bbox),
+                    })
+                    .collect();
+                (alg, (CameraReport { objects }, out.ops))
+            })
+            .collect();
+        (frame.gt, outputs)
+    });
+    let mut gt = vec![Vec::with_capacity(n); feeds.len()];
+    let mut outputs: BTreeMap<_, Vec<_>> = BTreeMap::new();
+    for (t, (frame_gt, frame_outputs)) in per_frame.into_iter().enumerate() {
+        gt[t / n].push(frame_gt);
+        for (alg, output) in frame_outputs {
+            outputs.entry((t / n, alg)).or_default().push(output);
+        }
+    }
     Ctx {
-        records,
-        calibrations,
-        frames,
+        calibrations: rig_calibrations(&profile, &camera_rig(&profile)),
+        gt,
+        outputs,
+        reid: ReidConfig {
+            ground_gate_m: config.reid_ground_gate_m,
+            color_gate: config.reid_color_gate,
+            color_metric: None,
+        },
         config,
-        reid,
     }
 }
 
@@ -89,10 +129,8 @@ pub fn shard(artifacts: &Artifacts) -> Shard<'_> {
             .iter()
             .find(|(n, _)| *n == name)
             .ok_or_else(|| format!("unknown Fig. 4 config {name:?}"))?;
-        let (correct, gt, energy) = ctx.with(
-            || build_ctx(artifacts),
-            |ctx| run_config(assignment, &artifacts.bank(), ctx),
-        );
+        let (correct, gt, energy) =
+            ctx.with(|| build_ctx(artifacts), |ctx| run_config(assignment, ctx));
         Ok(Json::Obj(vec![
             ("detected".into(), Json::Num(correct as f64)),
             ("gt".into(), Json::Num(gt as f64)),
@@ -130,40 +168,24 @@ pub fn format(doc: &Json) -> Result<String, String> {
 
 /// Runs one fixed configuration over all test frames; returns
 /// `(correct, gt_total, energy_j)`.
-fn run_config(
-    assignment: &[(usize, AlgorithmId)],
-    bank: &DetectorBank,
-    ctx: &Ctx,
-) -> (usize, usize, f64) {
+fn run_config(assignment: &[(usize, AlgorithmId)], ctx: &Ctx) -> (usize, usize, f64) {
     let (device, link) = (&ctx.config.device, &ctx.config.link);
-    let n = ctx.frames[0].len();
     let mut correct = 0usize;
     let mut gt_total = 0usize;
     let mut energy = 0.0f64;
-    for f in 0..n {
+    for f in 0..ctx.gt[0].len() {
         let mut reports = Vec::new();
         for &(cam, alg) in assignment {
-            let frame = &ctx.frames[cam][f];
-            let p = ctx.records[cam].profile(alg).expect("algorithm profiled");
-            let out = bank.detector(alg).detect(&frame.image);
-            energy += device.processing_energy(out.ops);
-            let mut objects = Vec::new();
-            for det in out.detections.iter().filter(|d| d.score >= p.threshold) {
-                objects.push(ObjectMetadata {
-                    camera: cam,
-                    bbox: det.bbox,
-                    probability: p.calibration.probability(det.score),
-                    color: region_color(&frame.image, det.bbox),
-                });
-            }
-            energy += link.transmit_energy(metadata_bytes(objects.len()) + 16, device);
-            reports.push(CameraReport { objects });
+            let (report, ops) = &ctx.outputs[&(cam, alg)][f];
+            energy += device.processing_energy(*ops);
+            energy += link.transmit_energy(metadata_bytes(report.objects.len()) + 16, device);
+            reports.push(report.clone());
         }
         let fused = fuse_reports(&reports, &ctx.calibrations, &ctx.reid);
         // Ground truth: union over the *participating* cameras.
         let mut gt: BTreeMap<usize, Point2> = BTreeMap::new();
         for &(cam, _) in assignment {
-            for g in &ctx.frames[cam][f].gt {
+            for g in &ctx.gt[cam][f] {
                 if g.visibility >= ctx.config.eval.min_visibility {
                     gt.entry(g.human_id).or_insert(g.ground);
                 }

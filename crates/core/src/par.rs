@@ -57,6 +57,24 @@ where
         .collect()
 }
 
+/// [`par_map_indexed`] over the elements of `items`, each task with
+/// exclusive access to its own element: `f(i, &mut items[i])`. The
+/// elements stay where the caller allocated them — a worker writes into
+/// a buffer but never allocates or frees it, so the memory stays in the
+/// calling thread's allocator arena.
+pub fn par_map_mut<T, R, F>(items: &mut [T], workers: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    let cells: Vec<std::sync::Mutex<&mut T>> =
+        items.iter_mut().map(std::sync::Mutex::new).collect();
+    par_map_indexed(cells.len(), workers, |i| {
+        f(i, &mut cells[i].lock().expect("element lock"))
+    })
+}
+
 /// Applies `f` to every index in `0..n` on a pool of `workers` scoped
 /// threads (`0` = auto) and streams each result to `sink` **on the calling
 /// thread**, in completion order.
@@ -140,6 +158,23 @@ mod tests {
         let serial = par_map_indexed(37, 1, |i| (i, i * i));
         let parallel = par_map_indexed(37, 8, |i| (i, i * i));
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn map_mut_writes_each_element_in_place() {
+        for workers in [0, 1, 2, 3] {
+            let mut items: Vec<Vec<usize>> = (0..9).map(|i| vec![0; i]).collect();
+            let ptrs: Vec<*const usize> = items.iter().map(|v| v.as_ptr()).collect();
+            let lens = par_map_mut(&mut items, workers, |i, v| {
+                v.iter_mut().for_each(|x| *x = i);
+                v.len()
+            });
+            assert_eq!(lens, (0..9).collect::<Vec<_>>());
+            for (i, v) in items.iter().enumerate() {
+                assert!(v.iter().all(|&x| x == i));
+                assert_eq!(v.as_ptr(), ptrs[i], "no element was reallocated");
+            }
+        }
     }
 
     #[test]

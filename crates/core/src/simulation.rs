@@ -67,14 +67,17 @@ const ROUND_ENERGY_BOUNDS: &[f64] = &[5.0, 10.0, 25.0, 50.0, 100.0, 250.0];
 /// bit-identical across all settings (the stateful battery/network
 /// effects always replay serially in the original order).
 ///
-/// They govern [`Simulation::run`] only. Offline training in
+/// They govern [`Simulation::run`] only: its capture of the test segment
+/// and its per-round detection. Offline training in
 /// [`Simulation::prepare`] — one pool task per (camera, training frame)
 /// in `training::train_records`, then one per camera for feed matching —
 /// always fans out over the host's full available parallelism, even
 /// under [`Parallelism::serial`]; its records are identical either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
-    /// Worker threads for the per-round detection fan-out. `0` means
+    /// Worker threads for the run's pools: capture (one task per camera
+    /// renders and impairs its test frames into buffers the run's own
+    /// thread allocated) and the per-round detection fan-out. `0` means
     /// auto (the host's available parallelism); `1` runs inline.
     pub workers: usize,
     /// Share per-frame features (pyramid levels, channel stacks) across
@@ -326,10 +329,11 @@ pub struct Simulation {
 }
 
 /// The clean annotated frames of a prepared simulation's test segment,
-/// one `Vec` per camera. Empty until the first clean-sensor run renders
-/// them on its calling thread; every clone of the simulation (the
-/// `with_*` builders included) shares the one copy, which is never
-/// written to afterwards. Sensor-fault runs render their own copy.
+/// one `Vec` per camera. Empty until the first clean-sensor run captures
+/// them (`capture_segment`, on that run's workers); every clone of the
+/// simulation (the `with_*` builders included) shares the one copy,
+/// which is never written to afterwards. Sensor-fault runs capture their
+/// own copy.
 #[derive(Clone, Default)]
 struct FrameStore(Arc<OnceLock<Vec<Vec<FrameData>>>>);
 
@@ -618,15 +622,6 @@ impl Simulation {
         Ok(mission.finish())
     }
 
-    /// Renders the annotated frames of the test segment, per camera.
-    fn render_test_frames(&self) -> Vec<Vec<FrameData>> {
-        let (start, end) = (self.config.start_frame, self.config.end_frame);
-        self.feeds
-            .iter()
-            .map(|f| f.annotated_frames(start, end))
-            .collect()
-    }
-
     fn record_for(&self, camera: usize) -> &TrainingRecord {
         &self.controller.records()[self.matched[camera]]
     }
@@ -726,6 +721,38 @@ fn publish_detection(
             tel.counter_add(&format!("health.issue.{}", issue.kind()), 1);
         }
     }
+}
+
+/// Captures each feed's annotated frames in `[start, end)` through the
+/// sensors of `plan`: one pool task per camera on `workers` threads (`1`
+/// runs inline) replays the world once, renders the camera's frames in
+/// frame order and impairs each one. `corrupt` is a pure function of
+/// (camera, frame), so the pixels do not depend on the worker count.
+///
+/// Every pixel buffer is allocated here, on the calling thread, which is
+/// also the thread that frees it; the workers only write into them.
+/// Buffers allocated on pool threads stay resident in those threads'
+/// glibc arenas after the run frees them (DESIGN.md §9).
+fn capture_segment(
+    feeds: &[VideoFeed],
+    (start, end): (usize, usize),
+    plan: &SensorFaultPlan,
+    workers: usize,
+) -> (Vec<Vec<FrameData>>, Vec<Vec<FrameImpairment>>) {
+    let mut frames: Vec<Vec<FrameData>> = feeds
+        .iter()
+        .map(|feed| feed.annotated_slots(start, end))
+        .collect();
+    let impairments = crate::par::par_map_mut(&mut frames, workers, |j, cam_frames| {
+        // `corrupt` blanks a dropped frame whatever was rendered, so its
+        // black buffer is left unrendered.
+        feeds[j].fill(cam_frames, |frame| !plan.drops(j, frame));
+        cam_frames
+            .iter_mut()
+            .map(|fd| plan.corrupt(j, fd.frame, &mut fd.image))
+            .collect()
+    });
+    (frames, impairments)
 }
 
 /// A round's assignment (camera → algorithm) and active-camera set.
@@ -892,40 +919,28 @@ impl<'a> MissionState<'a> {
     /// them — every consumer downstream (assessment, operation, feature
     /// caches, parallel workers) sees the same degraded pixels, so worker
     /// count cannot change what was "seen". A disabled plan touches no
-    /// pixel, so it borrows the shared clean frames instead of rendering.
-    /// Either way the frames are rendered on the calling thread.
+    /// pixel, so it borrows the shared clean frames, captured by the first
+    /// such run.
     fn capture(sim: &'a Simulation) -> Result<(Frames<'a>, Vec<Vec<FrameImpairment>>)> {
         let plan = &sim.config.sensor_plan;
-        let mut frames: Frames<'a> = if plan.enabled() {
-            Cow::Owned(sim.render_test_frames())
+        let segment = (sim.config.start_frame, sim.config.end_frame);
+        let capture = || capture_segment(&sim.feeds, segment, plan, sim.config.parallel.workers);
+        let (frames, impairments) = if plan.enabled() {
+            let (frames, impairments) = capture();
+            (Cow::Owned(frames), impairments)
         } else {
-            Cow::Borrowed(sim.clean_frames.0.get_or_init(|| sim.render_test_frames()))
+            let frames = sim.clean_frames.0.get_or_init(|| capture().0);
+            let clean = frames
+                .iter()
+                .map(|cam_frames| vec![FrameImpairment::clean(); cam_frames.len()])
+                .collect();
+            (Cow::Borrowed(frames.as_slice()), clean)
         };
         if frames[0].is_empty() {
             return Err(EecsError::InvalidArgument(
                 "no annotated frames in the requested range".into(),
             ));
         }
-        let impairments = if plan.enabled() {
-            // Owned: `to_mut` never copies here, and never writes through
-            // to the store.
-            frames
-                .to_mut()
-                .iter_mut()
-                .enumerate()
-                .map(|(j, cam_frames)| {
-                    cam_frames
-                        .iter_mut()
-                        .map(|fd| plan.corrupt(j, fd.frame, &mut fd.image))
-                        .collect()
-                })
-                .collect()
-        } else {
-            frames
-                .iter()
-                .map(|cam_frames| vec![FrameImpairment::clean(); cam_frames.len()])
-                .collect()
-        };
         Ok((frames, impairments))
     }
 
@@ -2195,6 +2210,61 @@ mod tests {
 
     fn shared_bank() -> DetectorBank {
         DetectorBank::train_quick(42).unwrap()
+    }
+
+    #[test]
+    fn pooled_capture_equals_serial_render_and_corrupt() {
+        use eecs_scene::sensor_fault::SensorImpairments;
+        let profile = DatasetProfile::miniature(DatasetId::Lab);
+        let feeds: Vec<VideoFeed> = (0..4)
+            .map(|j| VideoFeed::open(profile.clone(), j))
+            .collect();
+        let harsh = SensorFaultPlan::seeded(11)
+            .with_default_impairments(SensorImpairments::harsh())
+            .with_occlusion(2, 20, 60, 0.3);
+        let bits = |fd: &FrameData| {
+            [&fd.image.r, &fd.image.g, &fd.image.b]
+                .into_iter()
+                .flat_map(|c| c.as_slice().iter().map(|v| v.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for plan in [harsh, SensorFaultPlan::ideal()] {
+            // The serial oracle: render every frame, then corrupt it.
+            let mut want_frames = Vec::new();
+            let mut want_impairments = Vec::new();
+            for (j, feed) in feeds.iter().enumerate() {
+                let mut frames = feed.annotated_frames(10, 90);
+                want_impairments.push(
+                    frames
+                        .iter_mut()
+                        .map(|fd| plan.corrupt(j, fd.frame, &mut fd.image))
+                        .collect::<Vec<_>>(),
+                );
+                want_frames.push(frames);
+            }
+            let all = want_impairments.iter().flatten();
+            if plan.enabled() {
+                assert!(all.clone().any(|i| i.dropped), "no frame dropped");
+                assert!(all.clone().any(|i| i.occluded), "no frame occluded");
+            } else {
+                assert!(all.clone().all(FrameImpairment::is_clean));
+            }
+            for workers in [0, 1, 2, 3] {
+                let (frames, impairments) = capture_segment(&feeds, (10, 90), &plan, workers);
+                assert_eq!(impairments, want_impairments, "workers {workers}");
+                assert_eq!(frames.len(), want_frames.len());
+                for (got, want) in frames.iter().flatten().zip(want_frames.iter().flatten()) {
+                    assert_eq!(got.frame, want.frame);
+                    assert_eq!(got.gt, want.gt, "frame {}", got.frame);
+                    assert!(
+                        bits(got) == bits(want),
+                        "workers {workers} frame {}",
+                        got.frame
+                    );
+                }
+                assert_eq!(frames.iter().flatten().count(), 64);
+            }
+        }
     }
 
     #[test]

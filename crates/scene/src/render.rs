@@ -24,9 +24,28 @@ use rand::SeedableRng;
 pub fn render_frame(world: &World, camera: &Camera, camera_index: usize) -> RgbImage {
     let profile = world.profile();
     let mut img = RgbImage::new(profile.width, profile.height);
-    draw_background(&mut img, profile);
-    draw_ground_grid(&mut img, profile, camera);
-    draw_landmarks(&mut img, profile, camera);
+    render_frame_into(world, camera, camera_index, &mut img);
+    img
+}
+
+/// Renders like [`render_frame`] into an existing buffer of the profile's
+/// size, whatever it held before: the background paints every pixel.
+/// This lets a caller allocate the buffer on the thread that will free
+/// it and hand only the writing to a pool worker.
+///
+/// # Panics
+///
+/// Panics if `img` does not have the profile's dimensions.
+pub fn render_frame_into(world: &World, camera: &Camera, camera_index: usize, img: &mut RgbImage) {
+    let profile = world.profile();
+    assert_eq!(
+        (img.width(), img.height()),
+        (profile.width, profile.height),
+        "render buffer does not match the profile's frame size"
+    );
+    draw_background(img, profile);
+    draw_ground_grid(img, profile, camera);
+    draw_landmarks(img, profile, camera);
 
     // Painter's algorithm over clutter + humans by distance to the camera.
     enum Entity<'a> {
@@ -49,22 +68,21 @@ pub fn render_frame(world: &World, camera: &Camera, camera_index: usize) -> RgbI
         match e {
             Entity::Clutter(c) => {
                 if let Ok((x0, y0, x1, y1)) = camera.person_bbox(&c.position, c.height, c.width) {
-                    draw_clutter(&mut img, x0, y0, x1, y1, c.colors);
+                    draw_clutter(img, x0, y0, x1, y1, c.colors);
                 }
             }
             Entity::Human(h) => {
                 if let Ok((x0, y0, x1, y1)) = camera.person_bbox(&h.position, h.height, h.width) {
-                    draw::draw_human(&mut img, x0, y0, x1, y1, h.clothing, h.skin);
+                    draw::draw_human(img, x0, y0, x1, y1, h.clothing, h.skin);
                 }
             }
         }
     }
 
     img.scale_brightness(profile.brightness);
-    apply_color_cast(&mut img, profile, camera_index);
+    apply_color_cast(img, profile, camera_index);
     let mut rng = noise_rng(profile, camera_index, world.frame());
-    draw::add_noise(&mut img, profile.noise, &mut rng);
-    img
+    draw::add_noise(img, profile.noise, &mut rng);
 }
 
 /// Per-camera white-balance/exposure cast: each physical camera has its own
@@ -235,6 +253,35 @@ mod tests {
         let img = render_frame(&w, &rig[0], 0);
         assert_eq!(img.width(), 180);
         assert_eq!(img.height(), 144);
+    }
+
+    #[test]
+    fn rendering_into_a_dirty_buffer_equals_a_fresh_render() {
+        for id in [DatasetId::Lab, DatasetId::Chap, DatasetId::Terrace] {
+            let p = DatasetProfile::miniature(id);
+            let rig = camera_rig(&p);
+            let world = World::at_frame(p.clone(), 7);
+            for (j, camera) in rig.iter().enumerate() {
+                let want = render_frame(&world, camera, j);
+                let mut dirty = RgbImage::filled(p.width, p.height, [0.3, 0.9, 0.1]);
+                draw::add_noise(&mut dirty, 0.5, &mut StdRng::seed_from_u64(j as u64));
+                render_frame_into(&world, camera, j, &mut dirty);
+                let bits = |img: &RgbImage| {
+                    [&img.r, &img.g, &img.b]
+                        .into_iter()
+                        .flat_map(|c| c.as_slice().iter().map(|v| v.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&dirty), bits(&want), "{id} camera {j}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "render buffer")]
+    fn rendering_into_a_wrong_sized_buffer_panics() {
+        let (w, rig) = mini_world(DatasetId::Lab);
+        render_frame_into(&w, &rig[0], 0, &mut RgbImage::new(4, 4));
     }
 
     #[test]

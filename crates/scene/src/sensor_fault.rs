@@ -333,16 +333,15 @@ impl SensorFaultPlan {
         if !self.enabled() {
             return status;
         }
-        let imp = self.impairments(camera);
-
         // A dropped frame carries no pixels worth corrupting further: the
         // sensor never delivered it. Blank it so any accidental use is
         // glaringly visible.
-        if imp.drop_prob > 0.0 && self.unit_roll(camera, frame, TAG_DROP) < imp.drop_prob {
+        if self.drops(camera, frame) {
             blank(img);
             status.dropped = true;
             return status;
         }
+        let imp = self.impairments(camera);
 
         if imp.exposure_prob > 0.0
             && self.unit_roll(camera, frame, TAG_EXPOSURE) < imp.exposure_prob
@@ -392,6 +391,15 @@ impl SensorFaultPlan {
         }
 
         status
+    }
+
+    /// Whether the capture of `(camera, frame)` fails outright — the drop
+    /// roll [`SensorFaultPlan::corrupt`] makes. A dropped frame's pixels
+    /// are blanked whatever was rendered, so a caller may skip rendering
+    /// it and hand `corrupt` a black buffer instead.
+    pub fn drops(&self, camera: usize, frame: usize) -> bool {
+        let drop_prob = self.impairments(camera).drop_prob;
+        drop_prob > 0.0 && self.unit_roll(camera, frame, TAG_DROP) < drop_prob
     }
 
     /// Deterministic uniform draw in `[0, 1)` for the event `tag` of
@@ -554,6 +562,31 @@ mod tests {
         assert!(status.dropped);
         assert!(!status.degraded(), "dropped trumps degraded");
         assert!(pixels(&img).iter().all(|&bits| bits == 0.0f32.to_bits()));
+    }
+
+    #[test]
+    fn drops_is_the_roll_corrupt_makes() {
+        let plan = SensorFaultPlan::seeded(5)
+            .with_default_impairments(SensorImpairments::harsh())
+            .with_occlusion(1, 0, 400, 0.3);
+        let mut dropped = 0;
+        for camera in 0..4 {
+            for frame in 0..400 {
+                let mut img = test_image();
+                let status = plan.corrupt(camera, frame, &mut img);
+                assert_eq!(plan.drops(camera, frame), status.dropped);
+                if status.dropped {
+                    dropped += 1;
+                    // A black buffer corrupts to the same pixels.
+                    let mut black = RgbImage::new(img.width(), img.height());
+                    assert_eq!(plan.corrupt(camera, frame, &mut black), status);
+                    assert_eq!(pixels(&black), pixels(&img));
+                }
+            }
+        }
+        // Harsh sensors drop about 15% of frames.
+        assert!((160..320).contains(&dropped), "{dropped} of 1600 dropped");
+        assert!(!SensorFaultPlan::ideal().drops(0, 0));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::dataset::DatasetProfile;
 use crate::ground_truth::{ground_truth, GtBox};
-use crate::render::render_frame;
+use crate::render::render_frame_into;
 use crate::rig::camera_rig;
 use crate::world::World;
 use eecs_geometry::camera::Camera;
@@ -69,12 +69,7 @@ impl VideoFeed {
     /// Renders a single frame (replays the world from frame 0; prefer
     /// [`VideoFeed::frames`] for ranges).
     pub fn frame(&self, f: usize) -> FrameData {
-        let world = World::at_frame(self.profile.clone(), f);
-        FrameData {
-            frame: f,
-            image: render_frame(&world, &self.camera, self.camera_index),
-            gt: ground_truth(&world, &self.camera),
-        }
+        self.frames(f, f + 1, 1).remove(0)
     }
 
     /// Renders frames `start, start+step, …` below `end` with a single
@@ -85,33 +80,75 @@ impl VideoFeed {
     /// Panics if `step == 0`.
     pub fn frames(&self, start: usize, end: usize, step: usize) -> Vec<FrameData> {
         assert!(step > 0, "step must be positive");
-        let mut world = World::at_frame(self.profile.clone(), start);
-        let mut out = Vec::new();
-        let mut f = start;
-        while f < end {
-            out.push(FrameData {
-                frame: f,
-                image: render_frame(&world, &self.camera, self.camera_index),
-                gt: ground_truth(&world, &self.camera),
-            });
-            for _ in 0..step {
-                world.step();
-            }
-            f += step;
-        }
-        out
+        self.rendered(self.slots((start..end).step_by(step)))
     }
 
     /// The frames of the feed that carry ground truth in `[start, end)` —
     /// the paper evaluates only on annotated frames (every
     /// `gt_interval`-th).
     pub fn annotated_frames(&self, start: usize, end: usize) -> Vec<FrameData> {
+        self.rendered(self.annotated_slots(start, end))
+    }
+
+    /// Unfilled slots for [`VideoFeed::annotated_frames`]`(start, end)`:
+    /// each carries its frame number, a black image of the feed's frame
+    /// size and no ground truth. The images are allocated here, so a
+    /// caller that hands the filling to pool workers can keep the pixel
+    /// buffers on the thread that will free them.
+    pub fn annotated_slots(&self, start: usize, end: usize) -> Vec<FrameData> {
+        self.slots(self.annotated_indices(start, end))
+    }
+
+    /// The numbers of the annotated frames in `[start, end)`, ascending.
+    pub fn annotated_indices(&self, start: usize, end: usize) -> impl Iterator<Item = usize> {
         let interval = self.profile.gt_interval;
         let first = start.div_ceil(interval) * interval;
-        if first >= end {
-            return Vec::new();
+        (first..end).step_by(interval)
+    }
+
+    /// Fills `slots` (in ascending frame order) with one world replay:
+    /// every slot gets its frame's ground truth, and its image is rendered
+    /// in place unless `render(frame)` is false — such a slot keeps the
+    /// pixels it had.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame numbers are not ascending, or an image does not
+    /// have the feed's frame size.
+    pub fn fill(&self, slots: &mut [FrameData], mut render: impl FnMut(usize) -> bool) {
+        let Some(first) = slots.first() else {
+            return;
+        };
+        let mut world = World::at_frame(self.profile.clone(), first.frame);
+        for slot in slots {
+            assert!(
+                slot.frame >= world.frame(),
+                "frame slots must be in ascending order"
+            );
+            while world.frame() < slot.frame {
+                world.step();
+            }
+            slot.gt = ground_truth(&world, &self.camera);
+            if render(slot.frame) {
+                render_frame_into(&world, &self.camera, self.camera_index, &mut slot.image);
+            }
         }
-        self.frames(first, end, interval)
+    }
+
+    fn slots(&self, frames: impl Iterator<Item = usize>) -> Vec<FrameData> {
+        let (w, h) = (self.profile.width, self.profile.height);
+        frames
+            .map(|frame| FrameData {
+                frame,
+                image: RgbImage::new(w, h),
+                gt: Vec::new(),
+            })
+            .collect()
+    }
+
+    fn rendered(&self, mut slots: Vec<FrameData>) -> Vec<FrameData> {
+        self.fill(&mut slots, |_| true);
+        slots
     }
 }
 
@@ -148,6 +185,37 @@ mod tests {
         let fs = feed.annotated_frames(3, 21);
         let indices: Vec<usize> = fs.iter().map(|f| f.frame).collect();
         assert_eq!(indices, vec![5, 10, 15, 20]);
+    }
+
+    #[test]
+    fn filled_slots_equal_annotated_frames_and_skips_keep_their_pixels() {
+        let feed = VideoFeed::open(mini(), 1);
+        let want = feed.annotated_frames(3, 41);
+        let mut slots = feed.annotated_slots(3, 41);
+        assert_eq!(
+            slots.iter().map(|s| s.frame).collect::<Vec<_>>(),
+            want.iter().map(|f| f.frame).collect::<Vec<_>>()
+        );
+        let black = RgbImage::new(mini().width, mini().height);
+        assert!(slots.iter().all(|s| s.image == black && s.gt.is_empty()));
+        feed.fill(&mut slots, |f| f != 15);
+        for (got, want) in slots.iter().zip(&want) {
+            assert_eq!(got.gt, want.gt);
+            if got.frame == 15 {
+                assert_eq!(got.image, black, "a skipped slot is left as it was");
+            } else {
+                assert_eq!(got.image, want.image);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending")]
+    fn descending_slots_panic() {
+        let feed = VideoFeed::open(mini(), 0);
+        let mut slots = feed.annotated_slots(0, 20);
+        slots.reverse();
+        feed.fill(&mut slots, |_| true);
     }
 
     #[test]

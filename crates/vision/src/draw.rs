@@ -10,14 +10,31 @@ use rand::RngExt;
 /// Fills the axis-aligned rectangle `[x0, x1) × [y0, y1)` (clipped to the
 /// image) with a constant color.
 pub fn fill_rect(img: &mut RgbImage, x0: i64, y0: i64, x1: i64, y1: i64, rgb: [f32; 3]) {
+    fill_rows(img, x0, y0, x1, y1, |_| rgb);
+}
+
+/// Fills the clipped rectangle `[x0, x1) × [y0, y1)` one row slice per
+/// channel at a time, in the color `color(y)` of each row `y`.
+fn fill_rows(
+    img: &mut RgbImage,
+    x0: i64,
+    y0: i64,
+    x1: i64,
+    y1: i64,
+    color: impl Fn(i64) -> [f32; 3],
+) {
     let (w, h) = (img.width() as i64, img.height() as i64);
-    let xa = x0.clamp(0, w);
-    let xb = x1.clamp(0, w);
-    let ya = y0.clamp(0, h);
-    let yb = y1.clamp(0, h);
+    let (xa, xb) = (x0.clamp(0, w) as usize, x1.clamp(0, w) as usize);
+    let (ya, yb) = (y0.clamp(0, h), y1.clamp(0, h));
+    if xa >= xb {
+        return;
+    }
+    let w = w as usize;
     for y in ya..yb {
-        for x in xa..xb {
-            img.set(x as usize, y as usize, rgb);
+        let rgb = color(y);
+        let row = y as usize * w;
+        for (chan, v) in [&mut img.r, &mut img.g, &mut img.b].into_iter().zip(rgb) {
+            chan.as_mut_slice()[row + xa..row + xb].fill(v);
         }
     }
 }
@@ -47,43 +64,36 @@ pub fn fill_ellipse(img: &mut RgbImage, cx: f64, cy: f64, rx: f64, ry: f64, rgb:
 /// Paints a vertical gradient from `top` color at `y = 0` to `bottom` color
 /// at `y = height-1` over the whole image.
 pub fn vertical_gradient(img: &mut RgbImage, top: [f32; 3], bottom: [f32; 3]) {
-    let h = img.height();
-    let w = img.width();
-    for y in 0..h {
+    let (w, h) = (img.width() as i64, img.height() as i64);
+    fill_rows(img, 0, 0, w, h, |y| {
         let t = if h > 1 {
             y as f32 / (h - 1) as f32
         } else {
             0.0
         };
-        let rgb = [
+        [
             top[0] + t * (bottom[0] - top[0]),
             top[1] + t * (bottom[1] - top[1]),
             top[2] + t * (bottom[2] - top[2]),
-        ];
-        for x in 0..w {
-            img.set(x, y, rgb);
-        }
-    }
+        ]
+    });
 }
 
 /// Adds zero-mean uniform noise of amplitude `amp` to every channel and
-/// clamps back to `[0, 1]`. Deterministic given the RNG state.
+/// clamps back to `[0, 1]`. Deterministic given the RNG state: one draw
+/// per pixel, in row-major order, shared by its three channels.
 pub fn add_noise(img: &mut RgbImage, amp: f32, rng: &mut StdRng) {
-    let (w, h) = (img.width(), img.height());
-    for y in 0..h {
-        for x in 0..w {
-            let [r, g, b] = img.get(x, y);
-            let n = rng.random_range(-amp..=amp);
-            img.set(
-                x,
-                y,
-                [
-                    (r + n).clamp(0.0, 1.0),
-                    (g + n).clamp(0.0, 1.0),
-                    (b + n).clamp(0.0, 1.0),
-                ],
-            );
-        }
+    let RgbImage { r, g, b } = img;
+    let planes = r
+        .as_mut_slice()
+        .iter_mut()
+        .zip(g.as_mut_slice())
+        .zip(b.as_mut_slice());
+    for ((pr, pg), pb) in planes {
+        let n = rng.random_range(-amp..=amp);
+        *pr = (*pr + n).clamp(0.0, 1.0);
+        *pg = (*pg + n).clamp(0.0, 1.0);
+        *pb = (*pb + n).clamp(0.0, 1.0);
     }
 }
 
@@ -101,19 +111,14 @@ pub fn striped_rect(
     rgb_b: [f32; 3],
     stripe_height: usize,
 ) {
-    let (w, h) = (img.width() as i64, img.height() as i64);
     let sh = stripe_height.max(1) as i64;
-    let xa = x0.clamp(0, w);
-    let xb = x1.clamp(0, w);
-    let ya = y0.clamp(0, h);
-    let yb = y1.clamp(0, h);
-    for y in ya..yb {
-        let band = ((y - y0) / sh) % 2 == 0;
-        let rgb = if band { rgb_a } else { rgb_b };
-        for x in xa..xb {
-            img.set(x as usize, y as usize, rgb);
+    fill_rows(img, x0, y0, x1, y1, |y| {
+        if ((y - y0) / sh) % 2 == 0 {
+            rgb_a
+        } else {
+            rgb_b
         }
-    }
+    });
 }
 
 /// Draws a furniture item into the bounding box: three vertically split

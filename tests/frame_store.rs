@@ -1,6 +1,6 @@
 //! The clean-frame store of a prepared [`Simulation`]: clean-sensor runs
-//! borrow one shared render of the test segment, sensor-fault runs
-//! corrupt a private copy. Neither may leak into the other — every
+//! borrow one shared capture of the test segment, sensor-fault runs
+//! capture and corrupt a private copy. Neither may leak into the other — every
 //! report must equal the report of a freshly prepared simulation, to the
 //! byte, whatever ran on the shared store before it.
 
@@ -118,13 +118,23 @@ fn a_clone_taken_before_the_first_run_shares_the_fill() {
 fn one_and_two_workers_read_the_store_identically() {
     let sim = prepare(40, 100);
     let serial = sim.with_parallelism(Parallelism::serial());
-    let two = sim.with_parallelism(Parallelism {
-        workers: 2,
+    let workers = |workers| Parallelism {
+        workers,
         feature_cache: true,
-    });
-    // The two-worker run fills the store; the serial one reads it.
-    assert_eq!(run(&two), run(&serial));
-    assert_eq!(run(&chaos(&two)), run(&chaos(&serial)));
+    };
+    let two = sim.with_parallelism(workers(2));
+    let three = sim.with_parallelism(workers(3));
+    // The two-worker run fills the store; the others read it.
+    let ideal = run(&two);
+    assert_eq!(ideal, run(&serial));
+    assert_eq!(ideal, run(&three));
+    // A store captured on three workers (an uneven split of the four
+    // cameras) holds the same frames.
+    assert_eq!(ideal, run(&prepare(40, 100).with_parallelism(workers(3))));
+    // Sensor-fault runs capture on their own worker count.
+    let sensor_chaos = run(&chaos(&two));
+    assert_eq!(sensor_chaos, run(&chaos(&serial)));
+    assert_eq!(sensor_chaos, run(&chaos(&three)));
 }
 
 #[test]
