@@ -32,6 +32,10 @@ fi
 echo "==> cargo clippy"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings are errors)"
+# Catches intra-doc links left dangling by a deleted or privatized item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

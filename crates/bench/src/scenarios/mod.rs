@@ -5,7 +5,7 @@
 //! * `spec()` — the declarative [`crate::sweep::SweepSpec`] grid,
 //! * `shard(&Artifacts)` — a [`crate::sweep::Shard`] whose runner computes
 //!   one cell from shared, memoized training artifacts (expensive context
-//!   is a [`CellContext`]: built lazily, once, on first cell, and dropped
+//!   is a `CellContext`: built lazily, once, on first cell, and dropped
 //!   after the shard's last cell), and
 //! * `format(&Json)` — the human-readable report rendered from the merged
 //!   sweep document, byte-for-byte in canonical cell order.

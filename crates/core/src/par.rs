@@ -23,34 +23,20 @@ pub fn resolve_workers(workers: usize, items: usize) -> usize {
 /// Applies `f` to every index in `0..n` on a pool of `workers` scoped
 /// threads (`0` = auto) and returns the results in index order.
 ///
-/// Work is claimed dynamically through an atomic counter, so slow items do
-/// not stall the pool; with one worker (or one item) the loop runs inline
-/// with no threads spawned, making the serial path literally serial.
+/// This is [`par_map_streamed`] with a sink that fills index-addressed
+/// slots: work is claimed dynamically, so slow items do not stall the
+/// pool, and with one worker (or one item) the loop runs inline with no
+/// threads spawned, making the serial path literally serial.
 pub fn par_map_indexed<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = resolve_workers(workers, n);
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let out = std::sync::Mutex::new(&mut slots);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let v = f(i);
-                out.lock().expect("slot lock")[i] = Some(v);
-            });
-        }
-    })
-    .expect("pool workers do not panic");
+    par_map_streamed(n, workers, f, |i, v| {
+        slots[i] = Some(v);
+        true
+    });
     slots
         .into_iter()
         .map(|o| o.expect("every index processed"))

@@ -15,14 +15,13 @@
 //! 3. **Clutter-aware training** — its negative set includes furniture
 //!    panels, keeping precision high in dataset #2 where HOG collapses.
 
-use crate::detection::{AlgorithmId, BBox, Detection, DetectionOutput};
+use crate::detection::{AlgorithmId, Detection, DetectionOutput};
 use crate::frame_features::FrameFeatures;
 use crate::nms::{nms_in_place, non_maximum_suppression};
 use crate::pyramid::{ScaleSchedule, WINDOW_H, WINDOW_W};
 use crate::training::{synthesize, NegativeRegime, TrainingConfig};
 use crate::{DetectError, Detector, Result};
 use eecs_learn::boost::AdaBoost;
-use eecs_learn::Example;
 use eecs_vision::channels::{AcfChannels, CHANNEL_COUNT};
 use eecs_vision::image::RgbImage;
 
@@ -116,21 +115,12 @@ impl AcfDetector {
         let agg_w = WINDOW_W / config.shrink;
         let agg_h = WINDOW_H / config.shrink;
 
-        let windows = synthesize(&config.training);
-        let mut examples = Vec::new();
-        for (imgs, label) in [(&windows.positives, 1.0), (&windows.negatives, -1.0)] {
-            for img in imgs.iter() {
-                let ch = AcfChannels::compute(img, config.shrink)
-                    .map_err(|e| DetectError::Training(format!("acf channels: {e}")))?;
-                let feat = ch
-                    .window_features(0, 0, agg_w, agg_h)
-                    .map_err(|e| DetectError::Training(format!("acf features: {e}")))?;
-                examples.push(Example {
-                    features: feat,
-                    label,
-                });
-            }
-        }
+        let examples = synthesize(&config.training).examples(|img, buf| {
+            *buf = AcfChannels::compute(img, config.shrink)
+                .and_then(|ch| ch.window_features(0, 0, agg_w, agg_h))
+                .map_err(|e| DetectError::Training(format!("acf features: {e}")))?;
+            Ok(())
+        })?;
         let boost = AdaBoost::train(&examples, config.rounds)
             .map_err(|e| DetectError::Training(format!("acf boost: {e}")))?;
 
@@ -238,17 +228,8 @@ impl AcfDetector {
                     ops += evaluated;
                     if let Some(score) = score {
                         if score >= self.config.keep_floor {
-                            let px0 = (x0 * self.config.shrink) as f64 / scale;
-                            let py0 = (y0 * self.config.shrink) as f64 / scale;
-                            candidates.push(Detection {
-                                bbox: BBox::new(
-                                    px0,
-                                    py0,
-                                    px0 + WINDOW_W as f64 / scale,
-                                    py0 + WINDOW_H as f64 / scale,
-                                ),
-                                score,
-                            });
+                            let (x, y) = (x0 * self.config.shrink, y0 * self.config.shrink);
+                            candidates.push(Detection::window(x, y, scale, score));
                         }
                     }
                     x0 += stride;
@@ -291,10 +272,6 @@ fn boost_to_channel_stumps(
 impl Detector for AcfDetector {
     fn algorithm(&self) -> AlgorithmId {
         AlgorithmId::Acf
-    }
-
-    fn detect(&self, frame: &RgbImage) -> DetectionOutput {
-        self.detect_with_cache(frame, &FrameFeatures::new(frame))
     }
 
     fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
@@ -341,17 +318,8 @@ impl Detector for AcfDetector {
                         ops += evaluated;
                         if let Some(score) = score {
                             if score >= self.config.keep_floor {
-                                let px0 = (x0 * self.config.shrink) as f64 / scale;
-                                let py0 = (y0 * self.config.shrink) as f64 / scale;
-                                candidates.push(Detection {
-                                    bbox: BBox::new(
-                                        px0,
-                                        py0,
-                                        px0 + WINDOW_W as f64 / scale,
-                                        py0 + WINDOW_H as f64 / scale,
-                                    ),
-                                    score,
-                                });
+                                let (x, y) = (x0 * self.config.shrink, y0 * self.config.shrink);
+                                candidates.push(Detection::window(x, y, scale, score));
                             }
                         }
                         x0 += stride;

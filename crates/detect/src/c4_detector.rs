@@ -12,10 +12,9 @@ use crate::frame_features::FrameFeatures;
 use crate::kernels::CensusCodePlane;
 use crate::nms::{nms_in_place, non_maximum_suppression};
 use crate::pyramid::{ScaleSchedule, WINDOW_H, WINDOW_W};
-use crate::training::{synthesize, NegativeRegime, TrainingConfig};
+use crate::training::{fit_svm, synthesize, NegativeRegime, TrainingConfig};
 use crate::{DetectError, Detector, Result};
 use eecs_learn::svm::{LinearSvm, SvmConfig};
-use eecs_learn::Example;
 use eecs_vision::image::{GrayImage, RgbImage};
 
 /// Census histogram bins (8-neighbor census → 256 codes).
@@ -183,62 +182,29 @@ impl C4ScanTables {
 }
 
 impl C4Detector {
-    /// Trains the detector on synthesized windows.
+    /// Trains the detector on synthesized windows: one SVM fit over each
+    /// window's tiled census histogram, bootstrapped with
+    /// `hard_negative_rounds` rounds of hard-negative mining.
     ///
     /// # Errors
     ///
     /// Returns [`DetectError::Training`] if SVM training fails.
     pub fn train(config: C4DetectorConfig) -> Result<C4Detector> {
-        let windows = synthesize(&config.training);
-        let mut examples = Vec::new();
-        for (imgs, label) in [(&windows.positives, 1.0), (&windows.negatives, -1.0)] {
-            for img in imgs.iter() {
-                let codes = CensusCodePlane::compute(&img.to_gray());
-                let feat = window_census_histogram(&codes, 0, 0, WINDOW_W, WINDOW_H);
-                examples.push(Example {
-                    features: feat,
-                    label,
-                });
-            }
-        }
-        let mut svm = LinearSvm::train(&examples, &config.svm)
-            .map_err(|e| DetectError::Training(format!("c4 svm: {e}")))?;
-
-        // Hard-negative mining (bootstrapping): synthesize fresh negatives,
-        // keep the ones the current model scores as near-positives, refit.
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(config.training.seed.wrapping_add(0xC4));
-        use rand::RngExt;
-        let mut feat_buf = Vec::new();
-        for round in 0..config.hard_negative_rounds {
-            let mut mined = 0usize;
-            for _ in 0..config.hard_negative_pool {
-                let clutter =
-                    config.training.regime == NegativeRegime::WithClutter && rng.random_bool(0.33);
-                let img = crate::training::negative_window(&mut rng, clutter);
-                let codes = CensusCodePlane::compute(&img.to_gray());
-                // Most candidates are confident negatives that get thrown
-                // away, so build the histogram in a reused buffer and only
-                // clone the margin violators into the training set.
-                window_census_histogram_into(&codes, 0, 0, WINDOW_W, WINDOW_H, &mut feat_buf);
-                if svm.score(&feat_buf) > -0.5 {
-                    examples.push(Example {
-                        features: feat_buf.clone(),
-                        label: -1.0,
-                    });
-                    mined += 1;
-                }
-            }
-            if mined == 0 {
-                break;
-            }
-            let refit_cfg = SvmConfig {
-                seed: config.svm.seed.wrapping_add(round as u64 + 1),
-                ..config.svm
-            };
-            svm = LinearSvm::train(&examples, &refit_cfg)
-                .map_err(|e| DetectError::Training(format!("c4 svm refit: {e}")))?;
-        }
+        let featurize = |img: &RgbImage, buf: &mut Vec<f64>| {
+            let codes = CensusCodePlane::compute(&img.to_gray());
+            window_census_histogram_into(&codes, 0, 0, WINDOW_W, WINDOW_H, buf);
+            Ok(())
+        };
+        let examples = synthesize(&config.training).examples(featurize)?;
+        let mining = (config.hard_negative_rounds, config.hard_negative_pool);
+        let svm = fit_svm(
+            "c4",
+            examples,
+            &config.svm,
+            &config.training,
+            mining,
+            featurize,
+        )?;
         Self::from_svm(config, svm)
     }
 
@@ -567,10 +533,6 @@ pub fn window_census_histogram_into(
 impl Detector for C4Detector {
     fn algorithm(&self) -> AlgorithmId {
         AlgorithmId::C4
-    }
-
-    fn detect(&self, frame: &RgbImage) -> DetectionOutput {
-        self.detect_with_cache(frame, &FrameFeatures::new(frame))
     }
 
     fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {

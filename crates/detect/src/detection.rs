@@ -1,5 +1,6 @@
 //! Detections, bounding boxes, algorithm identities.
 
+use crate::pyramid::{WINDOW_H, WINDOW_W};
 use std::fmt;
 
 /// The four detection algorithms of Section V-A.
@@ -139,6 +140,23 @@ pub struct Detection {
     pub bbox: BBox,
     /// Raw (uncalibrated) detection score; higher is more confident.
     pub score: f64,
+}
+
+impl Detection {
+    /// The detection of the window whose top-left corner is pixel `(x, y)`
+    /// of the pyramid level at `scale`, in frame coordinates.
+    pub fn window(x: usize, y: usize, scale: f64, score: f64) -> Detection {
+        let (x0, y0) = (x as f64 / scale, y as f64 / scale);
+        Detection {
+            bbox: BBox::new(
+                x0,
+                y0,
+                x0 + WINDOW_W as f64 / scale,
+                y0 + WINDOW_H as f64 / scale,
+            ),
+            score,
+        }
+    }
 }
 
 /// The result of running a detector on one frame.

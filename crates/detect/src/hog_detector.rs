@@ -6,16 +6,14 @@
 //! it keeps high precision in clean scenes (Table II) and loses precision
 //! against the person-shaped furniture of dataset #2 (Table III).
 
-use crate::detection::BBox;
 use crate::detection::{AlgorithmId, Detection, DetectionOutput};
 use crate::frame_features::FrameFeatures;
 use crate::nms::{nms_in_place, non_maximum_suppression};
 use crate::pyramid::{ScaleSchedule, WINDOW_H, WINDOW_W};
-use crate::training::{synthesize, NegativeRegime, TrainingConfig, TrainingWindows};
+use crate::training::{fit_svm, synthesize, NegativeRegime, TrainingConfig};
 use crate::{DetectError, Detector, Result};
 use eecs_learn::svm::{LinearSvm, SvmConfig};
-use eecs_learn::Example;
-use eecs_vision::hog::{HogConfig, HogDescriptor};
+use eecs_vision::hog::{HogCellGrid, HogConfig};
 use eecs_vision::image::RgbImage;
 
 /// HOG detector configuration.
@@ -79,23 +77,30 @@ pub struct HogSvmDetector {
 }
 
 impl HogSvmDetector {
-    /// Trains the detector on synthesized windows.
+    /// Trains the detector on synthesized windows: one SVM fit over each
+    /// window's full HOG descriptor, without mining.
     ///
     /// # Errors
     ///
     /// Returns [`DetectError::Training`] if descriptor extraction or SVM
     /// training fails.
     pub fn train(config: HogDetectorConfig) -> Result<HogSvmDetector> {
-        let windows = synthesize(&config.training);
-        let examples = descriptor_examples(&windows, config.hog)?;
-        let svm = LinearSvm::train(&examples, &config.svm)
-            .map_err(|e| DetectError::Training(format!("hog svm: {e}")))?;
-        let scale_levels = config.scales.scales();
-        Ok(HogSvmDetector {
-            config,
-            svm,
-            scale_levels,
-        })
+        let hog = config.hog;
+        let featurize = |img: &RgbImage, buf: &mut Vec<f64>| {
+            HogCellGrid::compute(&img.to_gray(), hog)
+                .and_then(|g| g.window_descriptor_into(0, 0, g.cells_x(), g.cells_y(), buf))
+                .map_err(|e| DetectError::Training(format!("hog descriptor: {e}")))
+        };
+        let examples = synthesize(&config.training).examples(featurize)?;
+        let svm = fit_svm(
+            "hog",
+            examples,
+            &config.svm,
+            &config.training,
+            (0, 0),
+            featurize,
+        )?;
+        HogSvmDetector::from_svm(config, svm)
     }
 
     /// Builds a detector around an already-trained SVM whose weight vector
@@ -108,26 +113,7 @@ impl HogSvmDetector {
     /// Returns [`DetectError::InvalidArgument`] if the HOG layout cannot
     /// tile the detection window or the weight dimension mismatches.
     pub fn from_svm(config: HogDetectorConfig, svm: LinearSvm) -> Result<HogSvmDetector> {
-        let b = config.hog.block_cells;
-        let cell = config.hog.cell_size;
-        if cell == 0 || b == 0 {
-            return Err(DetectError::InvalidArgument(
-                "hog cell/block size must be positive".into(),
-            ));
-        }
-        let (cells_w, cells_h) = (WINDOW_W / cell, WINDOW_H / cell);
-        if cells_w < b || cells_h < b {
-            return Err(DetectError::InvalidArgument(format!(
-                "window of {cells_w}×{cells_h} cells cannot hold a {b}-cell block"
-            )));
-        }
-        let dim = (cells_w - b + 1) * (cells_h - b + 1) * b * b * config.hog.bins;
-        if svm.weights().len() != dim {
-            return Err(DetectError::InvalidArgument(format!(
-                "hog svm weight dim {} != {dim}",
-                svm.weights().len()
-            )));
-        }
+        check_hog_filter("hog svm", &svm, config.hog, (WINDOW_W, WINDOW_H))?;
         let scale_levels = config.scales.scales();
         Ok(HogSvmDetector {
             config,
@@ -173,17 +159,8 @@ impl HogSvmDetector {
                         ops += desc.len() as u64;
                         let score = self.svm.score(&desc);
                         if score >= self.config.keep_floor {
-                            let x0 = (cx0 * cell) as f64 / scale;
-                            let y0 = (cy0 * cell) as f64 / scale;
-                            candidates.push(Detection {
-                                bbox: BBox::new(
-                                    x0,
-                                    y0,
-                                    x0 + WINDOW_W as f64 / scale,
-                                    y0 + WINDOW_H as f64 / scale,
-                                ),
-                                score,
-                            });
+                            let (x, y) = (cx0 * cell, cy0 * cell);
+                            candidates.push(Detection::window(x, y, scale, score));
                         }
                     }
                     cx0 += stride;
@@ -204,32 +181,37 @@ impl HogSvmDetector {
     }
 }
 
-/// Extracts window descriptors and labels for training.
-pub(crate) fn descriptor_examples(
-    windows: &TrainingWindows,
+/// Checks that `svm` is a linear filter over the HOG descriptor of a
+/// `w × h`-pixel window under `hog`.
+///
+/// # Errors
+///
+/// Returns [`DetectError::InvalidArgument`] if the layout cannot tile the
+/// window with a block, or the weight dimension mismatches.
+pub(crate) fn check_hog_filter(
+    what: &str,
+    svm: &LinearSvm,
     hog: HogConfig,
-) -> Result<Vec<Example>> {
-    let mut examples = Vec::with_capacity(windows.positives.len() + windows.negatives.len());
-    for (imgs, label) in [(&windows.positives, 1.0), (&windows.negatives, -1.0)] {
-        for img in imgs.iter() {
-            let desc = HogDescriptor::compute(&img.to_gray(), hog)
-                .map_err(|e| DetectError::Training(format!("hog descriptor: {e}")))?;
-            examples.push(Example {
-                features: desc,
-                label,
-            });
-        }
+    (w, h): (usize, usize),
+) -> Result<()> {
+    let tiles = hog.cell_size > 0 && hog.block_cells > 0;
+    let Some(dim) = tiles.then(|| hog.descriptor_len(w, h)).flatten() else {
+        return Err(DetectError::InvalidArgument(format!(
+            "{what}: a {w}×{h} window holds no block of {hog:?}"
+        )));
+    };
+    if svm.weights().len() != dim {
+        return Err(DetectError::InvalidArgument(format!(
+            "{what} weight dim {} != {dim}",
+            svm.weights().len()
+        )));
     }
-    Ok(examples)
+    Ok(())
 }
 
 impl Detector for HogSvmDetector {
     fn algorithm(&self) -> AlgorithmId {
         AlgorithmId::Hog
-    }
-
-    fn detect(&self, frame: &RgbImage) -> DetectionOutput {
-        self.detect_with_cache(frame, &FrameFeatures::new(frame))
     }
 
     fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
@@ -282,17 +264,8 @@ impl Detector for HogSvmDetector {
                         // reproduces the reference score exactly.
                         let score = dot + self.svm.bias();
                         if score >= self.config.keep_floor {
-                            let x0 = (k * stride * cell) as f64 / scale;
-                            let y0 = (cy0 * cell) as f64 / scale;
-                            candidates.push(Detection {
-                                bbox: BBox::new(
-                                    x0,
-                                    y0,
-                                    x0 + WINDOW_W as f64 / scale,
-                                    y0 + WINDOW_H as f64 / scale,
-                                ),
-                                score,
-                            });
+                            let (x, y) = (k * stride * cell, cy0 * cell);
+                            candidates.push(Detection::window(x, y, scale, score));
                         }
                     }
                     cy0 += stride;

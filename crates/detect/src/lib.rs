@@ -86,23 +86,24 @@ pub trait Detector: Send + Sync {
     /// Which algorithm this is.
     fn algorithm(&self) -> AlgorithmId;
 
-    /// Runs detection on a frame.
-    fn detect(&self, frame: &RgbImage) -> DetectionOutput;
+    /// Runs detection on a frame: [`Detector::detect_with_cache`] over a
+    /// fresh cache.
+    fn detect(&self, frame: &RgbImage) -> DetectionOutput {
+        self.detect_with_cache(frame, &FrameFeatures::new(frame))
+    }
 
     /// Runs detection on a frame, sharing per-frame intermediates
     /// (grayscale conversion, pyramid levels, feature channels) with other
     /// detectors through `cache`. `cache` must have been built over
     /// `frame`.
     ///
-    /// The output — detections *and* the `ops` counter — is identical to
-    /// [`Detector::detect`]; the cache only removes redundant host
+    /// The output — detections *and* the `ops` counter — is the same
+    /// whatever other detectors already computed into `cache`, so equal to
+    /// [`Detector::detect`]; sharing only removes redundant host
     /// computation, never modeled work (the simulated cameras run each
     /// algorithm in isolation, so `ops`-based energy charges must not
     /// shrink when features are shared).
-    fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
-        let _ = cache;
-        self.detect(frame)
-    }
+    fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput;
 }
 
 #[cfg(test)]

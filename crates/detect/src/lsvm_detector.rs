@@ -8,15 +8,14 @@
 //! every window that passes the root gate pays `parts × displacements`
 //! extra filter evaluations.
 
-use crate::detection::{AlgorithmId, BBox, Detection, DetectionOutput};
+use crate::detection::{AlgorithmId, Detection, DetectionOutput};
 use crate::frame_features::FrameFeatures;
-use crate::hog_detector::descriptor_examples;
+use crate::hog_detector::check_hog_filter;
 use crate::nms::{nms_in_place, non_maximum_suppression};
 use crate::pyramid::{ScaleSchedule, WINDOW_H, WINDOW_W};
-use crate::training::{synthesize, NegativeRegime, TrainingConfig, TrainingWindows};
+use crate::training::{fit_svm, synthesize, NegativeRegime, TrainingConfig};
 use crate::{DetectError, Detector, Result};
 use eecs_learn::svm::{LinearSvm, SvmConfig};
-use eecs_learn::Example;
 use eecs_vision::hog::{HogCellGrid, HogConfig};
 use eecs_vision::image::RgbImage;
 
@@ -33,6 +32,30 @@ struct Part {
 const PART_CELLS: usize = 2;
 /// Displacement search radius in cells.
 const DISP: isize = 1;
+
+/// The part anchors on the window's cell grid, in training order: head,
+/// left shoulder/arm, right shoulder/arm, legs (on the default 4×12-cell
+/// window).
+///
+/// # Errors
+///
+/// Returns [`DetectError::InvalidArgument`] if a part does not fit inside
+/// the window.
+fn part_anchors(hog: HogConfig) -> Result<[(usize, usize); 4]> {
+    if hog.cell_size == 0 || WINDOW_W / hog.cell_size < PART_CELLS {
+        return Err(DetectError::InvalidArgument(format!(
+            "a {WINDOW_W}-pixel window holds no {PART_CELLS}-cell part of {hog:?}"
+        )));
+    }
+    let cells_w = WINDOW_W / hog.cell_size;
+    let cells_h = WINDOW_H / hog.cell_size;
+    Ok([
+        (cells_w / 2 - 1, 0),
+        (0, cells_h / 4),
+        (cells_w - PART_CELLS, cells_h / 4),
+        (cells_w / 2 - 1, cells_h * 2 / 3),
+    ])
+}
 
 /// LSVM detector configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,45 +129,44 @@ pub struct LsvmDetector {
 }
 
 impl LsvmDetector {
-    /// Trains root and part filters on synthesized windows.
+    /// Trains root and part filters on synthesized windows: one HOG cell
+    /// grid per window holds the root and all four part descriptors, and
+    /// each filter is one SVM fit without mining.
     ///
     /// # Errors
     ///
-    /// Returns [`DetectError::Training`] if any filter fails to train.
+    /// Returns [`DetectError::InvalidArgument`] if the HOG layout cannot
+    /// tile the window, or [`DetectError::Training`] if any filter fails to
+    /// train.
     pub fn train(config: LsvmDetectorConfig) -> Result<LsvmDetector> {
-        let windows = synthesize(&config.training);
-        let root_examples = descriptor_examples(&windows, config.hog)?;
-        let root = LinearSvm::train(&root_examples, &config.svm)
-            .map_err(|e| DetectError::Training(format!("lsvm root: {e}")))?;
-
-        // Anatomical anchors on the 4×12-cell window: head, shoulders,
-        // hips, legs.
-        let cells_w = WINDOW_W / config.hog.cell_size;
-        let cells_h = WINDOW_H / config.hog.cell_size;
-        let anchors = [
-            (cells_w / 2 - 1, 0),                // head
-            (0, cells_h / 4),                    // left shoulder/arm
-            (cells_w - PART_CELLS, cells_h / 4), // right shoulder/arm
-            (cells_w / 2 - 1, cells_h * 2 / 3),  // legs
-        ];
-        let mut parts = Vec::with_capacity(anchors.len());
-        for &(ax, ay) in &anchors {
-            let examples = part_examples(&windows, config.hog, ax, ay)?;
-            let svm = LinearSvm::train(&examples, &config.svm)
-                .map_err(|e| DetectError::Training(format!("lsvm part ({ax},{ay}): {e}")))?;
-            parts.push(Part {
-                anchor_cx: ax,
-                anchor_cy: ay,
-                svm,
-            });
-        }
-        let scale_levels = config.scales.scales();
-        Ok(LsvmDetector {
-            config,
-            root,
-            parts,
-            scale_levels,
-        })
+        let anchors = part_anchors(config.hog)?;
+        let hog = config.hog;
+        let grid = |img: &RgbImage| {
+            HogCellGrid::compute(&img.to_gray(), hog)
+                .map_err(|e| DetectError::Training(format!("lsvm grid: {e}")))
+        };
+        let grids = synthesize(&config.training).try_map(grid)?;
+        let fit = |what: &str, (cx0, cy0): (usize, usize), (w, h): (usize, usize)| {
+            let descriptor = move |g: &HogCellGrid, buf: &mut Vec<f64>| {
+                g.window_descriptor_into(cx0, cy0, w, h, buf)
+                    .map_err(|e| DetectError::Training(format!("{what} descriptor: {e}")))
+            };
+            fit_svm(
+                what,
+                grids.examples(descriptor)?,
+                &config.svm,
+                &config.training,
+                (0, 0),
+                |img, buf| descriptor(&grid(img)?, buf),
+            )
+        };
+        let cells = (WINDOW_W / hog.cell_size, WINDOW_H / hog.cell_size);
+        let root = fit("lsvm root", (0, 0), cells)?;
+        let parts = anchors
+            .iter()
+            .map(|&anchor| fit("lsvm part", anchor, (PART_CELLS, PART_CELLS)))
+            .collect::<Result<_>>()?;
+        LsvmDetector::from_filters(config, root, parts)
     }
 
     /// Builds a detector from already-trained filters: `part_filters`
@@ -162,36 +184,8 @@ impl LsvmDetector {
         root: LinearSvm,
         part_filters: Vec<LinearSvm>,
     ) -> Result<LsvmDetector> {
-        let b = config.hog.block_cells;
-        let cell = config.hog.cell_size;
-        if cell == 0 || b == 0 {
-            return Err(DetectError::InvalidArgument(
-                "hog cell/block size must be positive".into(),
-            ));
-        }
-        let cells_w = WINDOW_W / cell;
-        let cells_h = WINDOW_H / cell;
-        if cells_w < b || cells_h < b || PART_CELLS < b {
-            return Err(DetectError::InvalidArgument(format!(
-                "window of {cells_w}×{cells_h} cells (parts {PART_CELLS}×{PART_CELLS}) \
-                 cannot hold a {b}-cell block"
-            )));
-        }
-        let block_len = b * b * config.hog.bins;
-        let root_dim = (cells_w - b + 1) * (cells_h - b + 1) * block_len;
-        if root.weights().len() != root_dim {
-            return Err(DetectError::InvalidArgument(format!(
-                "lsvm root weight dim {} != {root_dim}",
-                root.weights().len()
-            )));
-        }
-        let part_dim = (PART_CELLS - b + 1) * (PART_CELLS - b + 1) * block_len;
-        let anchors = [
-            (cells_w / 2 - 1, 0),
-            (0, cells_h / 4),
-            (cells_w - PART_CELLS, cells_h / 4),
-            (cells_w / 2 - 1, cells_h * 2 / 3),
-        ];
+        let anchors = part_anchors(config.hog)?;
+        check_hog_filter("lsvm root", &root, config.hog, (WINDOW_W, WINDOW_H))?;
         if part_filters.len() != anchors.len() {
             return Err(DetectError::InvalidArgument(format!(
                 "expected {} part filters, got {}",
@@ -199,17 +193,13 @@ impl LsvmDetector {
                 part_filters.len()
             )));
         }
+        let part_px = PART_CELLS * config.hog.cell_size;
         let mut parts = Vec::with_capacity(anchors.len());
-        for (&(ax, ay), svm) in anchors.iter().zip(part_filters) {
-            if svm.weights().len() != part_dim {
-                return Err(DetectError::InvalidArgument(format!(
-                    "lsvm part weight dim {} != {part_dim}",
-                    svm.weights().len()
-                )));
-            }
+        for (&(anchor_cx, anchor_cy), svm) in anchors.iter().zip(part_filters) {
+            check_hog_filter("lsvm part", &svm, config.hog, (part_px, part_px))?;
             parts.push(Part {
-                anchor_cx: ax,
-                anchor_cy: ay,
+                anchor_cx,
+                anchor_cy,
                 svm,
             });
         }
@@ -347,17 +337,8 @@ impl LsvmDetector {
                             ops += part_ops;
                             let score = root_score + self.config.part_weight * parts;
                             if score >= self.config.keep_floor {
-                                let x0 = (cx0 * cell) as f64 / scale;
-                                let y0 = (cy0 * cell) as f64 / scale;
-                                candidates.push(Detection {
-                                    bbox: BBox::new(
-                                        x0,
-                                        y0,
-                                        x0 + WINDOW_W as f64 / scale,
-                                        y0 + WINDOW_H as f64 / scale,
-                                    ),
-                                    score,
-                                });
+                                let (x, y) = (cx0 * cell, cy0 * cell);
+                                candidates.push(Detection::window(x, y, scale, score));
                             }
                         }
                     }
@@ -373,43 +354,9 @@ impl LsvmDetector {
     }
 }
 
-/// Builds ±1 examples for a part anchored at `(ax, ay)` cells: positives are
-/// sub-patches of person windows, negatives sub-patches of negatives.
-fn part_examples(
-    windows: &TrainingWindows,
-    hog: HogConfig,
-    ax: usize,
-    ay: usize,
-) -> Result<Vec<Example>> {
-    let mut out = Vec::new();
-    for (imgs, label) in [(&windows.positives, 1.0), (&windows.negatives, -1.0)] {
-        for img in imgs.iter() {
-            let grid = HogCellGrid::compute(&img.to_gray(), hog)
-                .map_err(|e| DetectError::Training(format!("part grid: {e}")))?;
-            let desc = grid
-                .window_descriptor(
-                    ax.min(grid.cells_x().saturating_sub(PART_CELLS)),
-                    ay.min(grid.cells_y().saturating_sub(PART_CELLS)),
-                    PART_CELLS,
-                    PART_CELLS,
-                )
-                .map_err(|e| DetectError::Training(format!("part descriptor: {e}")))?;
-            out.push(Example {
-                features: desc,
-                label,
-            });
-        }
-    }
-    Ok(out)
-}
-
 impl Detector for LsvmDetector {
     fn algorithm(&self) -> AlgorithmId {
         AlgorithmId::Lsvm
-    }
-
-    fn detect(&self, frame: &RgbImage) -> DetectionOutput {
-        self.detect_with_cache(frame, &FrameFeatures::new(frame))
     }
 
     fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
@@ -466,17 +413,8 @@ impl Detector for LsvmDetector {
                             ops += part_ops;
                             let score = root_score + self.config.part_weight * parts;
                             if score >= self.config.keep_floor {
-                                let x0 = (cx0 * cell) as f64 / scale;
-                                let y0 = (cy0 * cell) as f64 / scale;
-                                candidates.push(Detection {
-                                    bbox: BBox::new(
-                                        x0,
-                                        y0,
-                                        x0 + WINDOW_W as f64 / scale,
-                                        y0 + WINDOW_H as f64 / scale,
-                                    ),
-                                    score,
-                                });
+                                let (x, y) = (cx0 * cell, cy0 * cell);
+                                candidates.push(Detection::window(x, y, scale, score));
                             }
                         }
                     }

@@ -1,4 +1,4 @@
-//! Synthetic training windows.
+//! Synthetic training windows and the one training recipe.
 //!
 //! The paper's detectors come pre-trained (OpenCV's INRIA-trained HOG, the
 //! authors' ACF/C4/LSVM models). Our detectors are trained here, at bank
@@ -10,8 +10,15 @@
 //! furniture, so HOG — trained clean, like its INRIA original — never sees
 //! the person-shaped clutter of dataset #2; ACF's training includes
 //! furniture negatives, buying its clutter robustness.
+//!
+//! One recipe trains every detector (DESIGN.md §3): [`synthesize`], then
+//! [`TrainingWindows::examples`] over a featurizer, then — for the linear
+//! models — [`fit_svm`], which also runs C4's hard-negative bootstrap.
 
 use crate::pyramid::{WINDOW_H, WINDOW_W};
+use crate::{DetectError, Result};
+use eecs_learn::svm::{LinearSvm, SvmConfig};
+use eecs_learn::Example;
 use eecs_vision::draw;
 use eecs_vision::image::RgbImage;
 use rand::rngs::StdRng;
@@ -50,13 +57,93 @@ impl Default for TrainingConfig {
     }
 }
 
-/// A synthesized training set of window images.
+/// A synthesized training set: window images, or values derived from them.
 #[derive(Debug, Clone)]
-pub struct TrainingWindows {
+pub struct TrainingWindows<T = RgbImage> {
     /// Positive (person) windows.
-    pub positives: Vec<RgbImage>,
+    pub positives: Vec<T>,
     /// Negative (background/clutter) windows.
-    pub negatives: Vec<RgbImage>,
+    pub negatives: Vec<T>,
+}
+
+impl<T> TrainingWindows<T> {
+    /// Applies `f` to every window, keeping the split and the order; the
+    /// first error of `f` is returned.
+    pub(crate) fn try_map<U>(
+        &self,
+        mut f: impl FnMut(&T) -> Result<U>,
+    ) -> Result<TrainingWindows<U>> {
+        Ok(TrainingWindows {
+            positives: self.positives.iter().map(&mut f).collect::<Result<_>>()?,
+            negatives: self.negatives.iter().map(&mut f).collect::<Result<_>>()?,
+        })
+    }
+
+    /// The ±1 examples, positives first, each featurized into a fresh vector.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error of `featurize`.
+    pub fn examples(
+        &self,
+        mut featurize: impl FnMut(&T, &mut Vec<f64>) -> Result<()>,
+    ) -> Result<Vec<Example>> {
+        let mut examples = Vec::with_capacity(self.positives.len() + self.negatives.len());
+        for (windows, label) in [(&self.positives, 1.0), (&self.negatives, -1.0)] {
+            for window in windows {
+                let mut features = Vec::new();
+                featurize(window, &mut features)?;
+                examples.push(Example { features, label });
+            }
+        }
+        Ok(examples)
+    }
+}
+
+/// Fits a linear SVM to `examples`, then runs `rounds` rounds of Dalal &
+/// Triggs hard-negative mining: each round featurizes `pool` fresh
+/// negatives of `training`'s regime into one reused buffer, adds those
+/// scoring above −0.5, and refits with the seed advanced by the round. A
+/// round that adds none ends mining. `what` names the model in errors.
+///
+/// # Errors
+///
+/// Returns [`DetectError::Training`] if a fit fails, or the first error of
+/// `featurize`.
+pub fn fit_svm(
+    what: &str,
+    mut examples: Vec<Example>,
+    svm: &SvmConfig,
+    training: &TrainingConfig,
+    (rounds, pool): (usize, usize),
+    mut featurize: impl FnMut(&RgbImage, &mut Vec<f64>) -> Result<()>,
+) -> Result<LinearSvm> {
+    let fit = |examples: &[Example], config: &SvmConfig| {
+        LinearSvm::train(examples, config)
+            .map_err(|e| DetectError::Training(format!("{what} svm: {e}")))
+    };
+    let mut model = fit(&examples, svm)?;
+    let mut rng = StdRng::seed_from_u64(training.seed.wrapping_add(0xC4));
+    let mut feat_buf = Vec::new();
+    for round in 0..rounds {
+        let before = examples.len();
+        for _ in 0..pool {
+            let clutter = training.regime == NegativeRegime::WithClutter && rng.random_bool(0.33);
+            featurize(&negative_window(&mut rng, clutter), &mut feat_buf)?;
+            if model.score(&feat_buf) > -0.5 {
+                examples.push(Example::negative(feat_buf.clone()));
+            }
+        }
+        if examples.len() == before {
+            break;
+        }
+        let refit = SvmConfig {
+            seed: svm.seed.wrapping_add(round as u64 + 1),
+            ..*svm
+        };
+        model = fit(&examples, &refit)?;
+    }
+    Ok(model)
 }
 
 /// Synthesizes a training set per the config.
@@ -224,6 +311,25 @@ mod tests {
         for img in tw.positives.iter().chain(&tw.negatives) {
             assert_eq!((img.width(), img.height()), (WINDOW_W, WINDOW_H));
         }
+    }
+
+    #[test]
+    fn examples_label_positives_then_negatives() {
+        let tw = TrainingWindows {
+            positives: vec![1.0, 2.0],
+            negatives: vec![3.0],
+        };
+        let doubled = tw.try_map(|&v| Ok(2.0 * v)).unwrap();
+        let examples = doubled
+            .examples(|&v, buf| {
+                buf.push(v);
+                Ok(())
+            })
+            .unwrap();
+        let got: Vec<(f64, f64)> = examples.iter().map(|e| (e.features[0], e.label)).collect();
+        assert_eq!(got, [(2.0, 1.0), (4.0, 1.0), (6.0, -1.0)]);
+        let failing = tw.examples(|_, _| Err(DetectError::Training("probe".into())));
+        assert!(matches!(failing, Err(DetectError::Training(m)) if m == "probe"));
     }
 
     #[test]

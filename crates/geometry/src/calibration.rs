@@ -94,11 +94,6 @@ impl GroundCalibration {
     pub fn to_other_view(&self, other: &GroundCalibration) -> Homography {
         other.ground_to_image.compose(&self.image_to_ground)
     }
-
-    /// The raw image→ground homography.
-    pub fn image_to_ground_homography(&self) -> &Homography {
-        &self.image_to_ground
-    }
 }
 
 /// A default 5×5 landmark grid spanning `[0, extent] × [0, extent]` meters.

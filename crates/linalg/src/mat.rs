@@ -103,11 +103,6 @@ impl Mat {
         Mat::from_vec(v.len(), 1, v.to_vec())
     }
 
-    /// Creates a row vector (a `1 × n` matrix).
-    pub fn row_vector(v: &[f64]) -> Self {
-        Mat::from_vec(1, v.len(), v.to_vec())
-    }
-
     /// Creates a square diagonal matrix with `diag` on the main diagonal.
     pub fn from_diag(diag: &[f64]) -> Self {
         let n = diag.len();
@@ -162,11 +157,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the row-major data vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrows row `i` as a slice.
     ///
     /// # Panics
@@ -176,18 +166,6 @@ impl Mat {
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row {} out of bounds ({})", i, self.rows);
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutably borrows row `i` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        assert!(i < self.rows, "row {} out of bounds ({})", i, self.rows);
-        let c = self.cols;
-        &mut self.data[i * c..(i + 1) * c]
     }
 
     /// Copies column `j` into a new vector.

@@ -283,11 +283,6 @@ impl Network {
         &self.plan
     }
 
-    /// The installed retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// The current simulation round.
     pub fn round(&self) -> usize {
         self.round

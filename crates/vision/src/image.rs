@@ -73,11 +73,6 @@ impl GrayImage {
         self.height
     }
 
-    /// Total pixel count.
-    pub fn pixel_count(&self) -> usize {
-        self.data.len()
-    }
-
     /// Raw row-major pixel slice.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
