@@ -145,7 +145,7 @@ pub struct Detection {
 impl Detection {
     /// The detection of the window whose top-left corner is pixel `(x, y)`
     /// of the pyramid level at `scale`, in frame coordinates.
-    pub fn window(x: usize, y: usize, scale: f64, score: f64) -> Detection {
+    pub(crate) fn window(x: usize, y: usize, scale: f64, score: f64) -> Detection {
         let (x0, y0) = (x as f64 / scale, y as f64 / scale);
         Detection {
             bbox: BBox::new(

@@ -139,8 +139,8 @@ impl LsvmDetector {
     /// tile the window, or [`DetectError::Training`] if any filter fails to
     /// train.
     pub fn train(config: LsvmDetectorConfig) -> Result<LsvmDetector> {
-        let anchors = part_anchors(config.hog)?;
         let hog = config.hog;
+        let anchors = part_anchors(hog)?;
         let grid = |img: &RgbImage| {
             HogCellGrid::compute(&img.to_gray(), hog)
                 .map_err(|e| DetectError::Training(format!("lsvm grid: {e}")))
@@ -554,6 +554,22 @@ mod tests {
             cfg,
             LinearSvm::from_parts(vec![0.0; root_dim], 0.0),
             vec![LinearSvm::from_parts(vec![0.0; 36], 0.0)],
+        );
+        assert!(matches!(err, Err(DetectError::InvalidArgument(_))));
+        // A 1-cell-wide window has no room for a 2×2-cell part: rejected,
+        // where the anchor arithmetic used to underflow.
+        let wide_cells = LsvmDetectorConfig {
+            hog: HogConfig {
+                cell_size: 16,
+                block_cells: 1,
+                bins: 9,
+            },
+            ..quick_config()
+        };
+        let err = LsvmDetector::from_filters(
+            wide_cells,
+            LinearSvm::from_parts(vec![0.0; 27], 0.0),
+            vec![LinearSvm::from_parts(vec![0.0; 9], 0.0); 4],
         );
         assert!(matches!(err, Err(DetectError::InvalidArgument(_))));
     }
