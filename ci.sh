@@ -30,7 +30,7 @@ if [[ "${EECS_SOAK:-0}" == "1" ]]; then
 fi
 
 echo "==> cargo clippy"
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc (rustdoc warnings are errors)"
 # Catches intra-doc links left dangling by a deleted or privatized item.

@@ -32,7 +32,7 @@ use eecs_vision::draw::add_noise;
 use eecs_vision::gradient::GradientField;
 use eecs_vision::hog::{HogCellGrid, HogConfig};
 use eecs_vision::image::{GrayImage, RgbImage};
-use eecs_vision::resize::resize_gray;
+use eecs_vision::resize::{resize_gray, resize_gray_into};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -158,18 +158,25 @@ fn kernel_bench(c: &mut Criterion) -> f64 {
     group.bench_function("acf_reference", |b| {
         b.iter(|| black_box(bank.acf().detect_reference(black_box(&frame))))
     });
-    // Pipeline slices: per-level precompute alone (fresh cache every
-    // iteration, so each level's code plane is rebuilt) and the scan alone
-    // (cache warmed once, so iterations measure pure window scoring).
+    // Pipeline slices: per-level precompute alone (a fresh handle every
+    // iteration, each level's code plane built into its scratch as
+    // `detect` builds it) and the scan through a warmed handle (gray
+    // converted and scratch grown once, so iterations measure the level
+    // builds into reused buffers plus window scoring).
     let c4_cfg = bank.c4().config().clone();
     group.bench_function("c4_precompute_levels", |b| {
         b.iter(|| {
             let cache = FrameFeatures::new(&frame);
             let (iw, ih) = (c4_cfg.internal_w, c4_cfg.internal_h);
-            for scale in c4_cfg.scales.usable_scales(iw, ih) {
-                let (sw, sh) = ScaleSchedule::level_dims(scale, iw, ih);
-                let _ = black_box(cache.census_codes(iw, ih, sw, sh));
-            }
+            cache.with_scratch(|s| {
+                resize_gray_into(cache.gray(), iw, ih, &mut s.internal).expect("internal");
+                for scale in c4_cfg.scales.usable_scales(iw, ih) {
+                    let (sw, sh) = ScaleSchedule::level_dims(scale, iw, ih);
+                    resize_gray_into(&s.internal, sw, sh, &mut s.level).expect("level");
+                    s.codes.compute_into(&s.level);
+                    black_box(&s.codes);
+                }
+            })
         })
     });
     let warmed = FrameFeatures::new(&frame);

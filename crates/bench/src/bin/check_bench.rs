@@ -30,7 +30,7 @@ const DEFAULT_TOLERANCE: f64 = 0.25;
 /// Sweep speedup a multi-core host must reach (4 workers over ≥2 cores).
 const MULTICORE_SWEEP_FLOOR: f64 = 1.2;
 /// Round speedup a multi-core host must reach (parallel detectors plus
-/// the shared feature cache must at least break even).
+/// the shared frame handle must at least break even).
 const MULTICORE_ROUND_FLOOR: f64 = 1.0;
 
 struct Args {

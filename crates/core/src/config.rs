@@ -284,8 +284,10 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_gammas() {
-        let mut c = EecsConfig::default();
-        c.gamma_n = 0.0;
+        let mut c = EecsConfig {
+            gamma_n: 0.0,
+            ..EecsConfig::default()
+        };
         assert!(c.validate().is_err());
         c.gamma_n = 1.2;
         assert!(c.validate().is_err());
@@ -293,18 +295,21 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_periods() {
-        let mut c = EecsConfig::default();
-        c.assessment_period = 0;
+        let mut c = EecsConfig {
+            assessment_period: 0,
+            ..EecsConfig::default()
+        };
         assert!(c.validate().is_err());
-        c = EecsConfig::default();
         c.assessment_period = 600;
         assert!(c.validate().is_err());
     }
 
     #[test]
     fn validation_rejects_bad_gates() {
-        let mut c = EecsConfig::default();
-        c.reid_ground_gate_m = 0.0;
+        let c = EecsConfig {
+            reid_ground_gate_m: 0.0,
+            ..EecsConfig::default()
+        };
         assert!(c.validate().is_err());
     }
 

@@ -598,8 +598,10 @@ mod tests {
 
     #[test]
     fn rejects_invalid_config() {
-        let mut cfg = EecsConfig::default();
-        cfg.gamma_n = 2.0;
+        let cfg = EecsConfig {
+            gamma_n: 2.0,
+            ..EecsConfig::default()
+        };
         assert!(Controller::new(vec![record(0, 1)], Vec::new(), cfg).is_err());
     }
 

@@ -42,12 +42,12 @@ impl FeatureExtractor {
     ///
     /// Propagates vocabulary construction failures (no keypoints, too many
     /// words).
-    pub fn build(
-        training_frames: &[RgbImage],
+    pub fn build<'a>(
+        training_frames: impl IntoIterator<Item = &'a RgbImage>,
         words: usize,
         seed: u64,
     ) -> Result<FeatureExtractor> {
-        let grays: Vec<_> = training_frames.iter().map(|f| f.to_gray()).collect();
+        let grays: Vec<_> = training_frames.into_iter().map(|f| f.to_gray()).collect();
         let bow = BowVocabulary::build(&grays, words, KeypointConfig::default(), seed)
             .map_err(|e| EecsError::Subsystem(format!("bow vocabulary: {e}")))?;
         Ok(FeatureExtractor { bow })

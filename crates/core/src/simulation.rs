@@ -80,10 +80,11 @@ pub struct Parallelism {
     /// thread allocated) and the per-round detection fan-out. `0` means
     /// auto (the host's available parallelism); `1` runs inline.
     pub workers: usize,
-    /// Share per-frame features (pyramid levels, channel stacks) across
-    /// the algorithms assessed on the same frame. Host speedup only: the
-    /// modeled cameras run each algorithm in isolation, so per-algorithm
-    /// `ops` counters and `processing_energy` charges are not reduced.
+    /// Run the algorithms assessed on the same frame through one shared
+    /// `FrameFeatures` handle (its grayscale conversion and scratch
+    /// buffers). Host-side only: the modeled cameras run each algorithm
+    /// in isolation, so per-algorithm `ops` counters and
+    /// `processing_energy` charges are not reduced.
     pub feature_cache: bool,
 }
 
@@ -388,12 +389,12 @@ impl Simulation {
             .collect();
 
         // The feature extractor's vocabulary comes from training frames of
-        // all cameras (the paper: 400 words from the 12 training feeds).
-        let vocab_frames: Vec<_> = train_frames
+        // all cameras (the paper: 400 words from the 12 training feeds),
+        // borrowed rather than copied.
+        let vocab_frames = train_frames
             .iter()
-            .flat_map(|f| f.iter().take(3).map(|fd| fd.image.clone()))
-            .collect();
-        let extractor = FeatureExtractor::build(&vocab_frames, config.feature_words, 17)?;
+            .flat_map(|f| f.iter().take(3).map(|fd| &fd.image));
+        let extractor = FeatureExtractor::build(vocab_frames, config.feature_words, 17)?;
 
         let names: Vec<String> = (1..=feeds.len())
             .map(|j| format!("T_{}.{j}", config.profile.id.number()))
@@ -1437,8 +1438,8 @@ impl<'a> MissionState<'a> {
             .collect();
         // Each task runs all of one camera's feasible algorithms on one
         // frame its sensor actually produced (dropped frames run no
-        // detector at all), sharing that frame's feature cache across
-        // them when enabled.
+        // detector at all), through one shared frame handle when
+        // enabled.
         let kept = |j: usize| {
             let impairments = &self.impairments[j];
             window.clone().filter(move |&f| !impairments[f].dropped)
@@ -1763,7 +1764,7 @@ impl<'a> MissionState<'a> {
     /// whole span (the controller only re-plans at round boundaries), so
     /// the detections are precomputed on the pool and the stateful effects
     /// replayed serially. One algorithm runs per camera here, so there is
-    /// nothing for a feature cache to share.
+    /// nothing for a frame handle to share.
     fn operate(&mut self, round: &mut Round) -> Result<()> {
         let sim = self.sim;
         let cams = sim.config.cameras;
@@ -2184,12 +2185,14 @@ mod tests {
     fn sim_config(mode: OperatingMode) -> SimulationConfig {
         let mut profile = DatasetProfile::miniature(DatasetId::Lab);
         profile.num_people = 4;
-        let mut eecs = EecsConfig::default();
         // Miniature cadence: gt every 5 frames; assess 2 frames, rounds of
         // 6 annotated frames.
-        eecs.assessment_period = 10;
-        eecs.recalibration_interval = 30;
-        eecs.key_frames = 8;
+        let eecs = EecsConfig {
+            assessment_period: 10,
+            recalibration_interval: 30,
+            key_frames: 8,
+            ..EecsConfig::default()
+        };
         SimulationConfig {
             profile,
             cameras: 2,

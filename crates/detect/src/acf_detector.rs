@@ -24,6 +24,7 @@ use crate::{DetectError, Detector, Result};
 use eecs_learn::boost::AdaBoost;
 use eecs_vision::channels::{AcfChannels, CHANNEL_COUNT};
 use eecs_vision::image::RgbImage;
+use eecs_vision::resize::{resize_rgb, resize_rgb_into};
 
 /// ACF detector configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,20 +201,20 @@ impl AcfDetector {
         (Some(sum), self.stumps.len() as u64)
     }
 
-    /// The pre-optimization detection loop, kept verbatim (fresh cache,
-    /// accessor-based lookups, allocating NMS) as the equivalence oracle
-    /// for `detect`: same detections, same scores, same `ops`.
+    /// The pre-optimization detection loop, kept verbatim (levels
+    /// computed directly, accessor-based lookups, allocating NMS) as the
+    /// equivalence oracle for `detect`: same detections, same scores, same
+    /// `ops`.
     pub fn detect_reference(&self, frame: &RgbImage) -> DetectionOutput {
-        let cache = FrameFeatures::new(frame);
         let mut ops = 0u64;
         let mut candidates = Vec::new();
         for scale in ScaleSchedule::usable_from(&self.scale_levels, frame.width(), frame.height()) {
             let (sw, sh) = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
-            if cache.resized_rgb(sw, sh).is_err() {
+            let Ok(level) = resize_rgb(frame, sw, sh) else {
                 continue;
-            }
+            };
             ops += (sw * sh) as u64 * 3;
-            let Ok(ch) = cache.acf_channels(sw, sh, self.config.shrink) else {
+            let Ok(ch) = AcfChannels::compute(&level, self.config.shrink) else {
                 continue;
             };
             if ch.width() < self.agg_w || ch.height() < self.agg_h {
@@ -282,39 +283,38 @@ impl Detector for AcfDetector {
                 ScaleSchedule::usable_from(&self.scale_levels, frame.width(), frame.height())
             {
                 let (sw, sh) = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
-                // Cache stages mirror the direct resize-then-channels
-                // computation so the ops increment lands between the same
-                // failure points.
-                if cache.resized_rgb(sw, sh).is_err() {
+                // The level is built into the scratch buffers, with the ops
+                // increment between the same failure points as in the
+                // reference.
+                if resize_rgb_into(frame, sw, sh, &mut scratch.rgb_level).is_err() {
                     continue;
                 }
                 // Channel computation: ~1 op per pixel per gradient pass
                 // plus the aggregation; CHANNEL_COUNT lookups amortized via
                 // shrink².
                 ops += (sw * sh) as u64 * 3;
-                let Ok(ch) = cache.acf_channels(sw, sh, self.config.shrink) else {
+                let (ch, shrink) = (&mut scratch.channels, self.config.shrink);
+                if ch.compute_into(&scratch.rgb_level, shrink).is_err() {
                     continue;
-                };
+                }
                 if ch.width() < self.agg_w || ch.height() < self.agg_h {
                     continue;
                 }
                 // Per-level flattening: raw plane slices plus each stump's
                 // `(dy, dx)` as a single row-major offset.
-                let planes: Vec<&[f32]> = (0..CHANNEL_COUNT)
-                    .map(|c| ch.channel(c).as_slice())
-                    .collect();
+                let planes: [&[f32]; CHANNEL_COUNT] =
+                    std::array::from_fn(|c| ch.channel(c).as_slice());
                 let ch_w = ch.width();
-                scratch.offsets.clear();
-                scratch
-                    .offsets
-                    .extend(self.stumps.iter().map(|s| s.dy * ch_w + s.dx));
+                let offsets = &mut scratch.offsets;
+                offsets.clear();
+                offsets.extend(self.stumps.iter().map(|s| s.dy * ch_w + s.dx));
                 let stride = self.config.stride.max(1);
                 let mut y0 = 0;
                 while y0 + self.agg_h <= ch.height() {
                     let mut x0 = 0;
-                    while x0 + self.agg_w <= ch.width() {
+                    while x0 + self.agg_w <= ch_w {
                         let (score, evaluated) =
-                            self.cascade_score_fast(&planes, &scratch.offsets, y0 * ch_w + x0);
+                            self.cascade_score_fast(&planes, offsets, y0 * ch_w + x0);
                         ops += evaluated;
                         if let Some(score) = score {
                             if score >= self.config.keep_floor {

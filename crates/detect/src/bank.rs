@@ -122,9 +122,10 @@ impl DetectorBank {
     }
 
     /// Runs several algorithms on the same frame, in order. With
-    /// `share_features` the detectors share one [`FrameFeatures`] cache —
+    /// `share_features` the detectors scan through one [`FrameFeatures`]
+    /// handle, sharing its grayscale conversion and scratch buffers —
     /// outputs (detections *and* per-algorithm `ops`) are identical either
-    /// way; sharing only removes redundant host computation.
+    /// way.
     pub fn run_algorithms(
         &self,
         algorithms: &[AlgorithmId],

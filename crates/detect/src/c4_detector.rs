@@ -9,13 +9,14 @@
 
 use crate::detection::{AlgorithmId, BBox, Detection, DetectionOutput};
 use crate::frame_features::FrameFeatures;
-use crate::kernels::CensusCodePlane;
+use crate::kernels::{CensusCodePlane, DetectScratch};
 use crate::nms::{nms_in_place, non_maximum_suppression};
 use crate::pyramid::{ScaleSchedule, WINDOW_H, WINDOW_W};
 use crate::training::{fit_svm, synthesize, NegativeRegime, TrainingConfig};
 use crate::{DetectError, Detector, Result};
 use eecs_learn::svm::{LinearSvm, SvmConfig};
 use eecs_vision::image::{GrayImage, RgbImage};
+use eecs_vision::resize::{resize_gray, resize_gray_into};
 
 /// Census histogram bins (8-neighbor census → 256 codes).
 pub const CENSUS_BINS: usize = 256;
@@ -376,28 +377,69 @@ impl C4Detector {
         }
     }
 
-    /// The pre-optimization detection loop, kept verbatim (fresh cache,
-    /// reference scorer, allocating NMS) as the equivalence oracle for
-    /// `detect`: same detections, same scores, same `ops`.
+    /// Resizes `gray` (the frame's, `frame_px` pixels) to the internal
+    /// resolution, then builds and scans each level in turn into
+    /// `scratch`, calling `visit(scale, x0, y0, scan_window(..))` for
+    /// every window as [`C4Detector::scan_level`] walks it. Returns the
+    /// modeled `ops`: the full-resolution resize, each level's resize and
+    /// census transform, and the full window for every window visited —
+    /// early rejection is a host-simulation speedup, not a change to the
+    /// camera's energy model.
+    fn scan_frame(
+        &self,
+        frame_px: usize,
+        gray: &GrayImage,
+        scratch: &mut DetectScratch,
+        mut visit: impl FnMut(f64, usize, usize, Option<f64>),
+    ) -> u64 {
+        let (iw, ih) = (self.config.internal_w, self.config.internal_h);
+        // Resize to the fixed internal resolution: the only step whose cost
+        // depends on the input resolution.
+        let mut ops = frame_px as u64 * 2;
+        if resize_gray_into(gray, iw, ih, &mut scratch.internal).is_err() {
+            return ops;
+        }
+        for scale in ScaleSchedule::usable_from(&self.scale_levels, iw, ih) {
+            let (sw, sh) = ScaleSchedule::level_dims(scale, iw, ih);
+            // A level is resized *through* the internal image, which is
+            // not the same image as a direct resize; the failure point
+            // (this second resize) precedes the ops increment exactly as
+            // in the reference.
+            if resize_gray_into(&scratch.internal, sw, sh, &mut scratch.level).is_err() {
+                continue;
+            }
+            scratch.codes.compute_into(&scratch.level);
+            ops += (sw * sh) as u64 * 9; // resize + 8-comparison census
+            self.scan_level(&scratch.codes, |x0, y0, score| {
+                ops += (WINDOW_W * WINDOW_H) as u64;
+                visit(scale, x0, y0, score);
+            });
+        }
+        ops
+    }
+
+    /// The pre-optimization detection loop, kept verbatim (levels computed
+    /// directly, reference scorer, allocating NMS) as the equivalence
+    /// oracle for `detect`: same detections, same scores, same `ops`.
     pub fn detect_reference(&self, frame: &RgbImage) -> DetectionOutput {
-        let cache = FrameFeatures::new(frame);
         let (iw, ih) = (self.config.internal_w, self.config.internal_h);
         let mut ops = (frame.width() * frame.height()) as u64 * 2;
-        if cache.resized_gray(iw, ih).is_err() {
+        let Ok(internal) = resize_gray(&frame.to_gray(), iw, ih) else {
             return DetectionOutput {
                 detections: Vec::new(),
                 ops,
             };
-        }
+        };
         let fx = frame.width() as f64 / iw as f64;
         let fy = frame.height() as f64 / ih as f64;
 
         let mut candidates = Vec::new();
         for scale in ScaleSchedule::usable_from(&self.scale_levels, iw, ih) {
             let (sw, sh) = ScaleSchedule::level_dims(scale, iw, ih);
-            let Ok(census) = cache.census_level(iw, ih, sw, sh) else {
+            let Ok(level) = resize_gray(&internal, sw, sh) else {
                 continue;
             };
+            let census = census_transform(&level);
             ops += (sw * sh) as u64 * 9;
             let mut y0 = 0;
             while y0 + WINDOW_H <= sh {
@@ -436,21 +478,14 @@ impl C4Detector {
     /// rejection.
     pub fn cascade_stats(&self, frame: &RgbImage) -> (u64, u64) {
         let cache = FrameFeatures::new(frame);
-        let (iw, ih) = (self.config.internal_w, self.config.internal_h);
-        if cache.resized_gray(iw, ih).is_err() {
-            return (0, 0);
-        }
         let (mut windows, mut rejected) = (0u64, 0u64);
-        for scale in ScaleSchedule::usable_from(&self.scale_levels, iw, ih) {
-            let (sw, sh) = ScaleSchedule::level_dims(scale, iw, ih);
-            let Ok(codes) = cache.census_codes(iw, ih, sw, sh) else {
-                continue;
-            };
-            self.scan_level(&codes, |_, _, score| {
+        let px = frame.width() * frame.height();
+        cache.with_scratch(|scratch| {
+            self.scan_frame(px, cache.gray(), scratch, |_, _, _, score| {
                 windows += 1;
                 rejected += u64::from(score.is_none());
-            });
-        }
+            })
+        });
         (windows, rejected)
     }
 }
@@ -536,39 +571,16 @@ impl Detector for C4Detector {
     }
 
     fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
-        let (iw, ih) = (self.config.internal_w, self.config.internal_h);
-        // Resize to the fixed internal resolution: the only step whose cost
-        // depends on the input resolution.
-        let mut ops = (frame.width() * frame.height()) as u64 * 2;
-        if cache.resized_gray(iw, ih).is_err() {
-            return DetectionOutput {
-                detections: Vec::new(),
-                ops,
-            };
-        }
         // Back-projection factors internal → original pixels.
-        let fx = frame.width() as f64 / iw as f64;
-        let fy = frame.height() as f64 / ih as f64;
-
+        let fx = frame.width() as f64 / self.config.internal_w as f64;
+        let fy = frame.height() as f64 / self.config.internal_h as f64;
         let mut candidates = Vec::new();
-        for scale in ScaleSchedule::usable_from(&self.scale_levels, iw, ih) {
-            let (sw, sh) = ScaleSchedule::level_dims(scale, iw, ih);
-            // The census level is keyed on the internal resolution too: a
-            // resize *through* the internal image is not the same image as
-            // a direct resize, and the failure point (the second resize)
-            // precedes the ops increment exactly as in the direct path.
-            let Ok(codes) = cache.census_codes(iw, ih, sw, sh) else {
-                continue;
-            };
-            ops += (sw * sh) as u64 * 9; // resize + 8-comparison census
-            self.scan_level(&codes, |x0, y0, score| {
+        let px = frame.width() * frame.height();
+        let ops = cache.with_scratch(|scratch| {
+            self.scan_frame(px, cache.gray(), scratch, |scale, x0, y0, score| {
                 // Direct scoring: because the census histogram is a
                 // (normalized) count vector, w·h(x) folds into one weight
-                // lookup per window pixel. The modeled cost is the full
-                // window regardless of early rejection — the cascade is a
-                // host-simulation speedup, not a change to the camera's
-                // energy model.
-                ops += (WINDOW_W * WINDOW_H) as u64;
+                // lookup per window pixel.
                 let Some(score) = score.filter(|&s| s >= self.config.keep_floor) else {
                     return;
                 };
@@ -583,8 +595,8 @@ impl Detector for C4Detector {
                     ),
                     score,
                 });
-            });
-        }
+            })
+        });
         nms_in_place(&mut candidates, self.config.nms_iou);
         DetectionOutput {
             detections: candidates,

@@ -286,14 +286,14 @@ mod tests {
     fn score_collapse_is_flagged_only_on_large_outputs() {
         let policy = HealthPolicy::default();
         // 20 identical scores: collapsed.
-        let collapsed = output(&vec![0.7; 20]);
+        let collapsed = output(&[0.7; 20]);
         let health = DetectorHealth::check(AlgorithmId::C4, &collapsed, &policy);
         assert!(matches!(
             health.issues.as_slice(),
             [HealthIssue::ScoreCollapse { count: 20, .. }]
         ));
         // 5 identical scores: too small to judge.
-        let tiny = output(&vec![0.7; 5]);
+        let tiny = output(&[0.7; 5]);
         assert!(DetectorHealth::check(AlgorithmId::C4, &tiny, &policy).is_healthy());
         // 20 spread scores: fine.
         let spread: Vec<f64> = (0..20).map(|i| i as f64 * 0.1).collect();

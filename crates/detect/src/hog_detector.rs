@@ -8,13 +8,15 @@
 
 use crate::detection::{AlgorithmId, Detection, DetectionOutput};
 use crate::frame_features::FrameFeatures;
+use crate::kernels::DetectScratch;
 use crate::nms::{nms_in_place, non_maximum_suppression};
 use crate::pyramid::{ScaleSchedule, WINDOW_H, WINDOW_W};
 use crate::training::{fit_svm, synthesize, NegativeRegime, TrainingConfig};
 use crate::{DetectError, Detector, Result};
 use eecs_learn::svm::{LinearSvm, SvmConfig};
 use eecs_vision::hog::{HogCellGrid, HogConfig};
-use eecs_vision::image::RgbImage;
+use eecs_vision::image::{GrayImage, RgbImage};
+use eecs_vision::resize::{resize_gray, resize_gray_into};
 
 /// HOG detector configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,11 +129,12 @@ impl HogSvmDetector {
         &self.svm
     }
 
-    /// The pre-optimization detection loop, kept verbatim (fresh cache,
-    /// per-window descriptor assembly, allocating NMS) as the equivalence
-    /// oracle for `detect`: same detections, same scores, same `ops`.
+    /// The pre-optimization detection loop, kept verbatim (levels
+    /// computed directly, per-window descriptor assembly, allocating NMS)
+    /// as the equivalence oracle for `detect`: same detections, same
+    /// scores, same `ops`.
     pub fn detect_reference(&self, frame: &RgbImage) -> DetectionOutput {
-        let cache = FrameFeatures::new(frame);
+        let gray = frame.to_gray();
         let cell = self.config.hog.cell_size;
         let cells_w = WINDOW_W / cell;
         let cells_h = WINDOW_H / cell;
@@ -140,11 +143,11 @@ impl HogSvmDetector {
 
         for scale in ScaleSchedule::usable_from(&self.scale_levels, frame.width(), frame.height()) {
             let (sw, sh) = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
-            if cache.resized_gray(sw, sh).is_err() {
+            let Ok(level) = resize_gray(&gray, sw, sh) else {
                 continue;
-            }
+            };
             ops += (sw * sh) as u64 * 3;
-            let Ok(grid) = cache.hog_grid(sw, sh, self.config.hog) else {
+            let Ok(grid) = HogCellGrid::compute(&level, self.config.hog) else {
                 continue;
             };
             if grid.cells_x() < cells_w || grid.cells_y() < cells_h {
@@ -179,6 +182,56 @@ impl HogSvmDetector {
     pub fn config(&self) -> &HogDetectorConfig {
         &self.config
     }
+}
+
+/// Grows `scratch`'s HOG buffers once to hold the largest level of the
+/// `frame_w × frame_h` frame among `scales` (ascending, as the scans walk
+/// them), so that every level of the scan reuses one allocation per
+/// buffer instead of each outgrowing the last.
+pub(crate) fn reserve_hog_levels(
+    scratch: &mut DetectScratch,
+    scales: &[f64],
+    (frame_w, frame_h): (usize, usize),
+    hog: HogConfig,
+) {
+    if let Some(top) = ScaleSchedule::usable_from(scales, frame_w, frame_h).last() {
+        let (w, h) = ScaleSchedule::level_dims(top, frame_w, frame_h);
+        scratch.level.reserve_level(w, h);
+        scratch.cells.reserve_level(w, h, hog);
+        scratch.blocks.reserve_level(w, h, hog);
+    }
+}
+
+/// Builds the `sw × sh` level of `gray` into `scratch`: the resized
+/// image into `level`, its cells into `cells` and its normalized blocks
+/// into `blocks`, overwriting the previous level's. The level's modeled
+/// cost (resize, gradient and binning) lands in `ops` once the resize
+/// succeeds, between the same failure points as in the reference scans.
+///
+/// Returns the descriptor length of a `cells_w × cells_h` window, or
+/// `None` where the reference scans skip the level: the resize fails, the
+/// level holds no cell, or no window fits its grid or a block its window.
+/// The HOG and LSVM scans share this walk.
+pub(crate) fn hog_level(
+    gray: &GrayImage,
+    (sw, sh): (usize, usize),
+    hog: HogConfig,
+    (cells_w, cells_h): (usize, usize),
+    scratch: &mut DetectScratch,
+    ops: &mut u64,
+) -> Option<usize> {
+    resize_gray_into(gray, sw, sh, &mut scratch.level).ok()?;
+    *ops += (sw * sh) as u64 * 3; // resize + gradient + cell binning
+    let cells = &mut scratch.cells;
+    cells.compute_into(&scratch.level, hog).ok()?;
+    if cells.cells_x() < cells_w || cells.cells_y() < cells_h {
+        return None;
+    }
+    // Blocks are normalized once per level; each window row then scores
+    // as running dots over its blocks — same values, same order as
+    // assembling each descriptor, so scores are bit-identical.
+    scratch.blocks.compute_into(cells);
+    scratch.blocks.window_len(cells_w, cells_h)
 }
 
 /// Checks that `svm` is a linear filter over the HOG descriptor of a
@@ -216,46 +269,26 @@ impl Detector for HogSvmDetector {
 
     fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
         let cell = self.config.hog.cell_size;
-        let cells_w = WINDOW_W / cell;
-        let cells_h = WINDOW_H / cell;
+        let (cells_w, cells_h) = (WINDOW_W / cell, WINDOW_H / cell);
         let mut ops = (frame.width() * frame.height()) as u64; // grayscale
         let mut candidates = Vec::new();
         let stride = self.config.stride_cells.max(1);
 
+        let (gray, hog) = (cache.gray(), self.config.hog);
+        let frame_dims = (frame.width(), frame.height());
         cache.with_scratch(|scratch| {
+            reserve_hog_levels(scratch, &self.scale_levels, frame_dims, hog);
             for scale in
                 ScaleSchedule::usable_from(&self.scale_levels, frame.width(), frame.height())
             {
-                let (sw, sh) = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
-                // The cache stages mirror the direct resize-then-grid
-                // computation so the ops increment lands between the same
-                // failure points as before.
-                if cache.resized_gray(sw, sh).is_err() {
-                    continue;
-                }
-                ops += (sw * sh) as u64 * 3; // resize + gradient + cell binning
-                let Ok(grid) = cache.hog_grid(sw, sh, self.config.hog) else {
+                let dims = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
+                let Some(win_len) =
+                    hog_level(gray, dims, hog, (cells_w, cells_h), scratch, &mut ops)
+                else {
                     continue;
                 };
-                if grid.cells_x() < cells_w || grid.cells_y() < cells_h {
-                    continue;
-                }
-                // Blocks are normalized once per level; each window row
-                // then scores as running dots over its blocks — same
-                // values, same order as assembling each descriptor, so
-                // scores are bit-identical.
-                let Ok(blocks) = cache.hog_blocks(sw, sh, self.config.hog) else {
-                    continue;
-                };
-                let Some(win_len) = blocks.window_len(cells_w, cells_h) else {
-                    // Window smaller than one block: the reference path
-                    // would fail every `window_descriptor` call and emit
-                    // nothing.
-                    continue;
-                };
-                let mut cy0 = 0;
-                while cy0 + cells_h <= grid.cells_y() {
-                    let row = &mut scratch.row_scores;
+                let (blocks, row) = (&scratch.blocks, &mut scratch.row_scores);
+                for cy0 in (0..=scratch.cells.cells_y() - cells_h).step_by(stride) {
                     blocks.score_row_into(cy0, cells_w, cells_h, stride, self.svm.weights(), row);
                     for (k, &dot) in row.iter().enumerate() {
                         ops += win_len as u64;
@@ -268,7 +301,6 @@ impl Detector for HogSvmDetector {
                             candidates.push(Detection::window(x, y, scale, score));
                         }
                     }
-                    cy0 += stride;
                 }
             }
         });

@@ -1,6 +1,6 @@
 //! Shared kernel-optimization primitives for the detector hot paths.
 //!
-//! The sliding-window scans dominate the whole simulator. Two
+//! The sliding-window scans dominate the whole simulator. Three
 //! constant-factor sinks recur across all four detectors:
 //!
 //! 1. **Redundant per-window recomputation** — every pixel of a census
@@ -12,17 +12,23 @@
 //!    NMS buffers were freshly `Vec`-allocated in the innermost loops.
 //!    The HOG-family scans now score straight from the block grid (stored
 //!    lane-major, so one pass adds a group of terms to a whole window row)
-//!    and NMS works in place, so only two buffers remain: a window row's
-//!    scores and the ACF lookup offsets. [`DetectScratch`] owns them;
-//!    detectors check one out of the [`FrameFeatures`](crate::FrameFeatures)
-//!    pool per `detect` call and reuse it across every row and scale.
+//!    and NMS works in place.
+//! 3. **Per-level allocations** — each pyramid level's resized image,
+//!    HOG cells and blocks, ACF channels or census codes. A detector
+//!    builds, scans and releases one level at a time, into the buffers
+//!    of one [`DetectScratch`] checked out of the
+//!    [`FrameFeatures`](crate::FrameFeatures) pool per `detect` call:
+//!    they grow to the largest level once and are overwritten at every
+//!    other, so no more than one level's features is ever alive.
 //!
 //! Everything here is **output-preserving by construction**: the same
 //! integer codes, the same `f64` values in the same order, so scores,
 //! boxes, and `ops` counters stay bit-identical to the unoptimized
 //! reference paths (enforced by `tests/kernel_equivalence.rs`).
 
-use eecs_vision::image::GrayImage;
+use eecs_vision::channels::AcfChannels;
+use eecs_vision::hog::{HogBlockGrid, HogCellGrid};
+use eecs_vision::image::{GrayImage, RgbImage};
 
 use crate::c4_detector::{CENSUS_BINS as CODE_BINS, CENSUS_MARGIN};
 
@@ -33,7 +39,7 @@ use crate::c4_detector::{CENSUS_BINS as CODE_BINS, CENSUS_MARGIN};
 /// `(pixel as usize).min(255)`. [`CensusCodePlane::compute`] produces
 /// those codes directly from the level; [`CensusCodePlane::from_census`]
 /// casts an already-transformed image and serves as its oracle.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CensusCodePlane {
     width: usize,
     height: usize,
@@ -65,8 +71,19 @@ impl CensusCodePlane {
     /// the same `f32` test in the same bit order. Border pixels clamp
     /// their neighbours to the edge; interior pixels read them directly.
     pub fn compute(level: &GrayImage) -> CensusCodePlane {
+        let mut plane = CensusCodePlane::default();
+        plane.compute_into(level);
+        plane
+    }
+
+    /// [`CensusCodePlane::compute`] into this plane, reusing its
+    /// allocation: every code is rewritten by the same test.
+    pub fn compute_into(&mut self, level: &GrayImage) {
         let (w, h) = (level.width(), level.height());
-        let mut codes = vec![0u8; w * h];
+        let codes = &mut self.codes;
+        codes.clear();
+        codes.reserve_exact(w * h);
+        codes.resize(w * h, 0);
         if w > 0 {
             let px = level.as_slice();
             let row = |y: usize| &px[y * w..(y + 1) * w];
@@ -95,11 +112,8 @@ impl CensusCodePlane {
                 }
             }
         }
-        CensusCodePlane {
-            width: w,
-            height: h,
-            codes,
-        }
+        self.width = w;
+        self.height = h;
     }
 
     /// Plane width in pixels.
@@ -154,10 +168,11 @@ fn census_code(c: f32, neighbours: [f32; 8]) -> u8 {
 ///
 /// Checked out of the per-frame pool via
 /// [`FrameFeatures::with_scratch`](crate::FrameFeatures::with_scratch);
-/// buffers keep their capacity between windows, scales, detectors, and
-/// frames, so the steady-state hot loop performs no heap allocation.
-/// Contents are transient — every user clears (or overwrites) a buffer
-/// before reading it.
+/// buffers keep their capacity between windows, levels, detectors and
+/// (through [`FrameFeatures::recycle`](crate::FrameFeatures::recycle))
+/// frames, so the steady-state scan performs no large allocation.
+/// Contents are transient — every user overwrites a buffer before
+/// reading it, through the `*_into` kernels.
 #[derive(Debug, Default)]
 pub struct DetectScratch {
     /// One window row's HOG/LSVM root scores: `HogBlockGrid::score_row_into`
@@ -166,6 +181,21 @@ pub struct DetectScratch {
     pub row_scores: Vec<f64>,
     /// Per-level flattened lookup offsets (ACF stump positions).
     pub offsets: Vec<usize>,
+    /// The current grayscale level: HOG's and LSVM's resized frame, C4's
+    /// resized internal image.
+    pub level: GrayImage,
+    /// C4's frame at its fixed internal resolution.
+    pub internal: GrayImage,
+    /// ACF's current RGB level.
+    pub rgb_level: RgbImage,
+    /// The current level's HOG cell histograms.
+    pub cells: HogCellGrid,
+    /// The current level's normalized HOG blocks.
+    pub blocks: HogBlockGrid,
+    /// The current level's aggregated ACF channels.
+    pub channels: AcfChannels,
+    /// The current level's census codes.
+    pub codes: CensusCodePlane,
 }
 
 #[cfg(test)]

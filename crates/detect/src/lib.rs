@@ -87,22 +87,21 @@ pub trait Detector: Send + Sync {
     fn algorithm(&self) -> AlgorithmId;
 
     /// Runs detection on a frame: [`Detector::detect_with_cache`] over a
-    /// fresh cache.
+    /// fresh handle.
     fn detect(&self, frame: &RgbImage) -> DetectionOutput {
         self.detect_with_cache(frame, &FrameFeatures::new(frame))
     }
 
-    /// Runs detection on a frame, sharing per-frame intermediates
-    /// (grayscale conversion, pyramid levels, feature channels) with other
-    /// detectors through `cache`. `cache` must have been built over
-    /// `frame`.
+    /// Runs detection on a frame through `cache`, sharing its grayscale
+    /// conversion and scratch buffers with other detectors; each pyramid
+    /// level is built into the scratch, scanned and overwritten by the
+    /// next. `cache` must have been built over `frame`.
     ///
     /// The output — detections *and* the `ops` counter — is the same
-    /// whatever other detectors already computed into `cache`, so equal to
-    /// [`Detector::detect`]; sharing only removes redundant host
-    /// computation, never modeled work (the simulated cameras run each
-    /// algorithm in isolation, so `ops`-based energy charges must not
-    /// shrink when features are shared).
+    /// whatever other detectors already did through `cache`, so equal to
+    /// [`Detector::detect`]; sharing never removes modeled work (the
+    /// simulated cameras run each algorithm in isolation, so `ops`-based
+    /// energy charges must not shrink when a handle is shared).
     fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput;
 }
 

@@ -10,14 +10,15 @@
 
 use crate::detection::{AlgorithmId, Detection, DetectionOutput};
 use crate::frame_features::FrameFeatures;
-use crate::hog_detector::check_hog_filter;
+use crate::hog_detector::{check_hog_filter, hog_level, reserve_hog_levels};
 use crate::nms::{nms_in_place, non_maximum_suppression};
 use crate::pyramid::{ScaleSchedule, WINDOW_H, WINDOW_W};
 use crate::training::{fit_svm, synthesize, NegativeRegime, TrainingConfig};
 use crate::{DetectError, Detector, Result};
 use eecs_learn::svm::{LinearSvm, SvmConfig};
-use eecs_vision::hog::{HogCellGrid, HogConfig};
+use eecs_vision::hog::{HogBlockGrid, HogCellGrid, HogConfig};
 use eecs_vision::image::RgbImage;
+use eecs_vision::resize::resize_gray;
 
 /// A part filter: an anchor (in cells, relative to the window origin) and a
 /// linear filter over a 2×2-cell HOG sub-descriptor.
@@ -264,7 +265,7 @@ impl LsvmDetector {
     /// `PART_CELLS × PART_CELLS` window), hoisted out by the caller.
     fn part_score_blocks(
         &self,
-        blocks: &eecs_vision::hog::HogBlockGrid,
+        blocks: &HogBlockGrid,
         cx0: usize,
         cy0: usize,
         part_len: u64,
@@ -301,11 +302,12 @@ impl LsvmDetector {
         (total / self.parts.len() as f64, ops)
     }
 
-    /// The pre-optimization detection loop, kept verbatim (fresh cache,
-    /// per-window descriptor assembly, allocating NMS) as the equivalence
-    /// oracle for `detect`: same detections, same scores, same `ops`.
+    /// The pre-optimization detection loop, kept verbatim (levels
+    /// computed directly, per-window descriptor assembly, allocating NMS)
+    /// as the equivalence oracle for `detect`: same detections, same
+    /// scores, same `ops`.
     pub fn detect_reference(&self, frame: &RgbImage) -> DetectionOutput {
-        let cache = FrameFeatures::new(frame);
+        let gray = frame.to_gray();
         let cell = self.config.hog.cell_size;
         let cells_w = WINDOW_W / cell;
         let cells_h = WINDOW_H / cell;
@@ -314,11 +316,11 @@ impl LsvmDetector {
 
         for scale in ScaleSchedule::usable_from(&self.scale_levels, frame.width(), frame.height()) {
             let (sw, sh) = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
-            if cache.resized_gray(sw, sh).is_err() {
+            let Ok(level) = resize_gray(&gray, sw, sh) else {
                 continue;
-            }
+            };
             ops += (sw * sh) as u64 * 3;
-            let Ok(grid) = cache.hog_grid(sw, sh, self.config.hog) else {
+            let Ok(grid) = HogCellGrid::compute(&level, self.config.hog) else {
                 continue;
             };
             if grid.cells_x() < cells_w || grid.cells_y() < cells_h {
@@ -361,46 +363,32 @@ impl Detector for LsvmDetector {
 
     fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
         let cell = self.config.hog.cell_size;
-        let cells_w = WINDOW_W / cell;
-        let cells_h = WINDOW_H / cell;
+        let (cells_w, cells_h) = (WINDOW_W / cell, WINDOW_H / cell);
         let mut ops = (frame.width() * frame.height()) as u64;
         let mut candidates = Vec::new();
         let stride = self.config.stride_cells.max(1);
 
+        let (gray, hog) = (cache.gray(), self.config.hog);
+        let frame_dims = (frame.width(), frame.height());
         cache.with_scratch(|scratch| {
+            reserve_hog_levels(scratch, &self.scale_levels, frame_dims, hog);
             for scale in
                 ScaleSchedule::usable_from(&self.scale_levels, frame.width(), frame.height())
             {
-                let (sw, sh) = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
-                // Cache stages mirror the direct resize-then-grid
-                // computation so the ops increment lands between the same
-                // failure points.
-                if cache.resized_gray(sw, sh).is_err() {
-                    continue;
-                }
-                ops += (sw * sh) as u64 * 3;
-                let Ok(grid) = cache.hog_grid(sw, sh, self.config.hog) else {
+                let dims = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
+                // Root and parts both score against the level's normalized
+                // block grid: same values, same accumulation order as the
+                // assembled descriptors, so scores are bit-identical.
+                let Some(root_len) =
+                    hog_level(gray, dims, hog, (cells_w, cells_h), scratch, &mut ops)
+                else {
                     continue;
                 };
-                if grid.cells_x() < cells_w || grid.cells_y() < cells_h {
-                    continue;
-                }
-                // Root and parts both score against the per-level
-                // normalized block grid: same values, same accumulation
-                // order as the assembled descriptors, so scores are
-                // bit-identical.
-                let Ok(blocks) = cache.hog_blocks(sw, sh, self.config.hog) else {
-                    continue;
-                };
-                let Some(root_len) = blocks.window_len(cells_w, cells_h) else {
-                    continue;
-                };
+                let (blocks, row) = (&scratch.blocks, &mut scratch.row_scores);
                 let part_len = blocks
                     .window_len(PART_CELLS, PART_CELLS)
                     .unwrap_or_default() as u64;
-                let mut cy0 = 0;
-                while cy0 + cells_h <= grid.cells_y() {
-                    let row = &mut scratch.row_scores;
+                for cy0 in (0..=scratch.cells.cells_y() - cells_h).step_by(stride) {
                     blocks.score_row_into(cy0, cells_w, cells_h, stride, self.root.weights(), row);
                     for (k, &dot) in row.iter().enumerate() {
                         let cx0 = k * stride;
@@ -409,7 +397,7 @@ impl Detector for LsvmDetector {
                         // Part cascade: only promising roots pay for parts.
                         if root_score >= self.config.part_gate {
                             let (parts, part_ops) =
-                                self.part_score_blocks(&blocks, cx0, cy0, part_len);
+                                self.part_score_blocks(blocks, cx0, cy0, part_len);
                             ops += part_ops;
                             let score = root_score + self.config.part_weight * parts;
                             if score >= self.config.keep_floor {
@@ -418,7 +406,6 @@ impl Detector for LsvmDetector {
                             }
                         }
                     }
-                    cy0 += stride;
                 }
             }
         });

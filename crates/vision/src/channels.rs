@@ -13,7 +13,7 @@
 
 use crate::gradient::binned_gradient_rows;
 use crate::image::{GrayImage, RgbImage};
-use crate::resize::box_downsample;
+use crate::resize::box_downsample_into;
 use crate::{Result, VisionError};
 
 /// Number of channels produced by [`AcfChannels::compute`]:
@@ -24,10 +24,26 @@ pub const CHANNEL_COUNT: usize = 4 + ORIENT_BINS;
 pub const ORIENT_BINS: usize = 6;
 
 /// The aggregated channel stack of one frame.
+///
+/// The default is an empty stack for [`AcfChannels::compute_into`] to
+/// fill.
 #[derive(Debug, Clone)]
 pub struct AcfChannels {
     channels: Vec<GrayImage>,
     shrink: usize,
+    /// Luma of the last input, kept as workspace so that `compute_into`
+    /// reuses its allocation too.
+    gray: GrayImage,
+}
+
+impl Default for AcfChannels {
+    fn default() -> Self {
+        AcfChannels {
+            channels: vec![GrayImage::default(); CHANNEL_COUNT],
+            shrink: 1,
+            gray: GrayImage::default(),
+        }
+    }
 }
 
 impl AcfChannels {
@@ -40,6 +56,19 @@ impl AcfChannels {
     /// [`VisionError::TooSmall`] when the image is smaller than one
     /// aggregation block.
     pub fn compute(img: &RgbImage, shrink: usize) -> Result<AcfChannels> {
+        let mut channels = AcfChannels::default();
+        channels.compute_into(img, shrink)?;
+        Ok(channels)
+    }
+
+    /// [`AcfChannels::compute`] into this stack, reusing its planes'
+    /// allocations: the same sums in the same order, so every channel is
+    /// bit-identical.
+    ///
+    /// # Errors
+    ///
+    /// As [`AcfChannels::compute`]; on error the stack is left unchanged.
+    pub fn compute_into(&mut self, img: &RgbImage, shrink: usize) -> Result<()> {
         if shrink == 0 {
             return Err(VisionError::InvalidArgument(
                 "shrink must be positive".into(),
@@ -53,8 +82,10 @@ impl AcfChannels {
                 shrink
             )));
         }
-        let gray = img.to_gray();
+        img.to_gray_into(&mut self.gray);
+        let gray = &self.gray;
         let (out_w, out_h) = (gray.width() / shrink, gray.height() / shrink);
+        let (colors, sums) = self.channels.split_at_mut(3);
 
         // Magnitude and the orientation channels accumulate straight into
         // their aggregated planes: pixels arrive in row-major order, so
@@ -63,10 +94,12 @@ impl AcfChannels {
         // add +0.0 to a sum of terms that are all ≥ +0, which changes
         // nothing — and so is every orientation plane a pixel's magnitude
         // does not land in.
-        let mut sums = vec![vec![0.0f32; out_w * out_h]; 1 + ORIENT_BINS];
+        for plane in sums.iter_mut() {
+            plane.refill(out_w, out_h, |data| data.resize(out_w * out_h, 0.0));
+        }
         let block_x: Vec<usize> = (0..out_w * shrink).map(|x| x / shrink).collect();
         binned_gradient_rows(
-            &gray,
+            gray,
             out_w * shrink,
             out_h * shrink,
             ORIENT_BINS,
@@ -74,26 +107,25 @@ impl AcfChannels {
                 let row = (y / shrink) * out_w;
                 for ((&m, &b), &bx) in mag.iter().zip(bin).zip(&block_x) {
                     if m != 0.0 {
-                        sums[0][row + bx] += m;
-                        sums[1 + b][row + bx] += m;
+                        sums[0].as_mut_slice()[row + bx] += m;
+                        sums[1 + b].as_mut_slice()[row + bx] += m;
                     }
                 }
             },
         );
 
         // The color channels aggregate straight from the borrowed planes.
-        let norm = 1.0 / (shrink * shrink) as f32;
-        let mut channels: Vec<GrayImage> = Vec::with_capacity(CHANNEL_COUNT);
-        for c in [&img.r, &img.g, &img.b] {
-            channels.push(box_downsample(c, shrink)?);
+        for (plane, c) in colors.iter_mut().zip([&img.r, &img.g, &img.b]) {
+            box_downsample_into(c, shrink, plane)?;
         }
-        for mut plane in sums {
-            for v in &mut plane {
+        let norm = 1.0 / (shrink * shrink) as f32;
+        for plane in sums {
+            for v in plane.as_mut_slice() {
                 *v *= norm;
             }
-            channels.push(GrayImage::from_vec(out_w, out_h, plane));
         }
-        Ok(AcfChannels { channels, shrink })
+        self.shrink = shrink;
+        Ok(())
     }
 
     /// Aggregated channel width.

@@ -451,7 +451,7 @@ mod tests {
             let g = GradientField::compute(img);
             for bins in [1, 6, 9] {
                 let mut rows = 0;
-                binned_gradient_rows(&img, w, h, bins, |y, mag, bin| {
+                binned_gradient_rows(img, w, h, bins, |y, mag, bin| {
                     assert_eq!((mag.len(), bin.len()), (w, w));
                     for x in 0..w {
                         assert_eq!(mag[x].to_bits(), g.magnitude.get(x, y).to_bits());

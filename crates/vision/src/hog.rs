@@ -6,7 +6,7 @@
 //! variant used as part of the per-frame video-comparison feature.
 
 use crate::gradient::binned_gradient_rows;
-use crate::image::GrayImage;
+use crate::image::{reuse_exact, GrayImage};
 use crate::{Result, VisionError};
 
 /// HOG layout parameters.
@@ -53,7 +53,10 @@ impl HogConfig {
 /// Computing the grid once per frame and slicing it per window is what makes
 /// sliding-window HOG detection tractable; the paper's OpenCV detector does
 /// the same internally.
-#[derive(Debug, Clone)]
+///
+/// The default is an empty grid (0 × 0 cells) for
+/// [`HogCellGrid::compute_into`] to fill.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HogCellGrid {
     cells_x: usize,
     cells_y: usize,
@@ -70,6 +73,19 @@ impl HogCellGrid {
     /// Returns [`VisionError::TooSmall`] if the image holds no complete
     /// cell, or [`VisionError::InvalidArgument`] for degenerate configs.
     pub fn compute(img: &GrayImage, config: HogConfig) -> Result<HogCellGrid> {
+        let mut grid = HogCellGrid::default();
+        grid.compute_into(img, config)?;
+        Ok(grid)
+    }
+
+    /// [`HogCellGrid::compute`] into this grid, reusing its histogram
+    /// allocation: every histogram starts from zero and sums the same
+    /// terms in the same order, so the grid is bit-identical.
+    ///
+    /// # Errors
+    ///
+    /// As [`HogCellGrid::compute`]; on error the grid is left unchanged.
+    pub fn compute_into(&mut self, img: &GrayImage, config: HogConfig) -> Result<()> {
         if config.cell_size == 0 || config.bins == 0 || config.block_cells == 0 {
             return Err(VisionError::InvalidArgument(
                 "cell_size, bins and block_cells must be positive".into(),
@@ -89,7 +105,9 @@ impl HogCellGrid {
         // pixels in the (dy, dx) order of a per-cell walk, so every
         // histogram entry sums the same terms in the same order.
         let (cs, bins) = (config.cell_size, config.bins);
-        let mut hist = vec![0.0f32; cells_x * cells_y * bins];
+        let hist = &mut self.hist;
+        reuse_exact(hist, cells_x * cells_y * bins);
+        hist.resize(cells_x * cells_y * bins, 0.0);
         binned_gradient_rows(img, cells_x * cs, cells_y * cs, bins, |y, mag, bin| {
             let row = &mut hist[(y / cs) * cells_x * bins..][..cells_x * bins];
             let cells = mag.chunks_exact(cs).zip(bin.chunks_exact(cs));
@@ -101,12 +119,20 @@ impl HogCellGrid {
                 }
             }
         });
-        Ok(HogCellGrid {
-            cells_x,
-            cells_y,
-            config,
-            hist,
-        })
+        self.cells_x = cells_x;
+        self.cells_y = cells_y;
+        self.config = config;
+        Ok(())
+    }
+
+    /// Empties the grid (to 0 × 0 cells) with room for the cells of a
+    /// `w × h` image under `config`, so that `compute_into` over ever
+    /// larger levels up to that size allocates once.
+    pub fn reserve_level(&mut self, w: usize, h: usize, config: HogConfig) {
+        let cs = config.cell_size.max(1);
+        reuse_exact(&mut self.hist, (w / cs) * (h / cs) * config.bins);
+        self.cells_x = 0;
+        self.cells_y = 0;
     }
 
     /// Grid width in cells.
@@ -229,7 +255,10 @@ impl HogCellGrid {
 /// Blocks are stored lane-major: element `e` of every block in block row
 /// `by` forms one contiguous plane of `blocks_x` values, so the windows of
 /// one row read each descriptor term from consecutive addresses.
-#[derive(Debug, Clone)]
+///
+/// The default is an empty grid (0 × 0 blocks) for
+/// [`HogBlockGrid::compute_into`] to fill.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HogBlockGrid {
     blocks_x: usize,
     blocks_y: usize,
@@ -252,16 +281,26 @@ impl HogBlockGrid {
     /// yields an empty block grid (0 × 0 blocks), matching the window
     /// positions for which `window_descriptor` would succeed: none.
     pub fn compute(grid: &HogCellGrid) -> HogBlockGrid {
+        let mut blocks = HogBlockGrid::default();
+        blocks.compute_into(grid);
+        blocks
+    }
+
+    /// [`HogBlockGrid::compute`] into this grid, reusing its allocation:
+    /// every block is rebuilt with the same norm and division, so the
+    /// grid is bit-identical.
+    pub fn compute_into(&mut self, grid: &HogCellGrid) {
         let b = grid.config.block_cells;
         let bins = grid.config.bins;
         let blocks_x = (grid.cells_x + 1).saturating_sub(b);
         let blocks_y = (grid.cells_y + 1).saturating_sub(b);
         let block_len = b * b * bins;
         let plane_row = block_len * blocks_x;
-        let mut data = vec![0.0f64; blocks_y * plane_row];
+        reuse_exact(&mut self.data, blocks_y * plane_row);
+        self.data.resize(blocks_y * plane_row, 0.0);
         let mut block = Vec::with_capacity(block_len);
         for by in 0..blocks_y {
-            let planes = &mut data[by * plane_row..][..plane_row];
+            let planes = &mut self.data[by * plane_row..][..plane_row];
             for bx in 0..blocks_x {
                 block.clear();
                 for cy in 0..b {
@@ -283,13 +322,22 @@ impl HogBlockGrid {
                 }
             }
         }
-        HogBlockGrid {
-            blocks_x,
-            blocks_y,
-            block_len,
-            config: grid.config,
-            data,
-        }
+        self.blocks_x = blocks_x;
+        self.blocks_y = blocks_y;
+        self.block_len = block_len;
+        self.config = grid.config;
+    }
+
+    /// Empties the grid (to 0 × 0 blocks) with room for the blocks of a
+    /// `w × h` image under `config`, so that `compute_into` over ever
+    /// larger levels up to that size allocates once.
+    pub fn reserve_level(&mut self, w: usize, h: usize, config: HogConfig) {
+        let (cs, b) = (config.cell_size.max(1), config.block_cells);
+        let blocks_x = (w / cs + 1).saturating_sub(b);
+        let blocks_y = (h / cs + 1).saturating_sub(b);
+        reuse_exact(&mut self.data, blocks_x * blocks_y * b * b * config.bins);
+        self.blocks_x = 0;
+        self.blocks_y = 0;
     }
 
     /// Grid width in blocks.

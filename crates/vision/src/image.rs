@@ -6,7 +6,11 @@
 use std::fmt;
 
 /// A single-channel image with `f32` pixels in `[0, 1]`.
-#[derive(Clone, PartialEq)]
+///
+/// The default is the empty 0 × 0 image, which the `*_into` kernels
+/// (for example [`resize_gray_into`](crate::resize::resize_gray_into))
+/// grow on first use.
+#[derive(Clone, PartialEq, Default)]
 pub struct GrayImage {
     width: usize,
     height: usize,
@@ -140,6 +144,44 @@ impl GrayImage {
             *p = p.clamp(0.0, 1.0);
         }
     }
+
+    /// Empties the image (to 0 × 0) with room for a `width × height`
+    /// one, so that `*_into` kernels filling ever larger levels up to
+    /// that size allocate once.
+    pub fn reserve_level(&mut self, width: usize, height: usize) {
+        reuse_exact(&mut self.data, width * height);
+        self.width = 0;
+        self.height = 0;
+    }
+
+    /// Reshapes the image to `width × height` in place: `fill` receives
+    /// the emptied pixel vector and pushes the new pixels in row-major
+    /// order. The allocation is kept when it holds the new image
+    /// (see [`reuse_exact`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fill` pushes other than `width * height` pixels.
+    pub(crate) fn refill(&mut self, width: usize, height: usize, fill: impl FnOnce(&mut Vec<f32>)) {
+        reuse_exact(&mut self.data, width * height);
+        fill(&mut self.data);
+        assert_eq!(self.data.len(), width * height, "pixel count mismatch");
+        self.width = width;
+        self.height = height;
+    }
+}
+
+/// Empties `buf` for `n` new elements. The allocation is kept when it
+/// holds `n`; otherwise it is freed *before* exactly `n` are allocated,
+/// so a buffer reused for ever larger pyramid levels holds one level's
+/// allocation at a time, sized to the largest level seen, where the
+/// amortized growth of `Vec` could double it.
+pub(crate) fn reuse_exact<T>(buf: &mut Vec<T>, n: usize) {
+    buf.clear();
+    if buf.capacity() < n {
+        *buf = Vec::new();
+        buf.reserve_exact(n);
+    }
 }
 
 impl fmt::Debug for GrayImage {
@@ -155,7 +197,7 @@ impl fmt::Debug for GrayImage {
 }
 
 /// A three-channel planar RGB image with `f32` pixels in `[0, 1]`.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, PartialEq, Default)]
 pub struct RgbImage {
     /// Red channel.
     pub r: GrayImage,
@@ -218,10 +260,22 @@ impl RgbImage {
 
     /// Luma (ITU-R BT.601) grayscale projection.
     pub fn to_gray(&self) -> GrayImage {
-        GrayImage::from_fn(self.width(), self.height(), |x, y| {
-            let [r, g, b] = self.get(x, y);
-            0.299 * r + 0.587 * g + 0.114 * b
-        })
+        let mut gray = GrayImage::default();
+        self.to_gray_into(&mut gray);
+        gray
+    }
+
+    /// [`RgbImage::to_gray`] into `out`, reusing its allocation.
+    pub fn to_gray_into(&self, out: &mut GrayImage) {
+        let (r, g, b) = (&self.r.data, &self.g.data, &self.b.data);
+        out.refill(self.width(), self.height(), |data| {
+            data.extend(
+                r.iter()
+                    .zip(g)
+                    .zip(b)
+                    .map(|((&r, &g), &b)| 0.299 * r + 0.587 * g + 0.114 * b),
+            );
+        });
     }
 
     /// Crops the rectangle `[x0, x0+w) × [y0, y0+h)`.

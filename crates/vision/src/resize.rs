@@ -11,6 +11,23 @@ use crate::{Result, VisionError};
 /// Returns [`VisionError::InvalidArgument`] if either target dimension is
 /// zero or the source image is empty.
 pub fn resize_gray(src: &GrayImage, new_w: usize, new_h: usize) -> Result<GrayImage> {
+    let mut out = GrayImage::default();
+    resize_gray_into(src, new_w, new_h, &mut out)?;
+    Ok(out)
+}
+
+/// [`resize_gray`] into `out`, reusing its allocation: the same taps and
+/// the same arithmetic, so the pixels are bit-identical.
+///
+/// # Errors
+///
+/// As [`resize_gray`]; on error `out` is left unchanged.
+pub fn resize_gray_into(
+    src: &GrayImage,
+    new_w: usize,
+    new_h: usize,
+    out: &mut GrayImage,
+) -> Result<()> {
     if new_w == 0 || new_h == 0 {
         return Err(VisionError::InvalidArgument(
             "target dimensions must be positive".into(),
@@ -19,32 +36,34 @@ pub fn resize_gray(src: &GrayImage, new_w: usize, new_h: usize) -> Result<GrayIm
     if src.width() == 0 || src.height() == 0 {
         return Err(VisionError::InvalidArgument("empty source image".into()));
     }
+    let (w, h) = (src.width(), src.height());
+    let px = src.as_slice();
     // Identity resize is exact under center-aligned bilinear sampling
     // (fx = x, so every tap lands on the source pixel): skip the sampling
     // loop entirely.
-    if new_w == src.width() && new_h == src.height() {
-        return Ok(src.clone());
+    if new_w == w && new_h == h {
+        out.refill(w, h, |data| data.extend_from_slice(px));
+        return Ok(());
     }
-    let sx = src.width() as f32 / new_w as f32;
-    let sy = src.height() as f32 / new_h as f32;
+    let sx = w as f32 / new_w as f32;
+    let sy = h as f32 / new_h as f32;
     // Each tap depends on one axis only, so every column's and every
     // row's are computed once, with the per-pixel form's `floor`, clamp
     // and `f − floor` arithmetic: outputs are bit-identical to sampling
     // each pixel on its own.
-    let (w, h) = (src.width(), src.height());
     let cols: Vec<Tap> = (0..new_w).map(|x| Tap::new(x, sx, w)).collect();
-    let px = src.as_slice();
-    let mut data = Vec::with_capacity(new_w * new_h);
-    for y in 0..new_h {
-        let Tap { lo, hi, t: ty } = Tap::new(y, sy, h);
-        let (row0, row1) = (&px[lo * w..][..w], &px[hi * w..][..w]);
-        data.extend(cols.iter().map(|&Tap { lo, hi, t: tx }| {
-            let top = row0[lo] + tx * (row0[hi] - row0[lo]);
-            let bot = row1[lo] + tx * (row1[hi] - row1[lo]);
-            top + ty * (bot - top)
-        }));
-    }
-    Ok(GrayImage::from_vec(new_w, new_h, data))
+    out.refill(new_w, new_h, |data| {
+        for y in 0..new_h {
+            let Tap { lo, hi, t: ty } = Tap::new(y, sy, h);
+            let (row0, row1) = (&px[lo * w..][..w], &px[hi * w..][..w]);
+            data.extend(cols.iter().map(|&Tap { lo, hi, t: tx }| {
+                let top = row0[lo] + tx * (row0[hi] - row0[lo]);
+                let bot = row1[lo] + tx * (row1[hi] - row1[lo]);
+                top + ty * (bot - top)
+            }));
+        }
+    });
+    Ok(())
 }
 
 /// The two source indices and the weight of one output coordinate under
@@ -80,11 +99,25 @@ impl Tap {
 ///
 /// Same conditions as [`resize_gray`].
 pub fn resize_rgb(src: &RgbImage, new_w: usize, new_h: usize) -> Result<RgbImage> {
-    Ok(RgbImage {
-        r: resize_gray(&src.r, new_w, new_h)?,
-        g: resize_gray(&src.g, new_w, new_h)?,
-        b: resize_gray(&src.b, new_w, new_h)?,
-    })
+    let mut out = RgbImage::default();
+    resize_rgb_into(src, new_w, new_h, &mut out)?;
+    Ok(out)
+}
+
+/// [`resize_rgb`] into `out`, reusing its planes' allocations.
+///
+/// # Errors
+///
+/// As [`resize_gray`]; on error `out` is left unchanged.
+pub fn resize_rgb_into(
+    src: &RgbImage,
+    new_w: usize,
+    new_h: usize,
+    out: &mut RgbImage,
+) -> Result<()> {
+    resize_gray_into(&src.r, new_w, new_h, &mut out.r)?;
+    resize_gray_into(&src.g, new_w, new_h, &mut out.g)?;
+    resize_gray_into(&src.b, new_w, new_h, &mut out.b)
 }
 
 /// Downsamples by integer factor `shrink` using box averaging — the
@@ -98,6 +131,17 @@ pub fn resize_rgb(src: &RgbImage, new_w: usize, new_h: usize) -> Result<RgbImage
 /// Returns [`VisionError::InvalidArgument`] for `shrink == 0` and
 /// [`VisionError::TooSmall`] if the image is smaller than one block.
 pub fn box_downsample(src: &GrayImage, shrink: usize) -> Result<GrayImage> {
+    let mut out = GrayImage::default();
+    box_downsample_into(src, shrink, &mut out)?;
+    Ok(out)
+}
+
+/// [`box_downsample`] into `out`, reusing its allocation.
+///
+/// # Errors
+///
+/// As [`box_downsample`]; on error `out` is left unchanged.
+pub fn box_downsample_into(src: &GrayImage, shrink: usize, out: &mut GrayImage) -> Result<()> {
     if shrink == 0 {
         return Err(VisionError::InvalidArgument(
             "shrink must be positive".into(),
@@ -114,15 +158,20 @@ pub fn box_downsample(src: &GrayImage, shrink: usize) -> Result<GrayImage> {
         )));
     }
     let norm = 1.0 / (shrink * shrink) as f32;
-    Ok(GrayImage::from_fn(out_w, out_h, |x, y| {
-        let mut sum = 0.0;
-        for dy in 0..shrink {
-            for dx in 0..shrink {
-                sum += src.get(x * shrink + dx, y * shrink + dy);
-            }
+    out.refill(out_w, out_h, |data| {
+        for y in 0..out_h {
+            data.extend((0..out_w).map(|x| {
+                let mut sum = 0.0;
+                for dy in 0..shrink {
+                    for dx in 0..shrink {
+                        sum += src.get(x * shrink + dx, y * shrink + dy);
+                    }
+                }
+                sum * norm
+            }));
         }
-        sum * norm
-    }))
+    });
+    Ok(())
 }
 
 #[cfg(test)]

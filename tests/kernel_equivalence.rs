@@ -22,10 +22,11 @@ use eecs::detect::c4_detector::{
 use eecs::detect::hog_detector::{HogDetectorConfig, HogSvmDetector};
 use eecs::detect::lsvm_detector::{LsvmDetector, LsvmDetectorConfig};
 use eecs::detect::pyramid::ScaleSchedule;
-use eecs::detect::{CensusCodePlane, DetectionOutput, Detector, DetectorBank, FrameFeatures};
+use eecs::detect::{CensusCodePlane, DetectionOutput, Detector, DetectorBank};
 use eecs::learn::svm::LinearSvm;
 use eecs::vision::draw;
 use eecs::vision::image::{GrayImage, RgbImage};
+use eecs::vision::resize::resize_gray;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -377,10 +378,9 @@ fn c4_scan_matches_reference_at_every_row_length() {
             let det = C4Detector::from_svm(config, svm.clone()).expect("from_svm");
             assert_bit_identical(&det.detect(&frame), &det.detect_reference(&frame));
 
-            let cache = FrameFeatures::new(&frame);
-            let codes = cache
-                .census_codes(internal_w, 60, internal_w, 60)
-                .expect("level");
+            let internal = resize_gray(&frame.to_gray(), internal_w, 60).expect("internal");
+            let level = resize_gray(&internal, internal_w, 60).expect("level");
+            let codes = CensusCodePlane::compute(&level);
             let (mut windows, mut rejected) = (0u64, 0u64);
             for y0 in (0..=60 - 48).step_by(C4_STRIDE) {
                 let row: Vec<bool> = (0..=internal_w - 16)
