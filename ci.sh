@@ -32,9 +32,10 @@ fi
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (rustdoc warnings are errors)"
-# Catches intra-doc links left dangling by a deleted or privatized item.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+echo "==> cargo doc (rustdoc warnings are errors, private items included)"
+# Catches intra-doc links left dangling by a deleted or privatized item,
+# in private docs as well as public ones.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -1,4 +1,4 @@
-//! Numerical-kernel microbenchmarks: the SVD/eigen/PCA primitives the
+//! Numerical-kernel microbenchmarks: the SVD/eigen primitives the
 //! Grassmann pipeline leans on, plus homography estimation and RANSAC.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -6,7 +6,6 @@ use eecs_geometry::homography::Homography;
 use eecs_geometry::point::Point2;
 use eecs_geometry::ransac::{ransac_homography, RansacConfig};
 use eecs_linalg::eig::symmetric_eigen;
-use eecs_linalg::pca::Pca;
 use eecs_linalg::svd::thin_svd;
 use eecs_linalg::Mat;
 use rand::rngs::StdRng;
@@ -30,11 +29,6 @@ fn kernel_benches(c: &mut Criterion) {
             b.iter(|| black_box(symmetric_eigen(black_box(s)).unwrap()))
         });
     }
-    // Snapshot PCA at video-item scale: 100 key frames × 232 features.
-    let wide = random_mat(100, 232, 9);
-    group.bench_function("pca_snapshot_100x232", |b| {
-        b.iter(|| black_box(Pca::fit(black_box(&wide), 10).unwrap()))
-    });
     group.finish();
 
     let mut geo = c.benchmark_group("geometry");

@@ -97,7 +97,7 @@ pub struct PipelineSummary {
 }
 
 /// Validates a `BENCH_pipeline.json` document: schema tag, a non-empty
-/// entry list with positive times, and the `round_speedup` and
+/// entry list with positive integer times, and the `round_speedup` and
 /// `sweep_speedup` metrics.
 ///
 /// # Errors
@@ -127,14 +127,13 @@ pub fn validate_pipeline_report(text: &str) -> Result<PipelineSummary, String> {
             .ok_or("entry missing \"name\"")?;
         let mean_ns = e
             .get("mean_ns")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("entry {name:?} missing \"mean_ns\""))?;
-        if !(mean_ns.is_finite() && mean_ns > 0.0) {
-            return Err(format!("entry {name:?} has non-positive mean_ns"));
-        }
+            .ok_or_else(|| format!("entry {name:?} missing \"mean_ns\""))?
+            .as_u64()
+            .filter(|&ns| ns > 0)
+            .ok_or_else(|| format!("entry {name:?} mean_ns must be a positive integer"))?;
         entries.push(BenchEntry {
             name: name.to_owned(),
-            mean_ns: mean_ns as u128,
+            mean_ns: u128::from(mean_ns),
         });
     }
     let speedup = |name: &str| -> Result<f64, String> {
@@ -351,6 +350,18 @@ mod tests {
     }
 
     #[test]
+    fn mean_ns_must_be_an_exact_positive_integer() {
+        let text = render(&sample_entries(), &sample_metrics());
+        let with =
+            |mean: &str| text.replacen("\"mean_ns\": 120000", &format!("\"mean_ns\": {mean}"), 1);
+        assert!(validate_pipeline_report(&with("120000")).is_ok());
+        for bad in ["0", "0.5", "1.5", "1e300", "-1", "18446744073709551616"] {
+            let err = validate_pipeline_report(&with(bad)).unwrap_err();
+            assert!(err.contains("mean_ns"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
     fn escaped_names_survive_the_round_trip() {
         let entries = vec![BenchEntry {
             name: "weird \"quoted\"\tname\\path".into(),
@@ -359,5 +370,77 @@ mod tests {
         let text = render(&entries, &sample_metrics());
         let summary = validate_pipeline_report(&text).unwrap();
         assert_eq!(summary.entries, entries);
+    }
+
+    /// A report with `with` in place of its `which`-th number value.
+    fn swap_number(text: &str, which: usize, with: &str) -> String {
+        let bytes = text.as_bytes();
+        let is_num = |b: u8| b == b'-' || b == b'.' || b == b'e' || b.is_ascii_digit();
+        let starts: Vec<usize> = (2..bytes.len())
+            .filter(|&i| bytes[i - 2] == b':' && bytes[i - 1] == b' ' && is_num(bytes[i]))
+            .collect();
+        let start = starts[which % starts.len()];
+        let end = (start..bytes.len())
+            .find(|&i| !is_num(bytes[i]))
+            .unwrap_or(bytes.len());
+        format!("{}{with}{}", &text[..start], &text[end..])
+    }
+
+    /// What every accepted report guarantees its reader.
+    fn assert_sound(summary: &PipelineSummary) {
+        assert!(summary.entries.iter().all(|e| e.mean_ns > 0));
+        for v in [summary.round_speedup, summary.sweep_speedup]
+            .into_iter()
+            .chain(summary.kernel_speedups.iter().map(|&(_, v)| v))
+            .chain(summary.serve_speedup)
+        {
+            assert!(v.is_finite() && v > 0.0, "{v}");
+        }
+        assert!(summary
+            .churn_replan_ns
+            .is_none_or(|v| v.is_finite() && v >= 0.0));
+    }
+
+    #[test]
+    fn validation_is_total_on_damaged_input() {
+        let battery = || {
+            let mut metrics = sample_metrics();
+            metrics.push(("kernel_speedup_c4".into(), 3.4));
+            metrics.push(("churn_replan_ns".into(), 0.0));
+            metrics.push(("serve_speedup".into(), 1.7));
+            let text = render(&sample_entries(), &metrics);
+            let check = |doc: &str| {
+                if let Ok(summary) = validate_pipeline_report(doc) {
+                    assert_sound(&summary);
+                }
+            };
+            for bit in 0..text.len() * 8 {
+                let mut bytes = text.clone().into_bytes();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                check(&String::from_utf8_lossy(&bytes));
+            }
+            for end in 0..text.trim_end().len() {
+                assert!(
+                    validate_pipeline_report(&text[..end]).is_err(),
+                    "cut at {end}"
+                );
+            }
+            let bomb = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+            let long = format!("\"{}\"", "x".repeat(1 << 20));
+            let huge = "9".repeat(400);
+            let withs = ["1e300", "-1", "1.5", "18446744073709551616", "1e-300", "-0"];
+            let numbers = text.matches(": ").count();
+            for with in withs.into_iter().chain([&*bomb, &*long, &*huge]) {
+                for which in 0..numbers {
+                    check(&swap_number(&text, which, with));
+                }
+            }
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(battery)
+            .expect("spawn")
+            .join()
+            .expect("the validator panicked");
     }
 }

@@ -78,11 +78,6 @@ impl CameraNode {
         self.assigned
     }
 
-    /// Whether this camera is currently activated.
-    pub fn is_active(&self) -> bool {
-        self.assigned.is_some()
-    }
-
     /// Applies a controller command: `Some(algorithm)` activates with that
     /// algorithm, `None` deactivates.
     pub fn set_assignment(&mut self, assignment: Option<AlgorithmId>) {
@@ -292,12 +287,11 @@ mod tests {
     #[test]
     fn assignment_lifecycle() {
         let mut n = node();
-        assert!(!n.is_active());
+        assert_eq!(n.assigned(), None);
         n.set_assignment(Some(AlgorithmId::Hog));
-        assert!(n.is_active());
         assert_eq!(n.assigned(), Some(AlgorithmId::Hog));
         n.set_assignment(None);
-        assert!(!n.is_active());
+        assert_eq!(n.assigned(), None);
     }
 
     #[test]

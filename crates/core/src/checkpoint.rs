@@ -608,7 +608,7 @@ fn verify_record(record: &[u8]) -> Option<(RecordHeader, &str)> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -908,7 +908,7 @@ mod tests {
     }
 
     /// Runs `check` on a thread with the 2 MiB stack a pool worker gets.
-    fn on_worker_stack(check: fn()) {
+    pub(crate) fn on_worker_stack(check: fn()) {
         std::thread::Builder::new()
             .stack_size(2 << 20)
             .spawn(check)
@@ -919,7 +919,7 @@ mod tests {
 
     /// `doc` with its `which`-th number token (modulo the count)
     /// replaced by `with`.
-    fn swap_number(doc: &str, which: usize, with: &str) -> String {
+    pub(crate) fn swap_number(doc: &str, which: usize, with: &str) -> String {
         let bytes = doc.as_bytes();
         let is_num = |b: u8| b == b'-' || b == b'.' || b == b'e' || b.is_ascii_digit();
         let starts: Vec<usize> = (0..bytes.len())

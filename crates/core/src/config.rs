@@ -1,6 +1,5 @@
 //! EECS configuration.
 
-use crate::controller::QuarantinePolicy;
 use crate::profile::DowngradeRule;
 use crate::telemetry::Telemetry;
 use crate::{EecsError, Result};
@@ -38,17 +37,9 @@ pub enum ConfigError {
     NonFiniteBudget(f64),
     /// The per-frame energy budget is negative.
     NegativeBudget(f64),
-    /// A nested knob (EECS tunables, health or quarantine policy) is out
-    /// of its domain.
+    /// A nested knob (EECS tunables or health policy) is out of its
+    /// domain.
     BadKnob(String),
-    /// `PartitionPolicy::election_timeout_rounds` is zero: an island
-    /// would elect an acting controller the instant a probe round is
-    /// missed, turning every transient hiccup into a split brain.
-    ZeroElectionTimeout,
-    /// `PartitionPolicy::max_epoch_skew` is zero: no handover could ever
-    /// pass the fencing check, since a legitimate successor is always at
-    /// least one epoch ahead of its audience.
-    ZeroEpochSkew,
 }
 
 impl fmt::Display for ConfigError {
@@ -68,12 +59,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "per-frame budget must be non-negative, got {v}")
             }
             ConfigError::BadKnob(msg) => write!(f, "bad configuration knob: {msg}"),
-            ConfigError::ZeroElectionTimeout => {
-                write!(f, "partition election timeout must be at least 1 round")
-            }
-            ConfigError::ZeroEpochSkew => {
-                write!(f, "partition max epoch skew must be at least 1")
-            }
         }
     }
 }
@@ -83,47 +68,6 @@ impl std::error::Error for ConfigError {}
 impl From<ConfigError> for EecsError {
     fn from(e: ConfigError) -> Self {
         EecsError::InvalidArgument(e.to_string())
-    }
-}
-
-/// How islands behave when a partition cuts them off from the
-/// controller seat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionPolicy {
-    /// Rounds an island tolerates without hearing any seat before it
-    /// elects its own acting controller. Must be positive — a zero
-    /// timeout would split the brain on every missed probe.
-    pub election_timeout_rounds: usize,
-    /// How far ahead of a receiver's fenced epoch an announced epoch may
-    /// run and still be accepted. Must be positive; a successor is
-    /// always at least one epoch ahead. Announcements beyond the skew
-    /// are treated as corrupt and ignored.
-    pub max_epoch_skew: u64,
-}
-
-impl Default for PartitionPolicy {
-    fn default() -> Self {
-        PartitionPolicy {
-            election_timeout_rounds: 1,
-            max_epoch_skew: 8,
-        }
-    }
-}
-
-impl PartitionPolicy {
-    /// Validates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first out-of-domain knob as a typed [`ConfigError`].
-    pub fn validate(&self) -> std::result::Result<(), ConfigError> {
-        if self.election_timeout_rounds == 0 {
-            return Err(ConfigError::ZeroElectionTimeout);
-        }
-        if self.max_epoch_skew == 0 {
-            return Err(ConfigError::ZeroEpochSkew);
-        }
-        Ok(())
     }
 }
 
@@ -157,25 +101,15 @@ pub struct EecsConfig {
     pub downgrade_rule: DowngradeRule,
     /// Ack/retry policy of the camera ↔ controller transport.
     pub retry: RetryPolicy,
-    /// Graceful degradation: how many rounds old a silent camera's cached
-    /// assessment data may be and still feed selection. Past this age the
-    /// camera is excluded from the round instead.
-    pub staleness_limit_rounds: usize,
     /// Detector sanity-check thresholds (NaN scores, count explosions,
     /// score collapse). The lenient defaults never trip on healthy
     /// detectors, so fault-free runs are unaffected.
     pub health: HealthPolicy,
-    /// Backoff policy for quarantining (camera, algorithm) pairs whose
-    /// detector output failed the health checks.
-    pub quarantine: QuarantinePolicy,
     /// Controller-state checkpoint cadence in rounds (used only when a
     /// `ControllerFaultPlan` or `PartitionPlan` is armed): a checkpoint
     /// is taken at the end of every round whose index is a multiple of
     /// this.
     pub checkpoint_every: usize,
-    /// Partition tolerance knobs: island election timeout and the epoch
-    /// fencing skew bound (used only when a `PartitionPlan` is armed).
-    pub partition: PartitionPolicy,
     /// Observability handle every layer of the hot path publishes into
     /// (metrics + trace events). The default [`Telemetry::null`] records
     /// nothing and keeps reports bit-identical to a build without the
@@ -200,11 +134,8 @@ impl Default for EecsConfig {
             reid_color_gate: 8.0,
             downgrade_rule: DowngradeRule::default(),
             retry: RetryPolicy::default(),
-            staleness_limit_rounds: 2,
             health: HealthPolicy::default(),
-            quarantine: QuarantinePolicy::default(),
             checkpoint_every: 1,
-            partition: PartitionPolicy::default(),
             telemetry: Telemetry::null(),
         }
     }
@@ -254,15 +185,11 @@ impl EecsConfig {
         self.health
             .validate()
             .map_err(|m| EecsError::from(ConfigError::BadKnob(m)))?;
-        self.quarantine
-            .validate()
-            .map_err(|m| EecsError::from(ConfigError::BadKnob(m)))?;
         if self.checkpoint_every == 0 {
             return Err(
                 ConfigError::BadKnob("checkpoint_every must be at least 1 round".into()).into(),
             );
         }
-        self.partition.validate().map_err(EecsError::from)?;
         Ok(())
     }
 }
@@ -319,43 +246,8 @@ mod tests {
         c.health.max_detections = 0;
         assert!(c.validate().is_err());
         c = EecsConfig::default();
-        c.quarantine.base_backoff_rounds = 0;
-        assert!(c.validate().is_err());
-        c = EecsConfig::default();
         c.checkpoint_every = 0;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn validation_rejects_zero_election_timeout() {
-        let mut c = EecsConfig::default();
-        c.partition.election_timeout_rounds = 0;
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("election timeout"), "{err}");
-        assert_eq!(
-            PartitionPolicy {
-                election_timeout_rounds: 0,
-                ..PartitionPolicy::default()
-            }
-            .validate(),
-            Err(ConfigError::ZeroElectionTimeout)
-        );
-    }
-
-    #[test]
-    fn validation_rejects_zero_epoch_skew() {
-        let mut c = EecsConfig::default();
-        c.partition.max_epoch_skew = 0;
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("epoch skew"), "{err}");
-        assert_eq!(
-            PartitionPolicy {
-                max_epoch_skew: 0,
-                ..PartitionPolicy::default()
-            }
-            .validate(),
-            Err(ConfigError::ZeroEpochSkew)
-        );
     }
 
     #[test]

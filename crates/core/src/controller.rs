@@ -164,28 +164,6 @@ pub struct QuarantinePolicy {
     pub max_backoff_rounds: usize,
 }
 
-impl QuarantinePolicy {
-    /// Validates the policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the backoff could stall (zero base or
-    /// factor) or the cap undercuts the base (re-probe would never be
-    /// scheduled consistently).
-    pub fn validate(&self) -> std::result::Result<(), String> {
-        if self.base_backoff_rounds == 0 {
-            return Err("quarantine base backoff must be at least 1 round".into());
-        }
-        if self.backoff_factor == 0 {
-            return Err("quarantine backoff factor must be at least 1".into());
-        }
-        if self.max_backoff_rounds < self.base_backoff_rounds {
-            return Err("quarantine backoff cap must be at or above its base".into());
-        }
-        Ok(())
-    }
-}
-
 impl Default for QuarantinePolicy {
     /// One round out after the first strike, doubling to a cap of 8 —
     /// a re-probe is always at most 8 rounds away.
@@ -716,19 +694,6 @@ mod tests {
         assert_eq!(QuarantineLedger::backoff_rounds(&policy, 4), 8);
         assert_eq!(QuarantineLedger::backoff_rounds(&policy, 5), 8, "capped");
         assert_eq!(QuarantineLedger::backoff_rounds(&policy, 100), 8);
-        assert!(policy.validate().is_ok());
-        assert!(QuarantinePolicy {
-            base_backoff_rounds: 0,
-            ..policy
-        }
-        .validate()
-        .is_err());
-        assert!(QuarantinePolicy {
-            max_backoff_rounds: 0,
-            ..policy
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]

@@ -247,6 +247,8 @@ pub(crate) fn read_record(text: &[u8], path: &str, line: usize) -> Result<Json, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::{on_worker_stack, swap_number};
+    use proptest::prelude::*;
     use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
@@ -413,5 +415,57 @@ mod tests {
             }
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        fn damaged_journals_open_to_a_verified_prefix_or_an_error(
+            at in 0..usize::MAX,
+            flips in prop::collection::vec(0..usize::MAX, 1..4),
+            pick in 0..4usize,
+            shape in 0..5u32,
+        ) {
+            let (text, _) = journal_text(4);
+            let value = format!("\"value\":{pick},");
+            let bytes = match shape {
+                0 => {
+                    let mut bytes = text.into_bytes();
+                    for bit in flips {
+                        let bit = bit % (bytes.len() * 8);
+                        bytes[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    bytes
+                }
+                1 => text.as_bytes()[..at % (text.len() + 1)].to_vec(),
+                2 => {
+                    let depth = 129 + at % 100_000;
+                    let bomb = format!("\"value\":{}{},", "[".repeat(depth), "]".repeat(depth));
+                    text.replacen(&value, &bomb, 1).into_bytes()
+                }
+                3 => {
+                    let with = ["1e300", "-1", "1.5", "18446744073709551616"][pick];
+                    swap_number(&text, at, with).into_bytes()
+                }
+                _ => {
+                    let long = format!("\"value\":\"{}\",", "x".repeat(1 << 16));
+                    text.replacen(&value, &long, 1).into_bytes()
+                }
+            };
+            let path = scratch("fuzz.jsonl");
+            std::fs::write(&path, &bytes).unwrap();
+            let opened = Journal::open(&path, &identity("demo"), keep);
+            let _ = std::fs::remove_file(&path);
+            if let Ok((_, records)) = &opened {
+                let committed: Vec<Json> = (0..records.len()).map(record).collect();
+                prop_assert!(*records == committed, "not a verified prefix: {records:?}");
+            }
+            prop_assert!(shape != 1 || opened.is_ok(), "a truncated journal resumes");
+        }
+    }
+
+    #[test]
+    fn journal_decoding_is_total_on_damaged_input() {
+        on_worker_stack(damaged_journals_open_to_a_verified_prefix_or_an_error);
     }
 }

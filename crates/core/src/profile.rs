@@ -115,18 +115,10 @@ impl TrainingRecord {
         self.feasible_ranked(budget).into_iter().next()
     }
 
-    /// Downgrade candidates relative to `current` (Section IV-B.4): budget
-    /// feasible, strictly cheaper, and with a higher f-score/energy ratio.
-    /// Cheapest first.
-    pub fn downgrade_candidates(
-        &self,
-        current: &AlgorithmProfile,
-        budget: &EnergyBudget,
-    ) -> Vec<&AlgorithmProfile> {
-        self.downgrade_candidates_with(current, budget, DowngradeRule::EfficiencyGated)
-    }
-
-    /// Downgrade candidates under an explicit [`DowngradeRule`].
+    /// Downgrade candidates relative to `current` (Section IV-B.4) under
+    /// `rule`: budget feasible and strictly cheaper, and under
+    /// [`DowngradeRule::EfficiencyGated`] with a higher f-score/energy
+    /// ratio. Cheapest first.
     pub fn downgrade_candidates_with(
         &self,
         current: &AlgorithmProfile,
@@ -236,7 +228,7 @@ mod tests {
         let r = table2_record();
         let budget = EnergyBudget::per_frame(1.08).unwrap();
         let hog = r.profile(AlgorithmId::Hog).unwrap();
-        let candidates = r.downgrade_candidates(hog, &budget);
+        let candidates = r.downgrade_candidates_with(hog, &budget, DowngradeRule::EfficiencyGated);
         // ACF: 0.505/0.07 = 7.2 ≫ HOG's 0.61 → the paper's downgrade.
         assert_eq!(candidates.len(), 1);
         assert_eq!(candidates[0].algorithm, AlgorithmId::Acf);
@@ -265,7 +257,9 @@ mod tests {
         let r = table2_record();
         let budget = EnergyBudget::per_frame(10.0).unwrap();
         let acf = r.profile(AlgorithmId::Acf).unwrap();
-        assert!(r.downgrade_candidates(acf, &budget).is_empty());
+        assert!(r
+            .downgrade_candidates_with(acf, &budget, DowngradeRule::EfficiencyGated)
+            .is_empty());
     }
 
     #[test]

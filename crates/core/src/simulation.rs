@@ -22,7 +22,9 @@
 use crate::camera_node::CameraNode;
 use crate::checkpoint::{CheckpointFaultPlan, CheckpointStore, SimulationCheckpoint};
 use crate::config::{ConfigError, EecsConfig};
-use crate::controller::{AssessmentCache, CameraAssessment, Controller, QuarantineLedger};
+use crate::controller::{
+    AssessmentCache, CameraAssessment, Controller, QuarantineLedger, QuarantinePolicy,
+};
 use crate::features::FeatureExtractor;
 use crate::metadata::CameraReport;
 use crate::profile::TrainingRecord;
@@ -43,7 +45,7 @@ use eecs_net::message::Message;
 use eecs_net::reliable::Delivery;
 use eecs_net::transport::{Network, TransportStats};
 use eecs_scene::dataset::DatasetProfile;
-use eecs_scene::rig::rig_calibrations;
+use eecs_scene::rig::{rig_calibrations, CAMERAS_PER_DATASET};
 use eecs_scene::sensor_fault::{FrameImpairment, SensorFaultPlan};
 use eecs_scene::sequence::{FrameData, VideoFeed};
 use std::borrow::Cow;
@@ -54,6 +56,25 @@ use std::sync::{Arc, OnceLock};
 /// Ground-distance tolerance when scoring fused objects against ground
 /// truth (meters).
 const GT_MATCH_GATE_M: f64 = 1.2;
+
+/// Graceful degradation: how many rounds old a silent camera's cached
+/// assessment data may be and still feed selection. Past this age the
+/// camera is excluded from the round instead, and a rejoining camera's
+/// older cache entries are evicted.
+const STALENESS_LIMIT_ROUNDS: usize = 2;
+
+/// Rounds an island tolerates without hearing any seat before it elects
+/// its own acting controller. Must be positive: a zero timeout would
+/// elect an acting controller the instant a probe round is missed,
+/// turning every transient hiccup into a split brain.
+const ELECTION_TIMEOUT_ROUNDS: usize = 1;
+
+/// How far ahead of a receiver's fenced epoch an announced epoch may run
+/// and still be accepted; announcements beyond it are treated as corrupt
+/// and ignored. Must be positive: a legitimate successor is always at
+/// least one epoch ahead of its audience, so a zero skew would fence out
+/// every handover.
+const MAX_EPOCH_SKEW: u64 = 8;
 
 /// Telemetry histogram buckets for per-detection object counts.
 const DETECT_OBJECTS_BOUNDS: &[f64] = &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0];
@@ -173,17 +194,17 @@ impl SimulationConfig {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ConfigError`]: no cameras, more cameras than
-    /// the 4-camera rigs support, an empty frame range, or a NaN/infinite/
-    /// negative per-frame budget.
+    /// Returns the first [`ConfigError`]: no cameras, more cameras than a
+    /// rig's [`CAMERAS_PER_DATASET`], an empty frame range, or a
+    /// NaN/infinite/negative per-frame budget.
     pub fn validate(&self) -> std::result::Result<(), ConfigError> {
         if self.cameras == 0 {
             return Err(ConfigError::NoCameras);
         }
-        if self.cameras > 4 {
+        if self.cameras > CAMERAS_PER_DATASET {
             return Err(ConfigError::TooManyCameras {
                 requested: self.cameras,
-                max: 4,
+                max: CAMERAS_PER_DATASET,
             });
         }
         if self.start_frame >= self.end_frame {
@@ -1036,10 +1057,7 @@ impl<'a> MissionState<'a> {
                 // planning never trusts a scene the camera stopped
                 // watching.
                 for st in self.seats.iter_mut() {
-                    if st
-                        .cache
-                        .evict_stale(j, round, sim.config.eecs.staleness_limit_rounds)
-                    {
+                    if st.cache.evict_stale(j, round, STALENESS_LIMIT_ROUNDS) {
                         tel.counter_add("churn.cache_evictions", 1);
                     }
                 }
@@ -1163,7 +1181,7 @@ impl<'a> MissionState<'a> {
     }
 
     /// Orphan elections: an island that has lost sight of every seat for
-    /// `election_timeout_rounds` elects its least-drained member as an
+    /// [`ELECTION_TIMEOUT_ROUNDS`] elects its least-drained member as an
     /// acting controller at a fenced, strictly higher epoch.
     fn elect_orphans(&mut self, round: usize, island: &[usize], seated: &[usize]) -> Result<()> {
         let mut orphans: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -1175,9 +1193,9 @@ impl<'a> MissionState<'a> {
                 orphans.entry(isl).or_default().push(j);
             }
         }
-        let timeout = self.sim.config.eecs.partition.election_timeout_rounds;
         for group in orphans.into_values() {
-            let ripe = group.iter().map(|&j| self.orphan_age[j]).max().unwrap_or(0) >= timeout;
+            let ripe = group.iter().map(|&j| self.orphan_age[j]).max().unwrap_or(0)
+                >= ELECTION_TIMEOUT_ROUNDS;
             if !ripe {
                 continue;
             }
@@ -1325,7 +1343,6 @@ impl<'a> MissionState<'a> {
         epoch: u64,
         peers: impl IntoIterator<Item = usize>,
     ) -> Result<usize> {
-        let max_skew = self.sim.config.eecs.partition.max_epoch_skew;
         let mut announced = 0usize;
         for peer in peers {
             if peer == new_seat || self.net.is_camera_down(peer) {
@@ -1342,7 +1359,7 @@ impl<'a> MissionState<'a> {
                 .map_err(EecsError::from)?;
             self.tel.observe_delivery(round, new_seat, &d);
             let fence = &mut self.fenced[peer];
-            if d.delivered && epoch > *fence && epoch <= *fence + max_skew {
+            if d.delivered && epoch > *fence && epoch <= *fence + MAX_EPOCH_SKEW {
                 *fence = epoch;
                 announced += 1;
             }
@@ -1490,8 +1507,7 @@ impl<'a> MissionState<'a> {
                 // it.
                 let cache = &self.seats[self.route[j]].cache;
                 if cache.heard_in(j, round.index) {
-                    let limit = sim.config.eecs.staleness_limit_rounds;
-                    if let Some(cached) = cache.usable(j, round.index, limit) {
+                    if let Some(cached) = cache.usable(j, round.index, STALENESS_LIMIT_ROUNDS) {
                         data.reports[j] = cached.clone();
                         live[j] = true;
                     }
@@ -1859,7 +1875,7 @@ impl<'a> MissionState<'a> {
     fn strike(&mut self, round: usize, j: usize, alg: AlgorithmId) {
         let st = &mut self.seats[self.route[j]];
         st.quarantine
-            .report_unhealthy(j, alg, round, &self.sim.config.eecs.quarantine);
+            .report_unhealthy(j, alg, round, &QuarantinePolicy::default());
         self.report.quarantine_strikes += 1;
         self.tel.counter_add("quarantine.strikes", 1);
         let strikes = st.quarantine.strikes(j, alg);

@@ -35,10 +35,6 @@ use eecs_net::transport::TransportStats;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// Default [`FlightRecorder`] capacity (events, not rounds) when a sink
-/// doesn't specify one.
-pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
-
 /// Where telemetry goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TelemetrySink {

@@ -14,7 +14,7 @@ use crate::pyramid::{ScaleSchedule, WINDOW_H, WINDOW_W};
 use crate::training::{fit_svm, synthesize, NegativeRegime, TrainingConfig};
 use crate::{DetectError, Detector, Result};
 use eecs_learn::svm::{LinearSvm, SvmConfig};
-use eecs_vision::hog::{HogCellGrid, HogConfig};
+use eecs_vision::hog::{HogBlockGrid, HogCellGrid, HogConfig};
 use eecs_vision::image::{GrayImage, RgbImage};
 use eecs_vision::resize::{resize_gray, resize_gray_into};
 
@@ -188,7 +188,7 @@ impl HogSvmDetector {
 /// `frame_w × frame_h` frame among `scales` (ascending, as the scans walk
 /// them), so that every level of the scan reuses one allocation per
 /// buffer instead of each outgrowing the last.
-pub(crate) fn reserve_hog_levels(
+fn reserve_hog_levels(
     scratch: &mut DetectScratch,
     scales: &[f64],
     (frame_w, frame_h): (usize, usize),
@@ -202,6 +202,59 @@ pub(crate) fn reserve_hog_levels(
     }
 }
 
+/// The sliding-window scan the HOG detector and LSVM's root share. Per
+/// usable level of `scales` it builds the level ([`hog_level`]) and scores
+/// every window of each `stride`-spaced cell row against `root` in one
+/// pass; `LinearSvm::score` is `dot + bias` and the row dot is
+/// bit-identical to the assembled descriptor's, so each root score equals
+/// the reference scan's exactly. `window` gets the level's block grid,
+/// the window's cell origin, its root score and the ops counter, and
+/// returns the window's final score if it is kept. Kept windows are
+/// non-maximum suppressed at `nms_iou`.
+pub(crate) fn scan_windows(
+    cache: &FrameFeatures<'_>,
+    scales: &[f64],
+    (hog, stride): (HogConfig, usize),
+    root: &LinearSvm,
+    nms_iou: f64,
+    mut window: impl FnMut(&HogBlockGrid, (usize, usize), f64, &mut u64) -> Option<f64>,
+) -> DetectionOutput {
+    let gray = cache.gray();
+    let (w, h) = (cache.frame().width(), cache.frame().height());
+    let cell = hog.cell_size;
+    let (cells_w, cells_h) = (WINDOW_W / cell, WINDOW_H / cell);
+    let stride = stride.max(1);
+    let mut ops = (w * h) as u64; // grayscale
+    let mut candidates = Vec::new();
+    cache.with_scratch(|scratch| {
+        reserve_hog_levels(scratch, scales, (w, h), hog);
+        for scale in ScaleSchedule::usable_from(scales, w, h) {
+            let dims = ScaleSchedule::level_dims(scale, w, h);
+            let Some(win_len) = hog_level(gray, dims, hog, (cells_w, cells_h), scratch, &mut ops)
+            else {
+                continue;
+            };
+            let (blocks, row) = (&scratch.blocks, &mut scratch.row_scores);
+            for cy0 in (0..=scratch.cells.cells_y() - cells_h).step_by(stride) {
+                blocks.score_row_into(cy0, cells_w, cells_h, stride, root.weights(), row);
+                for (k, &dot) in row.iter().enumerate() {
+                    let cx0 = k * stride;
+                    ops += win_len as u64;
+                    if let Some(score) = window(blocks, (cx0, cy0), dot + root.bias(), &mut ops) {
+                        let (x, y) = (cx0 * cell, cy0 * cell);
+                        candidates.push(Detection::window(x, y, scale, score));
+                    }
+                }
+            }
+        }
+    });
+    nms_in_place(&mut candidates, nms_iou);
+    DetectionOutput {
+        detections: candidates,
+        ops,
+    }
+}
+
 /// Builds the `sw × sh` level of `gray` into `scratch`: the resized
 /// image into `level`, its cells into `cells` and its normalized blocks
 /// into `blocks`, overwriting the previous level's. The level's modeled
@@ -211,8 +264,7 @@ pub(crate) fn reserve_hog_levels(
 /// Returns the descriptor length of a `cells_w × cells_h` window, or
 /// `None` where the reference scans skip the level: the resize fails, the
 /// level holds no cell, or no window fits its grid or a block its window.
-/// The HOG and LSVM scans share this walk.
-pub(crate) fn hog_level(
+fn hog_level(
     gray: &GrayImage,
     (sw, sh): (usize, usize),
     hog: HogConfig,
@@ -267,49 +319,16 @@ impl Detector for HogSvmDetector {
         AlgorithmId::Hog
     }
 
-    fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
-        let cell = self.config.hog.cell_size;
-        let (cells_w, cells_h) = (WINDOW_W / cell, WINDOW_H / cell);
-        let mut ops = (frame.width() * frame.height()) as u64; // grayscale
-        let mut candidates = Vec::new();
-        let stride = self.config.stride_cells.max(1);
-
-        let (gray, hog) = (cache.gray(), self.config.hog);
-        let frame_dims = (frame.width(), frame.height());
-        cache.with_scratch(|scratch| {
-            reserve_hog_levels(scratch, &self.scale_levels, frame_dims, hog);
-            for scale in
-                ScaleSchedule::usable_from(&self.scale_levels, frame.width(), frame.height())
-            {
-                let dims = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
-                let Some(win_len) =
-                    hog_level(gray, dims, hog, (cells_w, cells_h), scratch, &mut ops)
-                else {
-                    continue;
-                };
-                let (blocks, row) = (&scratch.blocks, &mut scratch.row_scores);
-                for cy0 in (0..=scratch.cells.cells_y() - cells_h).step_by(stride) {
-                    blocks.score_row_into(cy0, cells_w, cells_h, stride, self.svm.weights(), row);
-                    for (k, &dot) in row.iter().enumerate() {
-                        ops += win_len as u64;
-                        // `LinearSvm::score` is `dot + bias`; `dot` is
-                        // bit-identical by construction, so adding the bias
-                        // reproduces the reference score exactly.
-                        let score = dot + self.svm.bias();
-                        if score >= self.config.keep_floor {
-                            let (x, y) = (k * stride * cell, cy0 * cell);
-                            candidates.push(Detection::window(x, y, scale, score));
-                        }
-                    }
-                }
-            }
-        });
-
-        nms_in_place(&mut candidates, self.config.nms_iou);
-        DetectionOutput {
-            detections: candidates,
-            ops,
-        }
+    fn detect_with_cache(&self, _frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
+        let config = &self.config;
+        scan_windows(
+            cache,
+            &self.scale_levels,
+            (config.hog, config.stride_cells),
+            &self.svm,
+            config.nms_iou,
+            |_, _, score, _| (score >= config.keep_floor).then_some(score),
+        )
     }
 }
 

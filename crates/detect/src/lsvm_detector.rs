@@ -10,8 +10,8 @@
 
 use crate::detection::{AlgorithmId, Detection, DetectionOutput};
 use crate::frame_features::FrameFeatures;
-use crate::hog_detector::{check_hog_filter, hog_level, reserve_hog_levels};
-use crate::nms::{nms_in_place, non_maximum_suppression};
+use crate::hog_detector::{check_hog_filter, scan_windows};
+use crate::nms::non_maximum_suppression;
 use crate::pyramid::{ScaleSchedule, WINDOW_H, WINDOW_W};
 use crate::training::{fit_svm, synthesize, NegativeRegime, TrainingConfig};
 use crate::{DetectError, Detector, Result};
@@ -261,15 +261,10 @@ impl LsvmDetector {
 
     /// [`LsvmDetector::part_score`] over the precomputed block grid: the
     /// same displacement search without materializing part descriptors.
-    /// `part_len` is the part-descriptor length (`window_len` of a
-    /// `PART_CELLS × PART_CELLS` window), hoisted out by the caller.
-    fn part_score_blocks(
-        &self,
-        blocks: &HogBlockGrid,
-        cx0: usize,
-        cy0: usize,
-        part_len: u64,
-    ) -> (f64, u64) {
+    fn part_score_blocks(&self, blocks: &HogBlockGrid, cx0: usize, cy0: usize) -> (f64, u64) {
+        let part_len = blocks
+            .window_len(PART_CELLS, PART_CELLS)
+            .unwrap_or_default() as u64;
         let mut total = 0.0;
         let mut ops = 0u64;
         for part in &self.parts {
@@ -361,59 +356,30 @@ impl Detector for LsvmDetector {
         AlgorithmId::Lsvm
     }
 
-    fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
-        let cell = self.config.hog.cell_size;
-        let (cells_w, cells_h) = (WINDOW_W / cell, WINDOW_H / cell);
-        let mut ops = (frame.width() * frame.height()) as u64;
-        let mut candidates = Vec::new();
-        let stride = self.config.stride_cells.max(1);
-
-        let (gray, hog) = (cache.gray(), self.config.hog);
-        let frame_dims = (frame.width(), frame.height());
-        cache.with_scratch(|scratch| {
-            reserve_hog_levels(scratch, &self.scale_levels, frame_dims, hog);
-            for scale in
-                ScaleSchedule::usable_from(&self.scale_levels, frame.width(), frame.height())
-            {
-                let dims = ScaleSchedule::level_dims(scale, frame.width(), frame.height());
-                // Root and parts both score against the level's normalized
-                // block grid: same values, same accumulation order as the
-                // assembled descriptors, so scores are bit-identical.
-                let Some(root_len) =
-                    hog_level(gray, dims, hog, (cells_w, cells_h), scratch, &mut ops)
-                else {
-                    continue;
-                };
-                let (blocks, row) = (&scratch.blocks, &mut scratch.row_scores);
-                let part_len = blocks
-                    .window_len(PART_CELLS, PART_CELLS)
-                    .unwrap_or_default() as u64;
-                for cy0 in (0..=scratch.cells.cells_y() - cells_h).step_by(stride) {
-                    blocks.score_row_into(cy0, cells_w, cells_h, stride, self.root.weights(), row);
-                    for (k, &dot) in row.iter().enumerate() {
-                        let cx0 = k * stride;
-                        ops += root_len as u64;
-                        let root_score = dot + self.root.bias();
-                        // Part cascade: only promising roots pay for parts.
-                        if root_score >= self.config.part_gate {
-                            let (parts, part_ops) =
-                                self.part_score_blocks(blocks, cx0, cy0, part_len);
-                            ops += part_ops;
-                            let score = root_score + self.config.part_weight * parts;
-                            if score >= self.config.keep_floor {
-                                let (x, y) = (cx0 * cell, cy0 * cell);
-                                candidates.push(Detection::window(x, y, scale, score));
-                            }
-                        }
+    fn detect_with_cache(&self, _frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
+        let config = &self.config;
+        // Root and parts both score against the level's normalized block
+        // grid: same values, same accumulation order as the assembled
+        // descriptors, so scores are bit-identical.
+        scan_windows(
+            cache,
+            &self.scale_levels,
+            (config.hog, config.stride_cells),
+            &self.root,
+            config.nms_iou,
+            |blocks, (cx0, cy0), root_score, ops| {
+                // Part cascade: only promising roots pay for parts.
+                if root_score >= config.part_gate {
+                    let (parts, part_ops) = self.part_score_blocks(blocks, cx0, cy0);
+                    *ops += part_ops;
+                    let score = root_score + config.part_weight * parts;
+                    if score >= config.keep_floor {
+                        return Some(score);
                     }
                 }
-            }
-        });
-        nms_in_place(&mut candidates, self.config.nms_iou);
-        DetectionOutput {
-            detections: candidates,
-            ops,
-        }
+                None
+            },
+        )
     }
 }
 

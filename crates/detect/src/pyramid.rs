@@ -74,15 +74,6 @@ impl ScaleSchedule {
             (h as f64 * scale).round() as usize,
         )
     }
-
-    /// Range of detectable person heights (pixels in the original image),
-    /// assuming the window matches the person height exactly.
-    pub fn detectable_heights(&self) -> (f64, f64) {
-        (
-            WINDOW_H as f64 / self.max_scale,
-            WINDOW_H as f64 / self.min_scale,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -110,18 +101,6 @@ mod tests {
         let usable = sched.usable_scales(100, 100);
         assert!(usable.iter().all(|&s| s * 100.0 >= WINDOW_H as f64));
         assert!(!usable.contains(&0.1));
-    }
-
-    #[test]
-    fn detectable_heights_inverse_of_scales() {
-        let sched = ScaleSchedule {
-            min_scale: 0.5,
-            max_scale: 1.5,
-            ratio: 1.3,
-        };
-        let (min_h, max_h) = sched.detectable_heights();
-        assert!((min_h - 32.0).abs() < 1e-9);
-        assert!((max_h - 96.0).abs() < 1e-9);
     }
 
     #[test]

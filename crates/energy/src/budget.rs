@@ -96,11 +96,6 @@ impl BatteryState {
         self.used_j
     }
 
-    /// Remaining fraction in `[0, 1]`.
-    pub fn residual_fraction(&self) -> f64 {
-        self.residual() / self.capacity_j
-    }
-
     /// Consumes `joules` from the battery.
     ///
     /// # Errors
@@ -159,7 +154,6 @@ mod tests {
         b.drain(4.0).unwrap();
         assert!((b.residual() - 6.0).abs() < 1e-12);
         assert!((b.used() - 4.0).abs() < 1e-12);
-        assert!((b.residual_fraction() - 0.6).abs() < 1e-12);
     }
 
     #[test]

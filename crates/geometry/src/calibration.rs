@@ -87,13 +87,6 @@ impl GroundCalibration {
     pub fn ground_to_image(&self, ground: &Point2) -> Result<Point2> {
         self.ground_to_image.apply(ground)
     }
-
-    /// The homography mapping *this* camera's ground-plane pixels into
-    /// `other`'s image — the paper's camera-to-camera mapping used to find
-    /// the same detected object in another view.
-    pub fn to_other_view(&self, other: &GroundCalibration) -> Homography {
-        other.ground_to_image.compose(&self.image_to_ground)
-    }
 }
 
 /// A default 5×5 landmark grid spanning `[0, extent] × [0, extent]` meters.
@@ -163,11 +156,12 @@ mod tests {
         let lm = landmark_grid(10.0, 5);
         let cal_a = GroundCalibration::from_camera(&cam_a, &lm).unwrap();
         let cal_b = GroundCalibration::from_camera(&cam_b, &lm).unwrap();
-        // A person's feet at (5, 5): project into A, map A→B, compare with
-        // the true projection in B.
+        // A person's feet at (5, 5): project into A, map A → ground → B,
+        // compare with the true projection in B.
         let feet = Point3::on_ground(5.0, 5.0);
         let px_a = cam_a.project(&feet).unwrap();
-        let mapped = cal_a.to_other_view(&cal_b).apply(&px_a).unwrap();
+        let ground = cal_a.image_to_ground(&px_a).unwrap();
+        let mapped = cal_b.ground_to_image(&ground).unwrap();
         let true_b = cam_b.project(&feet).unwrap();
         assert!(
             mapped.distance(&true_b) < 1e-3,

@@ -92,36 +92,6 @@ impl Camera {
             && pixel.y < self.height as f64
     }
 
-    /// Back-projects an image pixel onto the world ground plane (`z = 0`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeometryError::Unprojectable`] if the viewing ray is
-    /// parallel to or points away from the ground plane.
-    pub fn pixel_to_ground(&self, pixel: &Point2) -> Result<Point3> {
-        let (right, down, forward) = self.basis();
-        // Ray direction in world coordinates.
-        let dx = (pixel.x - self.width as f64 / 2.0) / self.focal_px;
-        let dy = (pixel.y - self.height as f64 / 2.0) / self.focal_px;
-        let dir = Point3::new(
-            forward.x + dx * right.x + dy * down.x,
-            forward.y + dx * right.y + dy * down.y,
-            forward.z + dx * right.z + dy * down.z,
-        );
-        if dir.z.abs() < 1e-12 {
-            return Err(GeometryError::Unprojectable);
-        }
-        let t = -self.position.z / dir.z;
-        if t <= 0.0 {
-            return Err(GeometryError::Unprojectable);
-        }
-        Ok(Point3::new(
-            self.position.x + t * dir.x,
-            self.position.y + t * dir.y,
-            0.0,
-        ))
-    }
-
     /// Projects the axis-aligned bounding box of a standing person at ground
     /// position `(x, y)` with the given height and width (meters). Returns
     /// `(x0, y0, x1, y1)` in image pixels (possibly partially outside the
@@ -223,27 +193,6 @@ mod tests {
         let feet = cam.project(&Point3::new(0.0, 6.0, 0.0)).unwrap();
         let head = cam.project(&Point3::new(0.0, 6.0, 1.7)).unwrap();
         assert!(feet.y > head.y);
-    }
-
-    #[test]
-    fn pixel_to_ground_roundtrip() {
-        let cam = test_camera();
-        for (x, y) in [(0.5, 5.0), (-2.0, 8.0), (3.0, 12.0)] {
-            let world = Point3::on_ground(x, y);
-            let px = cam.project(&world).unwrap();
-            let back = cam.pixel_to_ground(&px).unwrap();
-            assert!(
-                back.distance(&world) < 1e-6,
-                "roundtrip failed for ({x},{y})"
-            );
-        }
-    }
-
-    #[test]
-    fn sky_pixels_do_not_hit_ground() {
-        let cam = test_camera();
-        // A pixel well above the horizon.
-        assert!(cam.pixel_to_ground(&Point2::new(180.0, -500.0)).is_err());
     }
 
     #[test]

@@ -25,16 +25,6 @@ impl Homography {
         }
     }
 
-    /// Wraps an explicit 3×3 matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is not 3×3.
-    pub fn from_matrix(h: Mat) -> Homography {
-        assert_eq!(h.shape(), (3, 3), "homography must be 3x3");
-        Homography { h }
-    }
-
     /// Estimates the homography mapping each `src[i]` to `dst[i]` using the
     /// normalized DLT.
     ///
@@ -133,13 +123,6 @@ impl Homography {
         Ok(Homography { h: inv })
     }
 
-    /// Composition `self ∘ other` (apply `other` first).
-    pub fn compose(&self, other: &Homography) -> Homography {
-        Homography {
-            h: self.h.matmul(&other.h),
-        }
-    }
-
     /// The underlying 3×3 matrix.
     pub fn matrix(&self) -> &Mat {
         &self.h
@@ -236,11 +219,9 @@ mod tests {
     #[test]
     fn estimates_projective_warp() {
         // A genuine perspective transform.
-        let true_h = Homography::from_matrix(Mat::from_rows(&[
-            &[1.2, 0.1, 5.0],
-            &[-0.2, 0.9, 1.0],
-            &[0.001, 0.002, 1.0],
-        ]));
+        let true_h = Homography {
+            h: Mat::from_rows(&[&[1.2, 0.1, 5.0], &[-0.2, 0.9, 1.0], &[0.001, 0.002, 1.0]]),
+        };
         let src: Vec<Point2> = (0..8)
             .map(|i| Point2::new((i % 3) as f64 * 40.0, (i / 3) as f64 * 30.0 + i as f64))
             .collect();
@@ -262,24 +243,6 @@ mod tests {
             let roundtrip = hinv.apply(&h.apply(p).unwrap()).unwrap();
             assert!(roundtrip.distance(p) < 1e-8);
         }
-    }
-
-    #[test]
-    fn compose_applies_right_to_left() {
-        let shift = Homography::from_matrix(Mat::from_rows(&[
-            &[1.0, 0.0, 1.0],
-            &[0.0, 1.0, 0.0],
-            &[0.0, 0.0, 1.0],
-        ]));
-        let scale = Homography::from_matrix(Mat::from_rows(&[
-            &[2.0, 0.0, 0.0],
-            &[0.0, 2.0, 0.0],
-            &[0.0, 0.0, 1.0],
-        ]));
-        // scale ∘ shift: shift first, then scale.
-        let h = scale.compose(&shift);
-        let p = h.apply(&Point2::new(1.0, 1.0)).unwrap();
-        assert_eq!(p, Point2::new(4.0, 2.0));
     }
 
     #[test]
@@ -310,11 +273,13 @@ mod tests {
 
     #[test]
     fn unprojectable_point_detected() {
-        let h = Homography::from_matrix(Mat::from_rows(&[
-            &[1.0, 0.0, 0.0],
-            &[0.0, 1.0, 0.0],
-            &[0.0, 1.0, 0.0], // w = y
-        ]));
+        let h = Homography {
+            h: Mat::from_rows(&[
+                &[1.0, 0.0, 0.0],
+                &[0.0, 1.0, 0.0],
+                &[0.0, 1.0, 0.0], // w = y
+            ]),
+        };
         assert!(matches!(
             h.apply(&Point2::new(1.0, 0.0)),
             Err(GeometryError::Unprojectable)

@@ -90,11 +90,6 @@ impl Point3 {
             self.x * other.y - self.y * other.x,
         )
     }
-
-    /// Drops the Z coordinate.
-    pub fn to_ground(&self) -> Point2 {
-        Point2::new(self.x, self.y)
-    }
 }
 
 impl Add for Point3 {
@@ -151,8 +146,6 @@ mod tests {
 
     #[test]
     fn ground_projection() {
-        let p = Point3::new(2.0, 3.0, 1.7);
-        assert_eq!(p.to_ground(), Point2::new(2.0, 3.0));
         assert_eq!(Point3::on_ground(1.0, 1.0).z, 0.0);
     }
 

@@ -11,8 +11,8 @@
 //!   (Dollár's aggregated channel features),
 //! * [`calibrate`] — Platt scaling, converting raw detection scores into
 //!   detection probabilities `P_ij` (footnote 5 of the paper),
-//! * [`split`] — deterministic train/test splitting helpers mirroring the
-//!   paper's "first 1000 frames train, rest test" protocol.
+//! * [`split`] — deterministic sampling of the consecutive-frame windows
+//!   the paper evaluates on.
 
 pub mod boost;
 pub mod calibrate;

@@ -1,56 +1,12 @@
-//! Train/test splitting helpers.
+//! Evaluation-window sampling.
 //!
-//! The paper splits each ~3000-frame feed into a 1000-frame training segment
-//! and a ~2000-frame test segment (Section VI), and samples 100 random
-//! consecutive frames for similarity assessment (Section VI-B). These helpers
-//! encode both protocols deterministically.
+//! The paper samples 100 random consecutive frames for similarity
+//! assessment (Section VI-B); [`sample_windows`] encodes that protocol
+//! deterministically.
 
 use crate::{LearnError, Result};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-
-/// A contiguous train/test split by index: `[0, train_len)` is training,
-/// `[train_len, total)` is test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefixSplit {
-    /// Number of leading items in the training segment.
-    pub train_len: usize,
-    /// Total number of items.
-    pub total: usize,
-}
-
-impl PrefixSplit {
-    /// Creates a split with the first `train_len` of `total` items as
-    /// training data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LearnError::InvalidArgument`] when `train_len` is zero or
-    /// not strictly less than `total`.
-    pub fn new(train_len: usize, total: usize) -> Result<PrefixSplit> {
-        if train_len == 0 || train_len >= total {
-            return Err(LearnError::InvalidArgument(format!(
-                "train_len must be in 1..total ({train_len} of {total})"
-            )));
-        }
-        Ok(PrefixSplit { train_len, total })
-    }
-
-    /// Range of training indices.
-    pub fn train_range(&self) -> std::ops::Range<usize> {
-        0..self.train_len
-    }
-
-    /// Range of test indices.
-    pub fn test_range(&self) -> std::ops::Range<usize> {
-        self.train_len..self.total
-    }
-
-    /// Number of test items.
-    pub fn test_len(&self) -> usize {
-        self.total - self.train_len
-    }
-}
 
 /// Samples `count` starting offsets of consecutive `window`-frame segments
 /// inside `range`, mirroring the paper's "100 consecutive frames, randomly
@@ -82,44 +38,9 @@ pub fn sample_windows(
         .collect())
 }
 
-/// Selects `k` evenly spaced key-frame indices from `total` frames (used to
-/// pick the `k₁`/`k₂` representative frames of Table I).
-///
-/// # Errors
-///
-/// Returns [`LearnError::InvalidArgument`] when `k` is zero or exceeds
-/// `total`.
-pub fn evenly_spaced(total: usize, k: usize) -> Result<Vec<usize>> {
-    if k == 0 || k > total {
-        return Err(LearnError::InvalidArgument(format!(
-            "cannot pick {k} key frames from {total}"
-        )));
-    }
-    if k == 1 {
-        return Ok(vec![total / 2]);
-    }
-    Ok((0..k).map(|i| i * (total - 1) / (k - 1)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn prefix_split_matches_paper_protocol() {
-        // 3000-frame feed: first 1000 train, rest test.
-        let split = PrefixSplit::new(1000, 3000).unwrap();
-        assert_eq!(split.train_range(), 0..1000);
-        assert_eq!(split.test_range(), 1000..3000);
-        assert_eq!(split.test_len(), 2000);
-    }
-
-    #[test]
-    fn prefix_split_rejects_degenerate() {
-        assert!(PrefixSplit::new(0, 10).is_err());
-        assert!(PrefixSplit::new(10, 10).is_err());
-        assert!(PrefixSplit::new(11, 10).is_err());
-    }
 
     #[test]
     fn sampled_windows_fit_range() {
@@ -148,24 +69,5 @@ mod tests {
     fn window_equal_to_range_is_allowed() {
         let starts = sample_windows(10..20, 10, 3, 1).unwrap();
         assert!(starts.iter().all(|&s| s == 10));
-    }
-
-    #[test]
-    fn evenly_spaced_endpoints() {
-        let idx = evenly_spaced(100, 5).unwrap();
-        assert_eq!(idx.first(), Some(&0));
-        assert_eq!(idx.last(), Some(&99));
-        assert_eq!(idx.len(), 5);
-        for w in idx.windows(2) {
-            assert!(w[1] > w[0]);
-        }
-    }
-
-    #[test]
-    fn evenly_spaced_edge_cases() {
-        assert_eq!(evenly_spaced(10, 1).unwrap(), vec![5]);
-        assert_eq!(evenly_spaced(3, 3).unwrap(), vec![0, 1, 2]);
-        assert!(evenly_spaced(3, 4).is_err());
-        assert!(evenly_spaced(3, 0).is_err());
     }
 }

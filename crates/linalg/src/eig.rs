@@ -1,8 +1,8 @@
 //! Cyclic Jacobi eigendecomposition for symmetric matrices.
 //!
-//! PCA (both the covariance and the Gram/"snapshot" formulations) reduces to
-//! the eigendecomposition of a symmetric positive semi-definite matrix; the
-//! Jacobi method is exact enough and simple to verify.
+//! The homography DLT takes its solution from the eigendecomposition of the
+//! symmetric positive semi-definite matrix `AᵀA`; the Jacobi method is exact
+//! enough and simple to verify.
 
 use crate::mat::Mat;
 use crate::{LinalgError, Result};

@@ -11,12 +11,9 @@
 //!   geodesic flow kernel, Eq. 2 of the paper, and for RANSAC homography
 //!   estimation),
 //! * [`eig`] — a cyclic Jacobi eigensolver for symmetric matrices (used by
-//!   PCA),
+//!   the homography DLT),
 //! * [`solve`] — LU decomposition with partial pivoting, matrix inversion and
 //!   Cholesky factorization,
-//! * [`pca`] — principal component analysis, including the Gram-matrix
-//!   ("snapshot") formulation used when the feature dimension far exceeds the
-//!   number of key frames (`α ≫ k`, Section III of the paper),
 //! * [`stats`] — sample means, covariance matrices and the Mahalanobis
 //!   distance used by the cross-camera re-identification stage
 //!   (Section IV-C).
@@ -33,7 +30,6 @@
 
 pub mod eig;
 pub mod mat;
-pub mod pca;
 pub mod qr;
 pub mod solve;
 pub mod stats;
@@ -41,10 +37,8 @@ pub mod svd;
 
 pub use eig::SymmetricEigen;
 pub use mat::Mat;
-pub use pca::Pca;
 pub use qr::QrDecomposition;
 pub use solve::{Cholesky, Lu};
-pub use stats::mahalanobis_squared;
 pub use svd::ThinSvd;
 
 use std::error::Error;

@@ -7,7 +7,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// A dense, row-major matrix of `f64` values.
 ///
 /// `Mat` is the workhorse type of the whole reproduction: video features
-/// (`k × α` per Section III of the paper), PCA bases (`α × β`), homographies
+/// (`k × α` per Section III of the paper), subspace bases (`α × β`), homographies
 /// (`3 × 3`) and covariance matrices are all `Mat`s.
 ///
 /// # Example
@@ -96,11 +96,6 @@ impl Mat {
     pub fn from_row_vecs(rows: &[Vec<f64>]) -> Self {
         let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
         Mat::from_rows(&refs)
-    }
-
-    /// Creates a column vector (an `n × 1` matrix).
-    pub fn col_vector(v: &[f64]) -> Self {
-        Mat::from_vec(v.len(), 1, v.to_vec())
     }
 
     /// Creates a square diagonal matrix with `diag` on the main diagonal.
@@ -404,16 +399,6 @@ pub fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Normalizes `v` in place to unit Euclidean norm; leaves zero vectors alone.
-pub fn normalize(v: &mut [f64]) {
-    let n = norm(v);
-    if n > 0.0 {
-        for x in v {
-            *x /= n;
-        }
-    }
-}
-
 impl Index<(usize, usize)> for Mat {
     type Output = f64;
 
@@ -566,7 +551,7 @@ mod tests {
         let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let v = [5.0, 6.0];
         let mv = a.matvec(&v);
-        let mm = a.matmul(&Mat::col_vector(&v));
+        let mm = a.matmul(&Mat::from_vec(2, 1, v.to_vec()));
         assert_eq!(mv, mm.col(0));
     }
 
@@ -621,16 +606,6 @@ mod tests {
         assert!((a.frobenius_norm() - 5.0).abs() < 1e-15);
         assert_eq!(a.max_abs(), 4.0);
         assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn normalize_unit_and_zero() {
-        let mut v = vec![3.0, 4.0];
-        normalize(&mut v);
-        assert!((norm(&v) - 1.0).abs() < 1e-15);
-        let mut z = vec![0.0, 0.0];
-        normalize(&mut z);
-        assert_eq!(z, vec![0.0, 0.0]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Householder QR factorization.
 //!
-//! QR is used in two places in the reproduction: orthonormalizing PCA bases
-//! before placing them on the Grassmann manifold (Section III of the paper),
-//! and as a building block for least-squares homography fitting.
+//! QR orthonormalizes subspace bases before they are placed on the
+//! Grassmann manifold (Section III of the paper).
 
 use crate::mat::Mat;
 use crate::{LinalgError, Result};

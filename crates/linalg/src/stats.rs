@@ -1,7 +1,7 @@
 //! Sample statistics and the Mahalanobis distance.
 //!
 //! Section IV-C of the paper verifies homography-matched detections using
-//! the Mahalanobis distance between PCA-reduced mean-color features.
+//! the Mahalanobis distance between mean-color features.
 
 use crate::mat::Mat;
 use crate::solve::Cholesky;
@@ -132,22 +132,6 @@ impl MahalanobisMetric {
     }
 }
 
-/// One-shot squared Mahalanobis distance under covariance `cov`.
-///
-/// # Errors
-///
-/// Fails if `cov` is not positive definite or dimensions disagree.
-pub fn mahalanobis_squared(a: &[f64], b: &[f64], cov: &Mat) -> Result<f64> {
-    if a.len() != cov.rows() || b.len() != cov.rows() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "mahalanobis",
-            lhs: (a.len(), 1),
-            rhs: cov.shape(),
-        });
-    }
-    Ok(MahalanobisMetric::from_covariance(cov)?.distance_squared(a, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,24 +192,6 @@ mod tests {
         let data = Mat::from_rows(&[&[1.0, 5.0], &[2.0, 5.0], &[3.0, 5.0]]);
         let metric = MahalanobisMetric::fit(&data, 1e-3).unwrap();
         assert!(metric.distance(&[0.0, 0.0], &[0.0, 1.0]).is_finite());
-    }
-
-    #[test]
-    fn one_shot_matches_metric() {
-        let cov = Mat::from_rows(&[&[2.0, 0.3], &[0.3, 1.0]]);
-        let a = [1.0, 2.0];
-        let b = [0.0, 0.0];
-        let d1 = mahalanobis_squared(&a, &b, &cov).unwrap();
-        let d2 = MahalanobisMetric::from_covariance(&cov)
-            .unwrap()
-            .distance_squared(&a, &b);
-        assert!((d1 - d2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn one_shot_rejects_mismatched_dims() {
-        let cov = Mat::identity(3);
-        assert!(mahalanobis_squared(&[1.0], &[2.0], &cov).is_err());
     }
 
     #[test]

@@ -312,14 +312,6 @@ impl Network {
             || self.nodes.get(camera).is_some_and(|n| !n.attached)
     }
 
-    /// Adds a fresh endpoint for a new camera on a live network,
-    /// returning its index. The newcomer starts attached with zeroed
-    /// statistics and sequence numbers.
-    pub fn add_endpoint(&mut self, link: LinkModel, device: DeviceEnergyModel) -> usize {
-        self.nodes.push(Node::new(link, device));
-        self.nodes.len() - 1
-    }
-
     /// Attaches or detaches camera `id`. Detaching models a fleet
     /// departure: the radio goes dark (every path treats the node as
     /// crashed) but its identity survives, so a later re-attach resumes
@@ -333,12 +325,6 @@ impl Network {
             .get_mut(id)
             .map(|n| n.attached = attached)
             .ok_or(NetError::UnknownNode(id))
-    }
-
-    /// Whether camera `id` is currently attached (an out-of-range index
-    /// is simply not attached).
-    pub fn is_attached(&self, id: usize) -> bool {
-        self.nodes.get(id).is_some_and(|n| n.attached)
     }
 
     /// Marks the controller (hub) dead or alive. While dead, every
@@ -485,30 +471,9 @@ impl Network {
             .ok_or(NetError::UnknownNode(id))
     }
 
-    /// Aggregate statistics across all camera nodes (uplink only).
-    pub fn total_stats(&self) -> TransportStats {
-        let mut total = TransportStats::default();
-        for n in &self.nodes {
-            total.merge(&n.stats);
-        }
-        total
-    }
-
     /// Controller-side downlink statistics.
     pub fn downlink_stats(&self) -> TransportStats {
         self.downlink_stats
-    }
-
-    /// Replaces camera `id`'s link (e.g. degraded signal).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::UnknownNode`] for a bad index.
-    pub fn set_link(&mut self, id: usize, link: LinkModel) -> Result<()> {
-        self.nodes
-            .get_mut(id)
-            .map(|n| n.link = link)
-            .ok_or(NetError::UnknownNode(id))
     }
 
     /// The one stop-and-wait ARQ loop behind [`Network::send_reliable_to`],
@@ -797,16 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn total_stats_sum_nodes() {
-        let (mut net, mut bat, mut meter) = setup();
-        for cam in 0..4 {
-            net.send(cam, Message::EnergyReport, &mut bat, &mut meter)
-                .unwrap();
-        }
-        assert_eq!(net.total_stats().messages, 4);
-    }
-
-    #[test]
     fn unknown_node_rejected() {
         let (mut net, mut bat, mut meter) = setup();
         assert!(matches!(
@@ -840,29 +795,6 @@ mod tests {
         assert!(net.drain_inbox().is_empty());
         assert_eq!(net.stats(0).unwrap().messages, 0);
         assert_eq!(meter.total(), 0.0);
-    }
-
-    #[test]
-    fn degraded_link_costs_more() {
-        let (mut net, mut bat, mut meter) = setup();
-        net.send(
-            0,
-            Message::DetectionMetadata { objects: 5 },
-            &mut bat,
-            &mut meter,
-        )
-        .unwrap();
-        let good = net.stats(0).unwrap().energy_j;
-        net.set_link(0, LinkModel::new(20e6, 0.4).unwrap()).unwrap();
-        net.send(
-            0,
-            Message::DetectionMetadata { objects: 5 },
-            &mut bat,
-            &mut meter,
-        )
-        .unwrap();
-        let total = net.stats(0).unwrap().energy_j;
-        assert!(total - good > good, "retransmissions should dominate");
     }
 
     #[test]
@@ -1119,7 +1051,11 @@ mod tests {
                         .map(|(from, m)| (from, 0, m.wire_bytes() as usize)),
                 );
             }
-            (trace, bat.used(), net.total_stats())
+            (
+                trace,
+                bat.used(),
+                (0..3).map(|c| net.stats(c).unwrap()).collect::<Vec<_>>(),
+            )
         };
         let (t1, e1, s1) = run();
         let (t2, e2, s2) = run();
@@ -1393,7 +1329,11 @@ mod tests {
                 }
                 net.advance_round();
             }
-            (trace, bat.used(), net.total_stats())
+            (
+                trace,
+                bat.used(),
+                (0..2).map(|c| net.stats(c).unwrap()).collect::<Vec<_>>(),
+            )
         };
         let (t1, e1, s1) = run();
         let (t2, e2, s2) = run();
@@ -1469,9 +1409,8 @@ mod tests {
     #[test]
     fn detached_camera_is_dark_on_every_path() {
         let (mut net, mut bat, mut meter) = setup();
-        assert!(net.is_attached(1));
+        assert!(!net.is_camera_down(1));
         net.set_attached(1, false).unwrap();
-        assert!(!net.is_attached(1));
         assert!(net.is_camera_down(1), "detached reads as down");
 
         // Uplink: no attempt, no energy, a timeout on the books.
@@ -1518,22 +1457,6 @@ mod tests {
             net.set_attached(9, false),
             Err(NetError::UnknownNode(9))
         ));
-        assert!(!net.is_attached(9));
-    }
-
-    #[test]
-    fn add_endpoint_grows_a_live_network() {
-        let (mut net, mut bat, mut meter) = setup();
-        assert_eq!(net.cameras(), 4);
-        let id = net.add_endpoint(LinkModel::default(), DeviceEnergyModel::default());
-        assert_eq!(id, 4);
-        assert_eq!(net.cameras(), 5);
-        assert!(net.is_attached(id));
-        let d = net
-            .send_reliable(id, Message::EnergyReport, &mut bat, &mut meter)
-            .unwrap();
-        assert!(d.delivered && d.acked);
-        assert_eq!(net.stats(id).unwrap().messages, 1);
     }
 
     #[test]
@@ -1549,6 +1472,9 @@ mod tests {
         assert_eq!(stats.messages, 1);
         assert_eq!(stats.timeouts, 1);
         assert_eq!(stats.energy_j, 0.0, "controller power is not metered");
-        assert_eq!(net.total_stats().attempts, 0, "no uplink involved");
+        assert!(
+            (0..2).all(|c| net.stats(c).unwrap().attempts == 0),
+            "no uplink involved"
+        );
     }
 }

@@ -151,11 +151,6 @@ impl DatasetProfile {
         p.gt_interval = 5;
         p
     }
-
-    /// Number of test frames (after the training prefix).
-    pub fn test_frames(&self) -> usize {
-        self.total_frames - self.train_frames
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +195,7 @@ mod tests {
         for id in DatasetId::ALL {
             let p = DatasetProfile::for_id(id);
             assert_eq!(p.train_frames, 1000);
-            assert_eq!(p.test_frames(), 2000);
+            assert_eq!(p.total_frames - p.train_frames, 2000);
         }
     }
 

@@ -36,7 +36,6 @@ pub mod world;
 
 pub use dataset::{DatasetId, DatasetProfile};
 pub use ground_truth::GtBox;
-pub use rig::FleetView;
 pub use sensor_fault::{FrameImpairment, SensorFaultPlan, SensorImpairments};
 pub use sequence::{FrameData, VideoFeed};
 pub use world::World;

@@ -70,68 +70,6 @@ pub fn rig_calibrations(profile: &DatasetProfile, cameras: &[Camera]) -> Vec<Gro
         .collect()
 }
 
-/// Which of a rig's camera views are currently spawned.
-///
-/// The rig's geometry is fixed at construction — churn never moves a
-/// camera — but an elastic fleet spawns and despawns *views*: a departed
-/// camera keeps its slot (and its calibration) so a later rejoin
-/// restores the exact same viewpoint, while despawned views simply
-/// render nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetView {
-    spawned: Vec<bool>,
-}
-
-impl FleetView {
-    /// A view set for `count` cameras, all spawned.
-    pub fn new(count: usize) -> FleetView {
-        FleetView {
-            spawned: vec![true; count],
-        }
-    }
-
-    /// Spawns camera `j`'s view (idempotent; out-of-range is a no-op).
-    pub fn spawn(&mut self, j: usize) {
-        if let Some(s) = self.spawned.get_mut(j) {
-            *s = true;
-        }
-    }
-
-    /// Despawns camera `j`'s view (idempotent; out-of-range is a no-op).
-    pub fn despawn(&mut self, j: usize) {
-        if let Some(s) = self.spawned.get_mut(j) {
-            *s = false;
-        }
-    }
-
-    /// Whether camera `j`'s view is currently spawned.
-    pub fn is_active(&self, j: usize) -> bool {
-        self.spawned.get(j).copied().unwrap_or(false)
-    }
-
-    /// Number of spawned views.
-    pub fn active_count(&self) -> usize {
-        self.spawned.iter().filter(|&&s| s).count()
-    }
-
-    /// Indices of the spawned views, ascending.
-    pub fn active(&self) -> Vec<usize> {
-        (0..self.spawned.len())
-            .filter(|&j| self.spawned[j])
-            .collect()
-    }
-
-    /// Total slots, spawned or not.
-    pub fn len(&self) -> usize {
-        self.spawned.len()
-    }
-
-    /// Whether the rig has no camera slots at all.
-    pub fn is_empty(&self) -> bool {
-        self.spawned.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,31 +136,6 @@ mod tests {
             let back = cal.image_to_ground(&px).unwrap();
             assert!(back.distance(&g) < 1e-5);
         }
-    }
-
-    #[test]
-    fn fleet_view_spawns_and_despawns_slots() {
-        let mut view = FleetView::new(3);
-        assert_eq!(view.len(), 3);
-        assert!(!view.is_empty());
-        assert_eq!(view.active_count(), 3, "everyone starts spawned");
-        assert_eq!(view.active(), vec![0, 1, 2]);
-
-        view.despawn(1);
-        assert!(!view.is_active(1) && view.is_active(0));
-        assert_eq!(view.active(), vec![0, 2]);
-        view.despawn(1);
-        assert_eq!(view.active_count(), 2, "despawn is idempotent");
-
-        view.spawn(1);
-        assert!(view.is_active(1));
-        assert_eq!(view.active(), vec![0, 1, 2], "rejoin restores the slot");
-
-        // Out-of-range indices are no-ops, never panics.
-        view.spawn(9);
-        view.despawn(9);
-        assert!(!view.is_active(9));
-        assert_eq!(view.len(), 3);
     }
 
     #[test]

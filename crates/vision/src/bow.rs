@@ -10,9 +10,6 @@ use crate::keypoint::{detect_keypoints, Keypoint, KeypointConfig};
 use crate::{Result, VisionError};
 use eecs_learn::kmeans::{KMeans, KMeansConfig};
 
-/// Re-export of the keypoint descriptor dimension for convenience.
-pub const BOW_DESCRIPTOR_DIM: usize = crate::keypoint::DESCRIPTOR_DIM;
-
 /// A fitted visual-word vocabulary.
 #[derive(Debug, Clone)]
 pub struct BowVocabulary {

@@ -178,11 +178,6 @@ impl AcfChannels {
         }
         Ok(out)
     }
-
-    /// Feature-vector length for a `w × h` aggregated-pixel window.
-    pub fn feature_len(w: usize, h: usize) -> usize {
-        w * h * CHANNEL_COUNT
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +243,7 @@ mod tests {
     fn window_features_layout() {
         let ch = AcfChannels::compute(&test_image(), 4).unwrap();
         let f = ch.window_features(1, 1, 3, 2).unwrap();
-        assert_eq!(f.len(), AcfChannels::feature_len(3, 2));
+        assert_eq!(f.len(), 3 * 2 * CHANNEL_COUNT);
         // First element is channel 0 at (1,1).
         assert!((f[0] - ch.channel(0).get(1, 1) as f64).abs() < 1e-9);
     }

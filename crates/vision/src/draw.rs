@@ -97,30 +97,6 @@ pub fn add_noise(img: &mut RgbImage, amp: f32, rng: &mut StdRng) {
     }
 }
 
-/// Overlays a horizontally striped texture inside a rectangle — used to give
-/// furniture clutter strong gradient structure (the cause of the HOG false
-/// positives on dataset #2 in the paper).
-#[allow(clippy::too_many_arguments)]
-pub fn striped_rect(
-    img: &mut RgbImage,
-    x0: i64,
-    y0: i64,
-    x1: i64,
-    y1: i64,
-    rgb_a: [f32; 3],
-    rgb_b: [f32; 3],
-    stripe_height: usize,
-) {
-    let sh = stripe_height.max(1) as i64;
-    fill_rows(img, x0, y0, x1, y1, |y| {
-        if ((y - y0) / sh) % 2 == 0 {
-            rgb_a
-        } else {
-            rgb_b
-        }
-    });
-}
-
 /// Draws a furniture item into the bounding box: three vertically split
 /// high-contrast panels (strong vertical edges with a person-like aspect
 /// ratio — exactly the structure that fools a cleanly trained HOG template,
@@ -297,15 +273,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         add_noise(&mut img, 0.1, &mut rng);
         assert_ne!(img, before);
-    }
-
-    #[test]
-    fn stripes_alternate() {
-        let mut img = RgbImage::new(4, 8);
-        striped_rect(&mut img, 0, 0, 4, 8, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 2);
-        assert_eq!(img.get(0, 0), [1.0, 1.0, 1.0]);
-        assert_eq!(img.get(0, 2), [0.0, 0.0, 0.0]);
-        assert_eq!(img.get(0, 4), [1.0, 1.0, 1.0]);
     }
 
     #[test]

@@ -519,24 +519,6 @@ fn fused_pass<const K: usize>(out: &mut [f64], w: &[f64], x: [&[f64]; K], stride
     }
 }
 
-/// Convenience: the full HOG descriptor of a standalone window image (the
-/// paper's per-window 3780-d feature when the window is 64×128 with default
-/// parameters).
-#[derive(Debug, Clone)]
-pub struct HogDescriptor;
-
-impl HogDescriptor {
-    /// Computes the descriptor of `img` treated as a single window.
-    ///
-    /// # Errors
-    ///
-    /// Propagates grid/window errors for undersized images.
-    pub fn compute(img: &GrayImage, config: HogConfig) -> Result<Vec<f64>> {
-        let grid = HogCellGrid::compute(img, config)?;
-        grid.window_descriptor(0, 0, grid.cells_x(), grid.cells_y())
-    }
-}
-
 /// A pooled, low-dimensional orientation descriptor: the image is divided
 /// into a `grid_x × grid_y` grid and each tile contributes a
 /// magnitude-weighted `bins`-bin orientation histogram, L1-normalized over
@@ -589,6 +571,14 @@ pub fn pooled_hog(img: &GrayImage, grid_x: usize, grid_y: usize, bins: usize) ->
 mod tests {
     use super::*;
 
+    /// The descriptor of `img` taken as one whole window, as HOG training
+    /// featurizes its samples.
+    fn whole_window(img: &GrayImage, cfg: HogConfig) -> Vec<f64> {
+        let grid = HogCellGrid::compute(img, cfg).unwrap();
+        grid.window_descriptor(0, 0, grid.cells_x(), grid.cells_y())
+            .unwrap()
+    }
+
     #[test]
     fn paper_dimensions_3780() {
         // 64×128 window, 8-px cells, 2×2 blocks, 9 bins → 7·15·4·9 = 3780.
@@ -606,7 +596,7 @@ mod tests {
     fn full_descriptor_matches_config_len() {
         let img = GrayImage::from_fn(32, 64, |x, y| ((x ^ y) % 7) as f32 / 7.0);
         let cfg = HogConfig::default();
-        let d = HogDescriptor::compute(&img, cfg).unwrap();
+        let d = whole_window(&img, cfg);
         assert_eq!(d.len(), cfg.descriptor_len(32, 64).unwrap());
     }
 
@@ -614,7 +604,7 @@ mod tests {
     fn blocks_are_l2_normalized() {
         let img = GrayImage::from_fn(16, 16, |x, y| ((x * y) % 5) as f32 / 5.0);
         let cfg = HogConfig::default();
-        let d = HogDescriptor::compute(&img, cfg).unwrap();
+        let d = whole_window(&img, cfg);
         let block_len = cfg.block_cells * cfg.block_cells * cfg.bins;
         for chunk in d.chunks(block_len) {
             let norm: f64 = chunk.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -625,7 +615,7 @@ mod tests {
     #[test]
     fn flat_image_descriptor_is_zero() {
         let img = GrayImage::filled(16, 16, 0.5);
-        let d = HogDescriptor::compute(&img, HogConfig::default()).unwrap();
+        let d = whole_window(&img, HogConfig::default());
         assert!(d.iter().all(|&v| v == 0.0));
     }
 

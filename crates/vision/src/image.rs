@@ -138,13 +138,6 @@ impl GrayImage {
         self.data.iter().sum::<f32>() / self.data.len() as f32
     }
 
-    /// Clamps every pixel into `[0, 1]`.
-    pub fn clamp_unit(&mut self) {
-        for p in &mut self.data {
-            *p = p.clamp(0.0, 1.0);
-        }
-    }
-
     /// Empties the image (to 0 × 0) with room for a `width × height`
     /// one, so that `*_into` kernels filling ever larger levels up to
     /// that size allocate once.
@@ -376,13 +369,6 @@ mod tests {
     fn mean_of_filled() {
         let img = GrayImage::filled(10, 10, 0.25);
         assert!((img.mean() - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clamp_unit_bounds_pixels() {
-        let mut img = GrayImage::from_vec(2, 1, vec![-0.5, 1.5]);
-        img.clamp_unit();
-        assert_eq!(img.as_slice(), &[0.0, 1.0]);
     }
 
     #[test]

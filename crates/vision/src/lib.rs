@@ -8,7 +8,6 @@
 //!   renderer (`eecs-scene`),
 //! * [`resize`] — bilinear resampling (C4 resizes its input to a fixed
 //!   internal resolution; feature pyramids downscale octaves),
-//! * [`integral`] — summed-area tables for box filters,
 //! * [`gradient`] — Sobel gradients, magnitude and orientation,
 //! * [`hog`] — histograms of oriented gradients (Dalal–Triggs layout,
 //!   Section V-A: the 3780-d window descriptor),
@@ -27,15 +26,13 @@ pub mod draw;
 pub mod gradient;
 pub mod hog;
 pub mod image;
-pub mod integral;
 pub mod keypoint;
 pub mod resize;
 
-pub use bow::{BowVocabulary, BOW_DESCRIPTOR_DIM};
+pub use bow::BowVocabulary;
 pub use gradient::GradientField;
-pub use hog::{HogConfig, HogDescriptor};
+pub use hog::HogConfig;
 pub use image::{GrayImage, RgbImage};
-pub use integral::IntegralImage;
 pub use keypoint::{Keypoint, KeypointConfig};
 
 use std::error::Error;

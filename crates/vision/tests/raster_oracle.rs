@@ -1,14 +1,14 @@
 //! The row-slice raster kernels against their per-pixel definitions, bit
 //! for bit.
 //!
-//! `fill_rect`, `striped_rect` and `vertical_gradient` fill whole row
-//! slices of each channel, and `add_noise` walks the three planes in one
-//! zipped pass. The oracles here are the per-pixel loops they replaced:
-//! clip, then `set` one pixel at a time, drawing one noise sample per
-//! pixel in row-major order. Every rendered frame goes through these
+//! `fill_rect` and `vertical_gradient` fill whole row slices of each
+//! channel, and `add_noise` walks the three planes in one zipped pass.
+//! The oracles here are the per-pixel loops they replaced: clip, then
+//! `set` one pixel at a time, drawing one noise sample per pixel in
+//! row-major order. Every rendered frame goes through these
 //! kernels, so the goldens depend on their exact bits.
 
-use eecs_vision::draw::{add_noise, fill_rect, striped_rect, vertical_gradient};
+use eecs_vision::draw::{add_noise, fill_rect, vertical_gradient};
 use eecs_vision::image::{GrayImage, RgbImage};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,31 +17,6 @@ use rand::{RngCore, RngExt, SeedableRng};
 fn fill_rect_oracle(img: &mut RgbImage, x0: i64, y0: i64, x1: i64, y1: i64, rgb: [f32; 3]) {
     let (w, h) = (img.width() as i64, img.height() as i64);
     for y in y0.clamp(0, h)..y1.clamp(0, h) {
-        for x in x0.clamp(0, w)..x1.clamp(0, w) {
-            img.set(x as usize, y as usize, rgb);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn striped_rect_oracle(
-    img: &mut RgbImage,
-    x0: i64,
-    y0: i64,
-    x1: i64,
-    y1: i64,
-    rgb_a: [f32; 3],
-    rgb_b: [f32; 3],
-    stripe_height: usize,
-) {
-    let (w, h) = (img.width() as i64, img.height() as i64);
-    let sh = stripe_height.max(1) as i64;
-    for y in y0.clamp(0, h)..y1.clamp(0, h) {
-        let rgb = if ((y - y0) / sh) % 2 == 0 {
-            rgb_a
-        } else {
-            rgb_b
-        };
         for x in x0.clamp(0, w)..x1.clamp(0, w) {
             img.set(x as usize, y as usize, rgb);
         }
@@ -135,14 +110,6 @@ fn degenerate_rects_match_the_oracle() {
             fill_rect(&mut got, x0, y0, x1, y1, rgb);
             fill_rect_oracle(&mut want, x0, y0, x1, y1, rgb);
             assert_eq!(bits(&got), bits(&want), "{w}x{h} fill {x0},{y0},{x1},{y1}");
-            let b = [0.2, 0.3, 0.8];
-            striped_rect(&mut got, x0, y0, x1, y1, rgb, b, 2);
-            striped_rect_oracle(&mut want, x0, y0, x1, y1, rgb, b, 2);
-            assert_eq!(
-                bits(&got),
-                bits(&want),
-                "{w}x{h} stripes {x0},{y0},{x1},{y1}"
-            );
         }
     }
 }
@@ -162,22 +129,6 @@ proptest! {
         let mut want = got.clone();
         fill_rect(&mut got, x0, y0, x1, y1, rgb);
         fill_rect_oracle(&mut want, x0, y0, x1, y1, rgb);
-        prop_assert_eq!(bits(&got), bits(&want));
-    }
-
-    #[test]
-    fn striped_rect_matches_the_oracle(
-        (w, h) in (1..MAX_SIDE + 1, 1..MAX_SIDE + 1),
-        (x0, y0, x1, y1) in (corner(), corner(), corner(), corner()),
-        (a, b) in (0.0..1.0f32, 0.0..1.0f32),
-        stripe_height in 0..6usize,
-        pixels in pixel_strategy(),
-    ) {
-        let (rgb_a, rgb_b) = ([a, 1.0 - a, a * b], [b, a, 1.0 - b]);
-        let mut got = image(w, h, &pixels);
-        let mut want = got.clone();
-        striped_rect(&mut got, x0, y0, x1, y1, rgb_a, rgb_b, stripe_height);
-        striped_rect_oracle(&mut want, x0, y0, x1, y1, rgb_a, rgb_b, stripe_height);
         prop_assert_eq!(bits(&got), bits(&want));
     }
 

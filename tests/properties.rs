@@ -199,7 +199,6 @@ proptest! {
             backoff_factor: factor,
             max_backoff_rounds: cap.max(base),
         };
-        policy.validate().unwrap();
         // Monotone in strikes, bounded by the cap.
         let mut prev = 0usize;
         for s in 1..=strikes {
