@@ -155,6 +155,9 @@ fn run() -> Result<(), String> {
     if let Some(x) = summary.serve_speedup {
         println!("  serve speedup (1 worker / 4 workers): {x:.2}x");
     }
+    if let Some(x) = summary.detect_memo_speedup {
+        println!("  detect memo speedup (cold/warm parallel round): {x:.2}x");
+    }
     check_parallel_speedups(&summary)?;
     if let Some(path) = &args.baseline {
         let baseline = load(path)?;

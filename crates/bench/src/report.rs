@@ -94,6 +94,11 @@ pub struct PipelineSummary {
     /// `sweep_speedup`, validated finite and positive. Absent in
     /// reports predating the serving layer.
     pub serve_speedup: Option<f64>,
+    /// Cold over warm parallel round time: how much a second clean run
+    /// on one prepared simulation saves by reading memoized detections.
+    /// Host-relative, validated finite and positive, gated on no floor.
+    /// Absent in reports predating the detection memo.
+    pub detect_memo_speedup: Option<f64>,
 }
 
 /// Validates a `BENCH_pipeline.json` document: schema tag, a non-empty
@@ -179,17 +184,22 @@ pub fn validate_pipeline_report(text: &str) -> Result<PipelineSummary, String> {
             Ok(value)
         })
         .transpose()?;
-    let serve_speedup = doc
-        .get("metrics")
-        .and_then(|m| m.get("serve_speedup"))
-        .map(|v| {
-            let value = v.as_num().ok_or("metrics.serve_speedup is not a number")?;
-            if !(value.is_finite() && value > 0.0) {
-                return Err(format!("serve_speedup must be positive, got {value}"));
-            }
-            Ok(value)
-        })
-        .transpose()?;
+    let optional_speedup = |name: &str| {
+        doc.get("metrics")
+            .and_then(|m| m.get(name))
+            .map(|v| {
+                let value = v
+                    .as_num()
+                    .ok_or_else(|| format!("metrics.{name} is not a number"))?;
+                if !(value.is_finite() && value > 0.0) {
+                    return Err(format!("{name} must be positive, got {value}"));
+                }
+                Ok(value)
+            })
+            .transpose()
+    };
+    let serve_speedup = optional_speedup("serve_speedup")?;
+    let detect_memo_speedup = optional_speedup("detect_memo_speedup")?;
     Ok(PipelineSummary {
         entries,
         round_speedup: speedup("round_speedup")?,
@@ -198,6 +208,7 @@ pub fn validate_pipeline_report(text: &str) -> Result<PipelineSummary, String> {
         host_parallelism,
         churn_replan_ns,
         serve_speedup,
+        detect_memo_speedup,
     })
 }
 
@@ -299,6 +310,22 @@ mod tests {
     }
 
     #[test]
+    fn detect_memo_speedup_parsed_and_sign_checked() {
+        let text = render(&sample_entries(), &sample_metrics());
+        let summary = validate_pipeline_report(&text).unwrap();
+        assert_eq!(summary.detect_memo_speedup, None);
+        for (value, ok) in [(40.0, true), (0.0, false), (-2.0, false)] {
+            let mut metrics = sample_metrics();
+            metrics.push(("detect_memo_speedup".into(), value));
+            let got = validate_pipeline_report(&render(&sample_entries(), &metrics));
+            match got {
+                Ok(summary) => assert!(ok && summary.detect_memo_speedup == Some(value)),
+                Err(e) => assert!(!ok && e.contains("detect_memo_speedup"), "{e}"),
+            }
+        }
+    }
+
+    #[test]
     fn non_positive_kernel_speedup_rejected() {
         let mut metrics = sample_metrics();
         metrics.push(("kernel_speedup_acf".into(), 0.0));
@@ -393,6 +420,7 @@ mod tests {
             .into_iter()
             .chain(summary.kernel_speedups.iter().map(|&(_, v)| v))
             .chain(summary.serve_speedup)
+            .chain(summary.detect_memo_speedup)
         {
             assert!(v.is_finite() && v > 0.0, "{v}");
         }
@@ -408,6 +436,7 @@ mod tests {
             metrics.push(("kernel_speedup_c4".into(), 3.4));
             metrics.push(("churn_replan_ns".into(), 0.0));
             metrics.push(("serve_speedup".into(), 1.7));
+            metrics.push(("detect_memo_speedup".into(), 40.0));
             let text = render(&sample_entries(), &metrics);
             let check = |doc: &str| {
                 if let Ok(summary) = validate_pipeline_report(doc) {

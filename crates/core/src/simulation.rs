@@ -37,6 +37,7 @@ use crate::{EecsError, Result};
 use eecs_detect::bank::DetectorBank;
 use eecs_detect::detection::{AlgorithmId, DetectionOutput};
 use eecs_detect::health::DetectorHealth;
+use eecs_detect::FrameFeatures;
 use eecs_energy::budget::{BatteryState, EnergyBudget};
 use eecs_energy::comm::JPEG_BYTES_PER_PIXEL;
 use eecs_energy::profile::DeviceProfile;
@@ -48,7 +49,7 @@ use eecs_scene::dataset::DatasetProfile;
 use eecs_scene::rig::{rig_calibrations, CAMERAS_PER_DATASET};
 use eecs_scene::sensor_fault::{FrameImpairment, SensorFaultPlan};
 use eecs_scene::sequence::{FrameData, VideoFeed};
-use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -346,26 +347,64 @@ pub struct Simulation {
     /// Deterministic join/leave/rejoin schedule. [`ChurnPlan::ideal`]
     /// keeps every camera present every round.
     churn: ChurnPlan,
-    /// The test segment's clean frames, shared by every clone.
+    /// The test segment's clean frames and their detections, shared by
+    /// every clone.
     clean_frames: FrameStore,
 }
 
-/// The clean annotated frames of a prepared simulation's test segment,
-/// one `Vec` per camera. Empty until the first clean-sensor run captures
-/// them (`capture_segment`, on that run's workers); every clone of the
-/// simulation (the `with_*` builders included) shares the one copy,
-/// which is never written to afterwards. Sensor-fault runs capture their
-/// own copy.
+/// The clean test segment of a prepared simulation. Empty until the
+/// first clean-sensor run captures it (`capture_segment`, on that run's
+/// workers); every clone of the simulation (the `with_*` builders
+/// included) shares the one copy. Sensor-fault runs capture their own
+/// copy and never touch this one.
 #[derive(Clone, Default)]
-struct FrameStore(Arc<OnceLock<Vec<Vec<FrameData>>>>);
+struct FrameStore(Arc<OnceLock<CleanSegment>>);
 
 /// Terse, so a `Simulation`'s derived `Debug` does not dump pixels.
 impl fmt::Debug for FrameStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.0.get() {
-            Some(frames) => write!(f, "FrameStore({} cameras, filled)", frames.len()),
+            Some(segment) => {
+                let filled = segment.detections.iter().flatten().flatten();
+                let filled = filled.filter(|slot| slot.get().is_some()).count();
+                write!(
+                    f,
+                    "FrameStore({} cameras, filled, {filled} detections)",
+                    segment.frames.len()
+                )
+            }
             None => f.write_str("FrameStore(empty)"),
         }
+    }
+}
+
+/// The clean annotated frames of the test segment, one `Vec` per camera,
+/// never written to after the capture, and one detection slot per
+/// (camera, segment frame, algorithm). A detector's output is a pure
+/// function of (detector, frame) and every clone carries the same bank,
+/// so the first run to need a slot fills it and every later run, on any
+/// clone, reads it (DESIGN.md §9).
+struct CleanSegment {
+    frames: Vec<Vec<FrameData>>,
+    /// `detections[j][f][k]`: algorithm `AlgorithmId::ALL[k]` on camera
+    /// `j`'s frame `f`.
+    detections: Vec<Vec<[OnceLock<DetectionOutput>; AlgorithmId::ALL.len()]>>,
+}
+
+impl CleanSegment {
+    /// Wraps a capture, every detection slot empty.
+    fn new(frames: Vec<Vec<FrameData>>) -> CleanSegment {
+        let detections = frames
+            .iter()
+            .map(|cam_frames| cam_frames.iter().map(|_| Default::default()).collect())
+            .collect();
+        CleanSegment { frames, detections }
+    }
+
+    /// The slot of `alg` on camera `j`'s frame `f`.
+    fn slot(&self, j: usize, f: usize, alg: AlgorithmId) -> &OnceLock<DetectionOutput> {
+        // Variants are declared in `AlgorithmId::ALL` order.
+        &self.detections[j][f][alg as usize]
     }
 }
 
@@ -780,9 +819,60 @@ fn capture_segment(
 /// A round's assignment (camera → algorithm) and active-camera set.
 type Plan = (BTreeMap<usize, AlgorithmId>, Vec<usize>);
 
-/// A run's annotated frames per camera: borrowed from the simulation's
-/// clean-frame store, or an owned copy the sensor plan corrupted.
-type Frames<'a> = Cow<'a, [Vec<FrameData>]>;
+/// A run's annotated frames per camera.
+enum Frames<'a> {
+    /// The simulation's shared clean segment, detections memoized.
+    Clean(&'a CleanSegment),
+    /// A private copy the sensor plan corrupted, detected afresh.
+    Impaired(Vec<Vec<FrameData>>),
+}
+
+impl std::ops::Deref for Frames<'_> {
+    type Target = [Vec<FrameData>];
+
+    fn deref(&self) -> &[Vec<FrameData>] {
+        match self {
+            Frames::Clean(segment) => &segment.frames,
+            Frames::Impaired(frames) => frames,
+        }
+    }
+}
+
+impl Frames<'_> {
+    /// The outputs of `algorithms`, in order, on camera `j`'s frame `f`,
+    /// through one shared `FrameFeatures` handle when `share` is set. On
+    /// the clean segment each output is cloned from its slot, and a miss
+    /// runs that one detector into it (the handle is built on the first
+    /// miss); a concurrent run on a clone waits for a slot being filled
+    /// rather than detect it twice. Corrupted pixels are never memoized.
+    fn detect(
+        &self,
+        bank: &DetectorBank,
+        (j, f): (usize, usize),
+        algorithms: &[AlgorithmId],
+        share: bool,
+    ) -> Vec<DetectionOutput> {
+        let image = &self[j][f].image;
+        let segment = match self {
+            Frames::Clean(segment) => segment,
+            Frames::Impaired(_) => return bank.run_algorithms(algorithms, image, share),
+        };
+        let features = OnceCell::new();
+        let run = |alg| {
+            let detector = bank.detector(alg);
+            if share {
+                detector
+                    .detect_with_cache(image, features.get_or_init(|| FrameFeatures::new(image)))
+            } else {
+                detector.detect(image)
+            }
+        };
+        algorithms
+            .iter()
+            .map(|&alg| segment.slot(j, f, alg).get_or_init(|| run(alg)).clone())
+            .collect()
+    }
+}
 
 /// One round's frame window and running score: assessment covers the
 /// annotated frames `start..assess_end`, operation `assess_end..end`.
@@ -815,9 +905,9 @@ struct MissionState<'a> {
     /// sites sit on the serial effect-replay path, so the stream is also
     /// bit-identical across `Parallelism` settings.
     tel: &'a Telemetry,
-    /// Annotated frames per camera, after sensor impairment: borrowed
-    /// from the simulation's clean-frame store when the sensor plan is
-    /// disabled, an owned corrupted copy otherwise.
+    /// Annotated frames per camera, after sensor impairment: the
+    /// simulation's clean segment when the sensor plan is disabled, an
+    /// owned corrupted copy otherwise.
     frames: Frames<'a>,
     impairments: Vec<Vec<FrameImpairment>>,
     nodes: Vec<CameraNode>,
@@ -941,22 +1031,26 @@ impl<'a> MissionState<'a> {
     /// them — every consumer downstream (assessment, operation, feature
     /// caches, parallel workers) sees the same degraded pixels, so worker
     /// count cannot change what was "seen". A disabled plan touches no
-    /// pixel, so it borrows the shared clean frames, captured by the first
-    /// such run.
+    /// pixel, so it borrows the shared clean segment, captured by the
+    /// first such run.
     fn capture(sim: &'a Simulation) -> Result<(Frames<'a>, Vec<Vec<FrameImpairment>>)> {
         let plan = &sim.config.sensor_plan;
         let segment = (sim.config.start_frame, sim.config.end_frame);
         let capture = || capture_segment(&sim.feeds, segment, plan, sim.config.parallel.workers);
         let (frames, impairments) = if plan.enabled() {
             let (frames, impairments) = capture();
-            (Cow::Owned(frames), impairments)
+            (Frames::Impaired(frames), impairments)
         } else {
-            let frames = sim.clean_frames.0.get_or_init(|| capture().0);
-            let clean = frames
+            let segment = sim
+                .clean_frames
+                .0
+                .get_or_init(|| CleanSegment::new(capture().0));
+            let clean = segment
+                .frames
                 .iter()
                 .map(|cam_frames| vec![FrameImpairment::clean(); cam_frames.len()])
                 .collect();
-            (Cow::Borrowed(frames.as_slice()), clean)
+            (Frames::Clean(segment), clean)
         };
         if frames[0].is_empty() {
             return Err(EecsError::InvalidArgument(
@@ -1469,7 +1563,7 @@ impl<'a> MissionState<'a> {
         let (bank, par, frames) = (&sim.bank, sim.config.parallel, &self.frames);
         let outputs = crate::par::par_map_indexed(tasks.len(), par.workers, |t| {
             let (j, f) = tasks[t];
-            bank.run_algorithms(&feasible[j], &frames[j][f].image, par.feature_cache)
+            frames.detect(bank, (j, f), &feasible[j], par.feature_cache)
         });
         let mut outputs = outputs.into_iter().map(Vec::into_iter);
 
@@ -1798,7 +1892,8 @@ impl<'a> MissionState<'a> {
         let (bank, frames) = (&sim.bank, &self.frames);
         let outputs = crate::par::par_map_indexed(tasks.len(), sim.config.parallel.workers, |t| {
             let (f, j, alg) = tasks[t];
-            bank.detector(alg).detect(&frames[j][f].image)
+            let mut output = frames.detect(bank, (j, f), &[alg], false);
+            output.pop().expect("one algorithm, one output")
         });
         let mut outputs = tasks.iter().zip(outputs);
         for f in round.assess_end..round.end {

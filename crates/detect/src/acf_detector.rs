@@ -275,7 +275,8 @@ impl Detector for AcfDetector {
         AlgorithmId::Acf
     }
 
-    fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
+    fn detect_with_cache(&self, _frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
+        let frame = cache.frame();
         let mut ops = 0u64;
         let mut candidates = Vec::new();
         cache.with_scratch(|scratch| {

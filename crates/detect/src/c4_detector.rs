@@ -570,7 +570,8 @@ impl Detector for C4Detector {
         AlgorithmId::C4
     }
 
-    fn detect_with_cache(&self, frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
+    fn detect_with_cache(&self, _frame: &RgbImage, cache: &FrameFeatures<'_>) -> DetectionOutput {
+        let frame = cache.frame();
         // Back-projection factors internal → original pixels.
         let fx = frame.width() as f64 / self.config.internal_w as f64;
         let fy = frame.height() as f64 / self.config.internal_h as f64;

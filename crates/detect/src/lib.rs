@@ -92,10 +92,15 @@ pub trait Detector: Send + Sync {
         self.detect_with_cache(frame, &FrameFeatures::new(frame))
     }
 
-    /// Runs detection on a frame through `cache`, sharing its grayscale
-    /// conversion and scratch buffers with other detectors; each pyramid
-    /// level is built into the scratch, scanned and overwritten by the
-    /// next. `cache` must have been built over `frame`.
+    /// Runs detection on `cache.frame()` through `cache`, sharing its
+    /// grayscale conversion and scratch buffers with other detectors;
+    /// each pyramid level is built into the scratch, scanned and
+    /// overwritten by the next.
+    ///
+    /// `frame` is ignored: every detector reads its pixels and dimensions
+    /// from `cache.frame()`, so a handle over another image detects that
+    /// image. The parameter is kept so existing two-argument callers
+    /// still compile.
     ///
     /// The output — detections *and* the `ops` counter — is the same
     /// whatever other detectors already did through `cache`, so equal to

@@ -135,6 +135,25 @@ fn detect_with_shared_cache_matches_direct_detect_for_all_algorithms() {
     }
 }
 
+/// `detect_with_cache` detects the handle's frame: a `frame` argument
+/// other than `cache.frame()` — here another resolution, so pixels and
+/// back-projection would both show — is ignored by every detector.
+#[test]
+fn detect_with_cache_reads_the_handle_frame_not_the_argument() {
+    let bank = bank();
+    let frames = dataset_frames();
+    for (held, passed) in [(&frames[0], &frames[2]), (&frames[2], &frames[1])] {
+        let cache = FrameFeatures::new(held);
+        for (alg, det) in bank.all() {
+            assert_eq!(
+                det.detect_with_cache(passed, &cache),
+                det.detect(held),
+                "{alg}: read the frame argument instead of the handle's frame"
+            );
+        }
+    }
+}
+
 fn assert_bit_identical(got: &DetectionOutput, want: &DetectionOutput, what: &str) {
     assert_eq!(got.ops, want.ops, "{what}: ops");
     assert_eq!(got.detections.len(), want.detections.len(), "{what}: count");

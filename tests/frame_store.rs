@@ -78,7 +78,7 @@ fn run(sim: &Simulation) -> String {
 }
 
 fn filled(sim: &Simulation) -> bool {
-    format!("{sim:?}").contains("FrameStore(4 cameras, filled)")
+    format!("{sim:?}").contains("FrameStore(4 cameras, filled")
 }
 
 #[test]
@@ -152,4 +152,96 @@ fn an_empty_frame_range_fails_on_every_run() {
             "an empty frame range must be rejected on every run"
         );
     }
+}
+
+/// A sensor plan that is enabled but corrupts nothing: an occlusion on
+/// frames before the test segment. Its runs detect a private clean copy
+/// afresh, so they are a reference that never touches the memo.
+fn unmemoized(sim: &Simulation) -> Simulation {
+    let sensors = SensorFaultPlan::seeded(3).with_occlusion(0, 0, 10, 0.5);
+    sim.with_faults(FaultPlan::ideal(), sensors, ControllerFaultPlan::none())
+}
+
+/// The number of memoized detections, from the store's `Debug` line.
+fn memoized(sim: &Simulation) -> usize {
+    let debug = format!("{sim:?}");
+    let Some(at) = debug.find(" detections)") else {
+        return 0;
+    };
+    let digits = debug[..at].rsplit(' ').next().expect("a count");
+    digits.parse().expect("a detection count")
+}
+
+#[test]
+fn warm_runs_equal_fresh_runs_in_fig5_cell_order() {
+    // Fig. 5's grid: budget regime × strategy, every cell a clone of one
+    // base. The budgets admit different algorithm sets, so later cells
+    // read some slots and fill others.
+    let cell = |sim: &Simulation, budget: f64, mode: OperatingMode| {
+        sim.with_budget(budget).expect("budget").with_mode(mode)
+    };
+    let cells: Vec<(f64, OperatingMode)> = [5.0, 1.5]
+        .into_iter()
+        .flat_map(|b| {
+            [
+                OperatingMode::AllBest,
+                OperatingMode::CameraSubset,
+                OperatingMode::FullEecs,
+            ]
+            .map(|m| (b, m))
+        })
+        .collect();
+    let fresh: Vec<String> = cells
+        .iter()
+        .map(|&(b, m)| run(&cell(&unmemoized(&prepare(40, 100)), b, m)))
+        .collect();
+    for workers in [1, 2, 3] {
+        let base = prepare(40, 100).with_parallelism(Parallelism {
+            workers,
+            feature_cache: true,
+        });
+        for (&(b, m), want) in cells.iter().zip(&fresh) {
+            let cold = memoized(&base);
+            assert_eq!(
+                &run(&cell(&base, b, m)),
+                want,
+                "{workers} workers, {b} J, {m:?}"
+            );
+            assert!(memoized(&base) >= cold);
+        }
+        // Every cell again, now all memo reads.
+        let full = memoized(&base);
+        for (&(b, m), want) in cells.iter().zip(&fresh) {
+            assert_eq!(&run(&cell(&base, b, m)), want, "warm: {workers} workers");
+        }
+        assert_eq!(memoized(&base), full, "a warm pass filled a slot");
+    }
+}
+
+#[test]
+fn a_chaos_run_between_clean_runs_neither_reads_nor_fills_a_slot() {
+    let sim = prepare(40, 100);
+    let first = run(&sim);
+    let slots = memoized(&sim);
+    assert!(slots > 0, "the clean run memoized nothing");
+
+    // A sensor-fault run reading the slots would see clean detections of
+    // its corrupted frames and differ from a run on a fresh base.
+    assert_eq!(run(&chaos(&sim)), run(&chaos(&prepare(40, 100))));
+    assert_eq!(run(&unmemoized(&sim)), first);
+    assert_eq!(memoized(&sim), slots, "a sensor-fault run filled a slot");
+    assert_eq!(run(&sim), first);
+}
+
+#[test]
+fn two_clones_run_concurrently_give_identical_reports() {
+    let sim = prepare(40, 100);
+    let (a, b) = (sim.clone(), sim.with_mode(OperatingMode::FullEecs));
+    let (ra, rb) = std::thread::scope(|s| {
+        let ta = s.spawn(|| run(&a));
+        let tb = s.spawn(|| run(&b));
+        (ta.join().expect("thread a"), tb.join().expect("thread b"))
+    });
+    assert_eq!(ra, rb);
+    assert_eq!(ra, run(&unmemoized(&prepare(40, 100))));
 }

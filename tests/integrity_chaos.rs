@@ -101,8 +101,10 @@ fn corruption_storm_replays_bit_for_bit_serial_and_parallel() {
     assert_eq!(a.total_energy_j.to_bits(), b.total_energy_j.to_bits());
 
     // Worker count must not leak into anything — report, metrics, trace.
+    // The serial run is on a freshly prepared simulation, so it detects
+    // every frame itself instead of reading what `sim`'s runs memoized.
     let tel_serial = Telemetry::recording(65536);
-    let serial = sim
+    let serial = storm_simulation()
         .with_parallelism(Parallelism::serial())
         .with_telemetry(tel_serial.clone())
         .run()
@@ -159,6 +161,7 @@ fn torn_checkpoint_rolls_back_one_generation_and_replays() {
     let tel_b = Telemetry::recording(65536);
     let b = sim.with_telemetry(tel_b.clone()).run().expect("run b");
     assert_eq!(a, b, "recovery is not deterministic");
+    assert_eq!(report, a, "a warm replay differs from the first run");
     assert_eq!(
         tel_a.trace_json().expect("trace a"),
         tel_b.trace_json().expect("trace b"),
@@ -168,6 +171,47 @@ fn torn_checkpoint_rolls_back_one_generation_and_replays() {
         tel_a.metrics_json().expect("metrics a"),
         tel_b.metrics_json().expect("metrics b"),
     );
+}
+
+#[test]
+fn rotten_checkpoint_rolls_back_one_generation_and_replays_serial_and_parallel() {
+    // As above, but generation 2 is written whole and then decays: one
+    // bit flips at rest, so its checksum fails at the crash restore and
+    // the store falls back to the initial checkpoint.
+    let sim = base_simulation()
+        .with_faults(
+            FaultPlan::seeded(5).with_default_faults(LinkFaults::lossy(0.1)),
+            SensorFaultPlan::ideal(),
+            ControllerFaultPlan::none().with_crash(CRASH_ROUND, CRASH_ROUND + 1),
+        )
+        .with_checkpoint_faults(CheckpointFaultPlan::seeded(9).with_bit_rot(2));
+
+    let run = |parallel: Parallelism| {
+        let tel = Telemetry::recording(65536);
+        let report = sim
+            .with_parallelism(parallel)
+            .with_telemetry(tel.clone())
+            .run()
+            .expect("rotten-checkpoint run completes");
+        let doc = golden_document("bit_rot", &report, &tel).expect("golden document");
+        (report, doc, tel.trace_json().expect("trace"))
+    };
+    let (report, doc, trace) = run(Parallelism::default());
+    assert_eq!(
+        report.checkpoint_rollbacks, 1,
+        "a rotten newest generation must roll back exactly once"
+    );
+    assert_eq!(report.failovers.len(), 1, "crash must fail over once");
+    assert_eq!(report.failovers[0].round, CRASH_ROUND);
+    assert_eq!(report.failovers[0].checkpoint_round, 0);
+    assert!(report.rounds.iter().all(|r| !r.active.is_empty()));
+
+    for parallel in [Parallelism::serial(), Parallelism::default()] {
+        let (again, again_doc, again_trace) = run(parallel);
+        assert_eq!(report, again, "{parallel:?}: recovery is not deterministic");
+        assert_eq!(doc, again_doc, "{parallel:?}: golden documents diverged");
+        assert_eq!(trace, again_trace, "{parallel:?}: trace streams diverged");
+    }
 }
 
 /// The three canonical golden scenarios, mirroring `golden_report.rs`.

@@ -38,9 +38,19 @@ fn base() -> &'static Simulation {
     SIM.get_or_init(|| service_base(&Artifacts::quick_trained(Scale::Quick, 5)))
 }
 
+/// A second base prepared like [`base`] for the direct runs. Clones of
+/// one base share its memoized detections, so on one base the service
+/// and the direct runs would read each other's; on two, each side
+/// detects its frames itself.
+fn direct_base() -> &'static Simulation {
+    static SIM: OnceLock<Simulation> = OnceLock::new();
+    SIM.get_or_init(|| service_base(&Artifacts::quick_trained(Scale::Quick, 5)))
+}
+
 /// Direct-run cache keyed by spec fingerprint: `(report_json, energy
-/// bits)` of `spec.apply(base).run()`, computed once per distinct spec
-/// so the 8 grid cells per scenario share their reference runs.
+/// bits)` of `spec.apply(direct_base()).run()`, computed once per
+/// distinct spec so the 8 grid cells per scenario share their reference
+/// runs.
 fn direct(spec: &MissionSpec) -> (String, u64) {
     static CACHE: OnceLock<Mutex<BTreeMap<u32, (String, u64)>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
@@ -49,7 +59,7 @@ fn direct(spec: &MissionSpec) -> (String, u64) {
         return hit.clone();
     }
     let report = spec
-        .apply(base())
+        .apply(direct_base())
         .expect("spec applies")
         .run()
         .expect("direct run");
