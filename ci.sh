@@ -10,12 +10,11 @@ echo "==> cargo build --release"
 cargo build --release --workspace --all-targets
 
 echo "==> cargo test"
+# The root `eecs` package is a workspace member, so this also runs the
+# golden-master suite (tests/golden_report.rs): byte-for-byte comparison
+# of the three canonical runs against tests/golden/*.json, under both
+# serial and parallel execution.
 cargo test -q --workspace
-
-echo "==> golden-master suite (telemetry + report snapshots)"
-# Byte-for-byte comparison of the three canonical runs against
-# tests/golden/*.json, under both serial and parallel execution.
-cargo test -q --test golden_report
 
 echo "==> golden bless-check (snapshots in sync with the code)"
 # Regenerate the goldens and fail if the checked-in files are stale —

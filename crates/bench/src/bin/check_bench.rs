@@ -13,8 +13,9 @@
 //! `baseline × (1 − tolerance)` (`--tolerance`, default 0.25).
 //!
 //! The parallel speedups are gated by recorded host width: on a 1-core
-//! host `round_speedup`/`sweep_speedup` legitimately collapse to ~1× and
-//! only warn; a multi-core host that shows no parallel speedup fails.
+//! host `round_speedup`/`sweep_speedup`/`serve_speedup` legitimately
+//! collapse to ~1× and are not gated (a low sweep speedup prints a
+//! note); a multi-core host that shows no parallel speedup fails.
 //!
 //! Exits non-zero on any problem so `ci.sh` fails loudly.
 
@@ -32,6 +33,9 @@ const MULTICORE_SWEEP_FLOOR: f64 = 1.2;
 /// Round speedup a multi-core host must reach (parallel detectors plus
 /// the shared frame handle must at least break even).
 const MULTICORE_ROUND_FLOOR: f64 = 1.0;
+/// Service speedup a multi-core host must reach (a 4-worker batch must
+/// at least break even with the 1-worker one).
+const MULTICORE_SERVE_FLOOR: f64 = 1.0;
 
 struct Args {
     baseline: Option<String>,
@@ -95,6 +99,15 @@ fn check_parallel_speedups(summary: &PipelineSummary) -> Result<(), String> {
             "round_speedup {:.2}x on a {host:.0}-core host (floor {MULTICORE_ROUND_FLOOR}x): \
              the parallel round is slower than serial",
             summary.round_speedup
+        ));
+    }
+    let serve = summary
+        .serve_speedup
+        .ok_or("the report has no serve_speedup")?;
+    if serve < MULTICORE_SERVE_FLOOR {
+        return Err(format!(
+            "serve_speedup {serve:.2}x on a {host:.0}-core host (floor {MULTICORE_SERVE_FLOOR}x): \
+             the parallel service batch is slower than serial"
         ));
     }
     Ok(())

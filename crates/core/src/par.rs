@@ -5,9 +5,13 @@
 //! embarrassingly parallel: each item's result depends only on that item.
 //! [`par_map_indexed`] fans such work over a small pool of scoped threads
 //! (vendored `crossbeam::thread::scope`), collects into index-addressed
-//! slots, and returns results in input order, so callers consume them in
-//! exactly the sequence a serial loop would have produced. Determinism of
-//! the overall simulation then only requires that `f` itself is pure.
+//! slots, and returns results in input order. Training and test-set
+//! evaluation consume them in exactly the sequence a serial loop would
+//! have produced. A mission's rounds use the pool only to fill keyed
+//! detection slots, which the serial replay then reads by (camera,
+//! frame, algorithm), so their order does not matter there at all.
+//! Determinism of the overall simulation only requires that `f` itself
+//! is pure.
 
 /// How many worker threads a pool request resolves to: `workers == 0`
 /// means "auto" (the host's available parallelism), and the pool is never

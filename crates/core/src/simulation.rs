@@ -49,6 +49,7 @@ use eecs_scene::dataset::DatasetProfile;
 use eecs_scene::rig::{rig_calibrations, CAMERAS_PER_DATASET};
 use eecs_scene::sensor_fault::{FrameImpairment, SensorFaultPlan};
 use eecs_scene::sequence::{FrameData, VideoFeed};
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -86,11 +87,13 @@ const ROUND_ENERGY_BOUNDS: &[f64] = &[5.0, 10.0, 25.0, 50.0, 100.0, 250.0];
 /// Host-side execution settings: how the simulator schedules the pure
 /// detection work of a round. These knobs change wall-clock time only —
 /// detections, op counters, and every Joule of modeled energy are
-/// bit-identical across all settings (the stateful battery/network
-/// effects always replay serially in the original order).
+/// bit-identical across all settings: the pool only fills the run's
+/// (camera, frame, algorithm) detection slots, and the stateful
+/// battery/network effects always replay serially in the original
+/// order, reading each slot by key.
 ///
 /// They govern [`Simulation::run`] only: its capture of the test segment
-/// and its per-round detection. Offline training in
+/// and the per-round fill of its detection slots. Offline training in
 /// [`Simulation::prepare`] — one pool task per (camera, training frame)
 /// in `training::train_records`, then one per camera for feed matching —
 /// always fans out over the host's full available parallelism, even
@@ -99,8 +102,9 @@ const ROUND_ENERGY_BOUNDS: &[f64] = &[5.0, 10.0, 25.0, 50.0, 100.0, 250.0];
 pub struct Parallelism {
     /// Worker threads for the run's pools: capture (one task per camera
     /// renders and impairs its test frames into buffers the run's own
-    /// thread allocated) and the per-round detection fan-out. `0` means
-    /// auto (the host's available parallelism); `1` runs inline.
+    /// thread allocated) and the per-round fill of the detection slots
+    /// (one task per camera and frame). `0` means auto (the host's
+    /// available parallelism); `1` fills inline.
     pub workers: usize,
     /// Run the algorithms assessed on the same frame through one shared
     /// `FrameFeatures` handle (its grayscale conversion and scratch
@@ -184,8 +188,9 @@ pub struct SimulationConfig {
     /// controller immortal and the run bit-identical to pre-chaos.
     pub controller_plan: ControllerFaultPlan,
     /// Host-side execution settings (worker pool, feature cache) for the
-    /// rounds of [`Simulation::run`]. Affects wall-clock only; reports are
-    /// bit-identical across settings. Offline training in
+    /// rounds of [`Simulation::run`], whose pool fills the detection
+    /// slots the serial replay reads. Affects wall-clock only; reports
+    /// are bit-identical across settings. Offline training in
     /// [`Simulation::prepare`] ignores it and uses every host core.
     pub parallel: Parallelism,
 }
@@ -356,9 +361,9 @@ pub struct Simulation {
 /// first clean-sensor run captures it (`capture_segment`, on that run's
 /// workers); every clone of the simulation (the `with_*` builders
 /// included) shares the one copy. Sensor-fault runs capture their own
-/// copy and never touch this one.
+/// segment and never touch this one.
 #[derive(Clone, Default)]
-struct FrameStore(Arc<OnceLock<CleanSegment>>);
+struct FrameStore(Arc<OnceLock<Segment>>);
 
 /// Terse, so a `Simulation`'s derived `Debug` does not dump pixels.
 impl fmt::Debug for FrameStore {
@@ -378,33 +383,96 @@ impl fmt::Debug for FrameStore {
     }
 }
 
-/// The clean annotated frames of the test segment, one `Vec` per camera,
-/// never written to after the capture, and one detection slot per
-/// (camera, segment frame, algorithm). A detector's output is a pure
-/// function of (detector, frame) and every clone carries the same bank,
-/// so the first run to need a slot fills it and every later run, on any
-/// clone, reads it (DESIGN.md §9).
-struct CleanSegment {
+/// A run's test segment: each camera's annotated frames as its sensor
+/// delivered them, never written to after the capture, what the sensor
+/// did to each, and one detection slot per (camera, segment frame,
+/// algorithm). A detector's output is a pure function of (detector,
+/// pixels), so a slot is filled once and then only read. A clean-sensor
+/// run borrows the simulation's [`FrameStore`] segment, so every clone
+/// reads what any run filled; a sensor-fault run owns a private segment
+/// and drops it when it ends (DESIGN.md §9).
+#[derive(Clone)]
+struct Segment {
     frames: Vec<Vec<FrameData>>,
+    impairments: Vec<Vec<FrameImpairment>>,
     /// `detections[j][f][k]`: algorithm `AlgorithmId::ALL[k]` on camera
     /// `j`'s frame `f`.
     detections: Vec<Vec<[OnceLock<DetectionOutput>; AlgorithmId::ALL.len()]>>,
 }
 
-impl CleanSegment {
+impl Segment {
     /// Wraps a capture, every detection slot empty.
-    fn new(frames: Vec<Vec<FrameData>>) -> CleanSegment {
+    fn new((frames, impairments): (Vec<Vec<FrameData>>, Vec<Vec<FrameImpairment>>)) -> Segment {
         let detections = frames
             .iter()
             .map(|cam_frames| cam_frames.iter().map(|_| Default::default()).collect())
             .collect();
-        CleanSegment { frames, detections }
+        Segment {
+            frames,
+            impairments,
+            detections,
+        }
     }
 
     /// The slot of `alg` on camera `j`'s frame `f`.
     fn slot(&self, j: usize, f: usize, alg: AlgorithmId) -> &OnceLock<DetectionOutput> {
         // Variants are declared in `AlgorithmId::ALL` order.
         &self.detections[j][f][alg as usize]
+    }
+
+    /// Fills, on `workers` threads, the slots of `algorithms[j]` on every
+    /// frame in `window` that camera `j`'s sensor delivered: one pool
+    /// task per (camera, frame), whose detectors scan through one shared
+    /// `FrameFeatures` handle when `share` is set (built on the task's
+    /// first empty slot). A filled slot is left as it is, and a
+    /// concurrent run on a clone waits for a slot being filled rather
+    /// than detect it twice. The replay reads each output by key
+    /// ([`Segment::detection`]), so the order the pool runs in is free.
+    fn fill(
+        &self,
+        bank: &DetectorBank,
+        window: std::ops::Range<usize>,
+        algorithms: &[Vec<AlgorithmId>],
+        workers: usize,
+        share: bool,
+    ) {
+        let tasks: Vec<(usize, usize)> = (0..algorithms.len())
+            .filter(|&j| !algorithms[j].is_empty())
+            .flat_map(|j| window.clone().map(move |f| (j, f)))
+            .filter(|&(j, f)| !self.impairments[j][f].dropped)
+            .collect();
+        crate::par::par_map_indexed(tasks.len(), workers, |t| {
+            let (j, f) = tasks[t];
+            let image = &self.frames[j][f].image;
+            let features = OnceCell::new();
+            for &alg in &algorithms[j] {
+                self.slot(j, f, alg).get_or_init(|| {
+                    let detector = bank.detector(alg);
+                    if share {
+                        let features = features.get_or_init(|| FrameFeatures::new(image));
+                        detector.detect_with_cache(image, features)
+                    } else {
+                        detector.detect(image)
+                    }
+                });
+            }
+        });
+    }
+
+    /// The output of `alg` on camera `j`'s frame `f`, cloned from its
+    /// slot. A slot the fill did not reach is detected here.
+    fn detection(
+        &self,
+        bank: &DetectorBank,
+        j: usize,
+        f: usize,
+        alg: AlgorithmId,
+    ) -> DetectionOutput {
+        let image = &self.frames[j][f].image;
+        let output = self
+            .slot(j, f, alg)
+            .get_or_init(|| bank.detector(alg).detect(image));
+        output.clone()
     }
 }
 
@@ -819,61 +887,6 @@ fn capture_segment(
 /// A round's assignment (camera → algorithm) and active-camera set.
 type Plan = (BTreeMap<usize, AlgorithmId>, Vec<usize>);
 
-/// A run's annotated frames per camera.
-enum Frames<'a> {
-    /// The simulation's shared clean segment, detections memoized.
-    Clean(&'a CleanSegment),
-    /// A private copy the sensor plan corrupted, detected afresh.
-    Impaired(Vec<Vec<FrameData>>),
-}
-
-impl std::ops::Deref for Frames<'_> {
-    type Target = [Vec<FrameData>];
-
-    fn deref(&self) -> &[Vec<FrameData>] {
-        match self {
-            Frames::Clean(segment) => &segment.frames,
-            Frames::Impaired(frames) => frames,
-        }
-    }
-}
-
-impl Frames<'_> {
-    /// The outputs of `algorithms`, in order, on camera `j`'s frame `f`,
-    /// through one shared `FrameFeatures` handle when `share` is set. On
-    /// the clean segment each output is cloned from its slot, and a miss
-    /// runs that one detector into it (the handle is built on the first
-    /// miss); a concurrent run on a clone waits for a slot being filled
-    /// rather than detect it twice. Corrupted pixels are never memoized.
-    fn detect(
-        &self,
-        bank: &DetectorBank,
-        (j, f): (usize, usize),
-        algorithms: &[AlgorithmId],
-        share: bool,
-    ) -> Vec<DetectionOutput> {
-        let image = &self[j][f].image;
-        let segment = match self {
-            Frames::Clean(segment) => segment,
-            Frames::Impaired(_) => return bank.run_algorithms(algorithms, image, share),
-        };
-        let features = OnceCell::new();
-        let run = |alg| {
-            let detector = bank.detector(alg);
-            if share {
-                detector
-                    .detect_with_cache(image, features.get_or_init(|| FrameFeatures::new(image)))
-            } else {
-                detector.detect(image)
-            }
-        };
-        algorithms
-            .iter()
-            .map(|&alg| segment.slot(j, f, alg).get_or_init(|| run(alg)).clone())
-            .collect()
-    }
-}
-
 /// One round's frame window and running score: assessment covers the
 /// annotated frames `start..assess_end`, operation `assess_end..end`.
 struct Round {
@@ -905,11 +918,10 @@ struct MissionState<'a> {
     /// sites sit on the serial effect-replay path, so the stream is also
     /// bit-identical across `Parallelism` settings.
     tel: &'a Telemetry,
-    /// Annotated frames per camera, after sensor impairment: the
-    /// simulation's clean segment when the sensor plan is disabled, an
-    /// owned corrupted copy otherwise.
-    frames: Frames<'a>,
-    impairments: Vec<Vec<FrameImpairment>>,
+    /// The test segment after sensor impairment: the simulation's shared
+    /// clean segment when the sensor plan is disabled, an owned corrupted
+    /// one otherwise.
+    segment: Cow<'a, Segment>,
     nodes: Vec<CameraNode>,
     net: Network,
     /// Controller seats, each with its own quarantine ledger and
@@ -939,13 +951,13 @@ impl<'a> MissionState<'a> {
     /// checkpoint store; cameras present at round 0 upload their features.
     fn new(sim: &'a Simulation) -> Result<MissionState<'a>> {
         let cams = sim.config.cameras;
-        let (frames, impairments) = Self::capture(sim)?;
+        let segment = Self::capture(sim)?;
+        let impairments = segment.impairments.iter().flatten();
         let degraded_frames = impairments
-            .iter()
-            .flatten()
+            .clone()
             .filter(|i| i.degraded() && !i.dropped)
             .count();
-        let dropped_frames = impairments.iter().flatten().filter(|i| i.dropped).count();
+        let dropped_frames = impairments.filter(|i| i.dropped).count();
         let tel = &sim.config.eecs.telemetry;
         tel.counter_add("sensor.degraded_frames", degraded_frames as u64);
         tel.counter_add("sensor.dropped_frames", dropped_frames as u64);
@@ -979,8 +991,7 @@ impl<'a> MissionState<'a> {
         let mut mission = MissionState {
             sim,
             tel,
-            frames,
-            impairments,
+            segment,
             nodes,
             net,
             seats: vec![SeatState::hub(cams)],
@@ -1033,31 +1044,28 @@ impl<'a> MissionState<'a> {
     /// count cannot change what was "seen". A disabled plan touches no
     /// pixel, so it borrows the shared clean segment, captured by the
     /// first such run.
-    fn capture(sim: &'a Simulation) -> Result<(Frames<'a>, Vec<Vec<FrameImpairment>>)> {
+    fn capture(sim: &'a Simulation) -> Result<Cow<'a, Segment>> {
         let plan = &sim.config.sensor_plan;
-        let segment = (sim.config.start_frame, sim.config.end_frame);
-        let capture = || capture_segment(&sim.feeds, segment, plan, sim.config.parallel.workers);
-        let (frames, impairments) = if plan.enabled() {
-            let (frames, impairments) = capture();
-            (Frames::Impaired(frames), impairments)
-        } else {
-            let segment = sim
-                .clean_frames
-                .0
-                .get_or_init(|| CleanSegment::new(capture().0));
-            let clean = segment
-                .frames
-                .iter()
-                .map(|cam_frames| vec![FrameImpairment::clean(); cam_frames.len()])
-                .collect();
-            (Frames::Clean(segment), clean)
+        let range = (sim.config.start_frame, sim.config.end_frame);
+        let capture = || {
+            Segment::new(capture_segment(
+                &sim.feeds,
+                range,
+                plan,
+                sim.config.parallel.workers,
+            ))
         };
-        if frames[0].is_empty() {
+        let segment = if plan.enabled() {
+            Cow::Owned(capture())
+        } else {
+            Cow::Borrowed(sim.clean_frames.0.get_or_init(capture))
+        };
+        if segment.frames[0].is_empty() {
             return Err(EecsError::InvalidArgument(
                 "no annotated frames in the requested range".into(),
             ));
         }
-        Ok((frames, impairments))
+        Ok(segment)
     }
 
     /// Opens the next round, or `None` once every frame has run.
@@ -1068,7 +1076,7 @@ impl<'a> MissionState<'a> {
         let assess_len = (config.eecs.assessment_period / gt_interval).clamp(1, per_round);
         let index = self.report.rounds.len();
         let start = index * per_round;
-        let n = self.frames[0].len();
+        let n = self.segment.frames[0].len();
         if start >= n {
             return None;
         }
@@ -1078,7 +1086,7 @@ impl<'a> MissionState<'a> {
             OperatingMode::CameraSubset | OperatingMode::FullEecs => (start + assess_len).min(end),
         };
         let energy_before = self.energy_spent();
-        let first_frame = self.frames[0][start].frame;
+        let first_frame = self.segment.frames[0][start].frame;
         self.tel.event(|| TraceEvent::RoundStart {
             round: index,
             first_frame,
@@ -1522,10 +1530,9 @@ impl<'a> MissionState<'a> {
     ///
     /// The detection work is pure (camera state is only touched by
     /// ingestion and the sends), and both the crash schedule and the
-    /// feasible sets are constant within a round, so the per-(camera,
-    /// frame) tasks are enumerated up front, fanned over the worker pool,
-    /// and consumed serially in exactly the order the serial loop ran
-    /// them — keeping battery drains, op counters and transport
+    /// feasible sets are constant within a round, so the pool fills the
+    /// window's detection slots first and the serial replay then reads
+    /// them by key — keeping battery drains, op counters and transport
     /// interactions bit-identical.
     fn assess(&mut self, round: &Round) -> Result<Assessment> {
         let sim = self.sim;
@@ -1547,25 +1554,9 @@ impl<'a> MissionState<'a> {
                     .collect()
             })
             .collect();
-        // Each task runs all of one camera's feasible algorithms on one
-        // frame its sensor actually produced (dropped frames run no
-        // detector at all), through one shared frame handle when
-        // enabled.
-        let kept = |j: usize| {
-            let impairments = &self.impairments[j];
-            window.clone().filter(move |&f| !impairments[f].dropped)
-        };
-        let tasks: Vec<(usize, usize)> = (0..cams)
-            .filter(|&j| !feasible[j].is_empty())
-            .flat_map(|j| kept(j).map(move |f| (j, f)))
-            .collect();
-        let kept_count: Vec<usize> = (0..cams).map(|j| kept(j).count()).collect();
-        let (bank, par, frames) = (&sim.bank, sim.config.parallel, &self.frames);
-        let outputs = crate::par::par_map_indexed(tasks.len(), par.workers, |t| {
-            let (j, f) = tasks[t];
-            frames.detect(bank, (j, f), &feasible[j], par.feature_cache)
-        });
-        let mut outputs = outputs.into_iter().map(Vec::into_iter);
+        let par = sim.config.parallel;
+        self.segment
+            .fill(&sim.bank, window, &feasible, par.workers, par.feature_cache);
 
         let mut fresh: Vec<CameraAssessment> = vec![BTreeMap::new(); cams];
         let mut attempted = vec![false; cams];
@@ -1574,9 +1565,7 @@ impl<'a> MissionState<'a> {
             if feasible[j].is_empty() {
                 continue;
             }
-            let cam_outputs = outputs.by_ref().take(kept_count[j]).collect();
-            (fresh[j], attempted[j], delivered[j]) =
-                self.assess_camera(round, j, &feasible[j], cam_outputs)?;
+            (fresh[j], attempted[j], delivered[j]) = self.assess_camera(round, j, &feasible[j])?;
         }
 
         // Graceful degradation: fresh data where it arrived, cached data
@@ -1621,20 +1610,19 @@ impl<'a> MissionState<'a> {
         })
     }
 
-    /// Replays one camera's assessment serially (`outputs`: one iterator
-    /// per kept frame, in algorithm order). Returns the camera's reports
-    /// and whether it attempted, and delivered, any upload.
+    /// Replays one camera's assessment serially, reading each detection
+    /// from its slot. Returns the camera's reports and whether it
+    /// attempted, and delivered, any upload.
     fn assess_camera(
         &mut self,
         round: &Round,
         j: usize,
         feasible: &[AlgorithmId],
-        mut outputs: Vec<std::vec::IntoIter<DetectionOutput>>,
     ) -> Result<(CameraAssessment, bool, bool)> {
         let window = round.start..round.assess_end;
         let (mut attempted, mut delivered) = (false, false);
         for f in window.clone() {
-            if self.impairments[j][f].dropped {
+            if self.segment.impairments[j][f].dropped {
                 attempted = true;
                 if self.send_gap(round.index, j)? {
                     self.seats[self.route[j]].cache.mark_heard(j, round.index);
@@ -1643,17 +1631,13 @@ impl<'a> MissionState<'a> {
         }
         let mut fresh = CameraAssessment::new();
         for &alg in feasible {
-            let mut kept = outputs.iter_mut();
             let mut series = Vec::new();
             for f in window.clone() {
-                if self.impairments[j][f].dropped {
+                if self.segment.impairments[j][f].dropped {
                     series.push(CameraReport::default());
                     continue;
                 }
-                let output = kept
-                    .next()
-                    .and_then(Iterator::next)
-                    .expect("one output per kept frame and feasible algorithm");
+                let output = self.segment.detection(&self.sim.bank, j, f, alg);
                 let (report, healthy) = self.ingest(round.index, j, f, alg, output)?;
                 attempted = true;
                 let msg = Message::DetectionMetadata {
@@ -1720,7 +1704,7 @@ impl<'a> MissionState<'a> {
                         .cloned()
                 })
                 .collect();
-            let (c, g) = sim.score_frame(&reports, &self.frames, f, &self.reid);
+            let (c, g) = sim.score_frame(&reports, &self.segment.frames, f, &self.reid);
             round.correct += c;
             round.gt += g;
         }
@@ -1872,45 +1856,32 @@ impl<'a> MissionState<'a> {
     /// just computed — and delivers metadata plus cropped object images
     /// (Section VI). Assignments and the crash schedule are fixed for the
     /// whole span (the controller only re-plans at round boundaries), so
-    /// the detections are precomputed on the pool and the stateful effects
-    /// replayed serially. One algorithm runs per camera here, so there is
-    /// nothing for a frame handle to share.
+    /// the pool fills the span's detection slots and the stateful effects
+    /// replay serially, reading them by key. One algorithm runs per camera
+    /// here, so there is nothing for a frame handle to share.
     fn operate(&mut self, round: &mut Round) -> Result<()> {
         let sim = self.sim;
         let cams = sim.config.cameras;
-        let (net, nodes, impairments) = (&self.net, &self.nodes, &self.impairments);
-        let tasks: Vec<(usize, usize, AlgorithmId)> = (round.assess_end..round.end)
-            .flat_map(|f| {
-                (0..cams).filter_map(move |j| {
-                    if net.is_camera_down(j) || impairments[j][f].dropped {
-                        return None;
-                    }
-                    nodes[j].assigned().map(|alg| (f, j, alg))
-                })
+        let assigned: Vec<Vec<AlgorithmId>> = (0..cams)
+            .map(|j| match self.nodes[j].assigned() {
+                Some(alg) if !self.net.is_camera_down(j) => vec![alg],
+                _ => Vec::new(),
             })
             .collect();
-        let (bank, frames) = (&sim.bank, &self.frames);
-        let outputs = crate::par::par_map_indexed(tasks.len(), sim.config.parallel.workers, |t| {
-            let (f, j, alg) = tasks[t];
-            let mut output = frames.detect(bank, (j, f), &[alg], false);
-            output.pop().expect("one algorithm, one output")
-        });
-        let mut outputs = tasks.iter().zip(outputs);
-        for f in round.assess_end..round.end {
+        let (span, workers) = (round.assess_end..round.end, sim.config.parallel.workers);
+        self.segment
+            .fill(&sim.bank, span.clone(), &assigned, workers, false);
+        for f in span {
             let mut reports = Vec::new();
-            for j in 0..cams {
-                if self.net.is_camera_down(j) {
-                    continue;
-                }
-                let Some(alg) = self.nodes[j].assigned() else {
+            for (j, algorithms) in assigned.iter().enumerate() {
+                let &[alg] = algorithms.as_slice() else {
                     continue;
                 };
-                if self.impairments[j][f].dropped {
+                if self.segment.impairments[j][f].dropped {
                     self.send_gap(round.index, j)?;
                     continue;
                 }
-                let (&task, output) = outputs.next().expect("one task per detection");
-                debug_assert_eq!(task, (f, j, alg));
+                let output = self.segment.detection(&sim.bank, j, f, alg);
                 let (report, healthy) = self.ingest(round.index, j, f, alg, output)?;
                 let crop_bytes: u64 = report
                     .objects
@@ -1930,7 +1901,7 @@ impl<'a> MissionState<'a> {
                     reports.push(report);
                 }
             }
-            let (c, g) = sim.score_frame(&reports, &self.frames, f, &self.reid);
+            let (c, g) = sim.score_frame(&reports, &self.segment.frames, f, &self.reid);
             round.correct += c;
             round.gt += g;
         }
@@ -1955,7 +1926,7 @@ impl<'a> MissionState<'a> {
         let ops = output.ops;
         let health = DetectorHealth::check(alg, &output, &sim.config.eecs.health);
         let healthy = health.is_healthy();
-        let fd = &self.frames[j][f];
+        let fd = &self.segment.frames[j][f];
         let mut report =
             self.nodes[j].ingest_detection(&fd.image, output, profile, &sim.fleet[j].device)?;
         if !healthy {
@@ -2049,8 +2020,8 @@ impl<'a> MissionState<'a> {
             self.seats[0].last_plan = (assignment.clone(), active.clone());
         }
         self.report.rounds.push(RoundRecord {
-            first_frame: self.frames[0][round.start].frame,
-            last_frame: self.frames[0][round.end - 1].frame,
+            first_frame: self.segment.frames[0][round.start].frame,
+            last_frame: self.segment.frames[0][round.end - 1].frame,
             active,
             assignment,
             energy_j: round_energy,

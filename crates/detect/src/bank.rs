@@ -125,7 +125,9 @@ impl DetectorBank {
     /// `share_features` the detectors scan through one [`FrameFeatures`]
     /// handle, sharing its grayscale conversion and scratch buffers —
     /// outputs (detections *and* per-algorithm `ops`) are identical either
-    /// way.
+    /// way. The simulator fills its detection slots one detector at a
+    /// time instead; the repository benchmark's layer-by-layer replay
+    /// (`benchmark/src/replay.rs`) is the remaining program caller.
     pub fn run_algorithms(
         &self,
         algorithms: &[AlgorithmId],
